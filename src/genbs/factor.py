@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroPolynomialError
+from .orders import mono_div
 from .poly import Poly, QQ, univar_gcd
 
 
@@ -21,22 +22,19 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero")
-    ring = f.ring
-    fld = ring.field
-    q = ring.zero()
+    fld = f.ring.field
+    q = {}
     r = f
-    from .orders import mono_div
-
     lg = g.lead_exp()
     lcg = g.lead_coeff()
     while not r.is_zero():
         m = mono_div(r.lead_exp(), lg)
         if m is None:
             raise ValueError("division is not exact")
-        t = ring.monomial(m, fld.div(r.lead_coeff(), lcg))
-        q = q + t
-        r = r - t * g
-    return q
+        # leads of r strictly decrease, so every quotient term is new
+        c = q[m] = fld.div(r.lead_coeff(), lcg)
+        r = r.sub_mul_term(c, m, g)
+    return Poly(f.ring, q)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -195,8 +193,11 @@ def _divisors(n: int):
 
 
 def rational_roots(f: Poly, var: int):
-    """All rational roots of a univariate polynomial over Q, by trial.
+    """All rational roots of a univariate polynomial over Q, ascending, by trial.
 
+    Candidates are ±p/q in lowest terms with p dividing the trailing and q
+    the leading coefficient of the integer primitive form.  Each is tested
+    by the integer value q^n f(p/q), evaluated with Horner's rule.
     Assumes the trailing coefficient is nonzero (no root at 0).
     """
     coeffs = _univar_coeffs(f, var)
@@ -216,12 +217,11 @@ def rational_roots(f: Poly, var: int):
     roots = []
     for p in _divisors(a0):
         for q in _divisors(an):
+            if _gcd_int(p, q) != 1:
+                continue
             for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if r in roots:
-                    continue
-                if _eval_univar(vals, r) == 0:
-                    roots.append(r)
+                if _homogeneous_value(ints, sign * p, q) == 0:
+                    roots.append(Fraction(sign * p, q))
     return sorted(roots)
 
 
@@ -232,10 +232,13 @@ def _gcd_int(a, b):
     return a
 
 
-def _eval_univar(vals, r):
-    acc = Fraction(0)
-    for c in reversed(vals):
-        acc = acc * r + c
+def _homogeneous_value(ints, p, q):
+    """q^n * f(p/q) for f = sum ints[i] x^i of degree n, in integers."""
+    acc = ints[-1]
+    qpow = 1
+    for c in reversed(ints[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
     return acc
 
 

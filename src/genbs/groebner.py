@@ -39,8 +39,7 @@ def reduce_step(f: Poly, basis):
         m = mono_div(lt, b.lead_exp())
         if m is not None:
             c = fld.div(lc, b.lead_coeff())
-            g = f - b.scale(c) * f.ring.monomial(m)
-            return g, i, m, c
+            return f.sub_mul_term(c, m, b), i, m, c
     return None
 
 
@@ -50,23 +49,23 @@ def normal_form(f: Poly, basis, with_cofactors=False):
     With cofactors, also return the list q with f = sum q_i basis_i + nf.
     """
     ring = f.ring
-    fld = ring.field
     basis = list(basis)
     q = [ring.zero() for _ in basis] if with_cofactors else None
-    tail = ring.zero()
+    tail = {}
     work = f
     while not work.is_zero():
         step = reduce_step(work, basis)
         if step is None:
+            # move the irreducible lead to the tail; later leads are smaller
             lt = work.lead_exp()
-            lc = work.lead_coeff()
-            head = ring.monomial(lt, lc)
-            tail = tail + head
-            work = work - head
+            rest = dict(work._terms)
+            tail[lt] = rest.pop(lt)
+            work = Poly(ring, rest)
         else:
             work, i, m, c = step
             if with_cofactors:
                 q[i] = q[i] + ring.monomial(m, c)
+    tail = Poly(ring, tail)
     if with_cofactors:
         return tail, q
     return tail
@@ -78,8 +77,7 @@ def spoly(f: Poly, g: Poly):
     lf, lg = f.lead_exp(), g.lead_exp()
     l = mono_lcm(lf, lg)
     mf = ring.monomial(mono_div(l, lf), fld.inv(f.lead_coeff()))
-    mg = ring.monomial(mono_div(l, lg), fld.inv(g.lead_coeff()))
-    return mf * f - mg * g
+    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, lg), g)
 
 
 def _update_pairs(pairs, basis, t):

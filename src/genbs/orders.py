@@ -13,6 +13,8 @@ suite rather than proven per instance.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 
 class TermOrder:
     """Base class; subclasses define ``key`` and a stable description."""
@@ -27,7 +29,9 @@ class TermOrder:
         return self.key(a) > self.key(b)
 
     def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.describe() == other.describe()
+        return self is other or (
+            isinstance(other, TermOrder) and self.describe() == other.describe()
+        )
 
     def __hash__(self):
         return hash(self.describe())
@@ -50,7 +54,7 @@ class GRevLex(TermOrder):
     """Degree reverse lexicographic order."""
 
     def key(self, exp):
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+        return (sum(exp), tuple(map(neg, reversed(exp))))
 
     def describe(self):
         return "grevlex"
@@ -62,7 +66,8 @@ class Block(TermOrder):
     ``front`` is a set of variable positions.  A monomial involving a front
     variable is larger than any monomial free of them, which is what makes
     basis elements free of the front block generate the subring
-    intersection.
+    intersection.  The back positions depend only on the exponent length,
+    so they are computed once per length.
     """
 
     def __init__(self, front, front_order=None, back_order=None):
@@ -70,10 +75,23 @@ class Block(TermOrder):
         self._front_set = frozenset(self.front)
         self.front_order = front_order or GRevLex()
         self.back_order = back_order or GRevLex()
+        self._back = {}
+        self._describe = "block(front=%s;%s;%s)" % (
+            ",".join(map(str, self.front)),
+            self.front_order.describe(),
+            self.back_order.describe(),
+        )
+
+    def _back_indices(self, n):
+        back = self._back.get(n)
+        if back is None:
+            back = tuple(i for i in range(n) if i not in self._front_set)
+            self._back[n] = back
+        return back
 
     def split(self, exp):
-        fr = tuple(exp[i] for i in self.front)
-        bk = tuple(e for i, e in enumerate(exp) if i not in self._front_set)
+        fr = tuple([exp[i] for i in self.front])
+        bk = tuple([exp[i] for i in self._back_indices(len(exp))])
         return fr, bk
 
     def key(self, exp):
@@ -81,11 +99,7 @@ class Block(TermOrder):
         return (self.front_order.key(fr), self.back_order.key(bk))
 
     def describe(self):
-        return "block(front=%s;%s;%s)" % (
-            ",".join(map(str, self.front)),
-            self.front_order.describe(),
-            self.back_order.describe(),
-        )
+        return self._describe
 
 
 class Weighted(TermOrder):
@@ -113,7 +127,7 @@ class Weighted(TermOrder):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
@@ -131,15 +145,7 @@ def mono_divides(b, a):
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a):
-    return sum(a)
+    return tuple(map(max, a, b))
 
 
 def mono_is_one(a):

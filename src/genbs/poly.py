@@ -168,7 +168,7 @@ class PolyRing:
         return Poly(self, out)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names
@@ -187,19 +187,25 @@ class PolyRing:
 
 
 def _check_same_ring(a, b):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise MixedRingError("polynomials live in different rings")
 
 
 class Poly:
-    """Immutable sparse polynomial. Terms map exponent tuple -> coefficient."""
+    """Immutable sparse polynomial. Terms map exponent tuple -> coefficient.
 
-    __slots__ = ("ring", "_terms", "_sorted")
+    The term map is never mutated after construction: every operation
+    builds a new dict.  The cached leading exponent and the cached sorted
+    term list rely on that.
+    """
+
+    __slots__ = ("ring", "_terms", "_sorted", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._terms = terms
         self._sorted = None
+        self._lead = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -216,7 +222,11 @@ class Poly:
         return self._terms.get(self.ring._zero_exp, self.ring.field.zero())
 
     def terms(self):
-        """Terms as (exponent, coefficient) pairs, descending in the ring order."""
+        """Terms as (exponent, coefficient) pairs, descending in the ring order.
+
+        Only printing and callers that walk every term need the sort; the
+        leading term comes from :meth:`lead_exp` without one.
+        """
         if self._sorted is None:
             key = self.ring.order.key
             self._sorted = sorted(
@@ -231,12 +241,14 @@ class Poly:
         return len(self._terms)
 
     def lead_exp(self):
-        if not self._terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        return self.terms()[0][0]
+        if self._lead is None:
+            if not self._terms:
+                raise ZeroPolynomialError("zero polynomial has no leading term")
+            self._lead = max(self._terms, key=self.ring.order.key)
+        return self._lead
 
     def lead_coeff(self):
-        return self.terms()[0][1]
+        return self._terms[self.lead_exp()]
 
     def coeff(self, exp):
         return self._terms.get(tuple(exp), self.ring.field.zero())
@@ -322,6 +334,29 @@ class Poly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def sub_mul_term(self, c, m, g):
+        """Return self - c*x^m*g, with c a field element and m an exponent.
+
+        One pass over the terms of g; the reduction step of the Groebner
+        engine and exact division use it in place of building the product.
+        """
+        _check_same_ring(self, g)
+        f = self.ring.field
+        out = dict(self._terms)
+        for e, v in g._terms.items():
+            exp = mono_mul(e, m)
+            t = f.mul(c, v)
+            acc = out.get(exp)
+            if acc is None:
+                out[exp] = f.neg(t)
+                continue
+            acc = f.sub(acc, t)
+            if f.is_zero(acc):
+                del out[exp]
+            else:
+                out[exp] = acc
+        return Poly(self.ring, out)
 
     def scale(self, c):
         f = self.ring.field

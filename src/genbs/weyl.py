@@ -134,7 +134,7 @@ class WeylRing:
         return Poly(target, out)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, WeylRing)
             and self.field == other.field
             and self.names == other.names
@@ -154,14 +154,20 @@ class WeylRing:
 
 
 class WeylOp:
-    """Immutable normally ordered operator; terms map exponents to coefficients."""
+    """Immutable normally ordered operator; terms map exponents to coefficients.
 
-    __slots__ = ("ring", "_terms", "_sorted")
+    The term map is never mutated after construction: every operation
+    builds a new dict.  The cached leading exponent and the cached sorted
+    term list rely on that.
+    """
+
+    __slots__ = ("ring", "_terms", "_sorted", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._terms = terms
         self._sorted = None
+        self._lead = None
 
     def is_zero(self):
         return not self._terms
@@ -175,6 +181,7 @@ class WeylOp:
         return self._terms.get(self.ring._zero_exp, self.ring.field.zero())
 
     def terms(self):
+        """Terms, descending in the ring order; sorted once, for printing."""
         if self._sorted is None:
             key = self.ring.order.key
             self._sorted = sorted(
@@ -186,12 +193,14 @@ class WeylOp:
         return len(self._terms)
 
     def lead_exp(self):
-        if not self._terms:
-            raise ZeroPolynomialError("zero operator has no leading term")
-        return self.terms()[0][0]
+        if self._lead is None:
+            if not self._terms:
+                raise ZeroPolynomialError("zero operator has no leading term")
+            self._lead = max(self._terms, key=self.ring.order.key)
+        return self._lead
 
     def lead_coeff(self):
-        return self.terms()[0][1]
+        return self._terms[self.lead_exp()]
 
     def total_degree(self):
         if not self._terms:
@@ -214,7 +223,7 @@ class WeylOp:
 
     def _coerce(self, other):
         if isinstance(other, WeylOp):
-            if self.ring != other.ring:
+            if self.ring is not other.ring and self.ring != other.ring:
                 raise MixedRingError("operators live in different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -273,15 +282,36 @@ class WeylOp:
         acc = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                for exp, num in _leibniz_terms(ring, e1, e2):
-                    c = f.mul(f.mul(c1, c2), f.from_rational(Fraction(num)))
-                    prev = acc.get(exp)
-                    c3 = c if prev is None else f.add(prev, c)
-                    if f.is_zero(c3):
-                        acc.pop(exp, None)
-                    else:
-                        acc[exp] = c3
+                _add_product_terms(f, acc, f.mul(c1, c2), _leibniz_terms(ring, e1, e2))
         return WeylOp(ring, acc)
+
+    def sub_mul_term(self, c, m, g):
+        """Return self - c*x^m*g, with c a field element and m an exponent.
+
+        One pass over the terms of g, applying the Leibniz rule to x^m
+        times each term; this is the left reduction step of the Groebner
+        engine.  Each coefficient of the product is summed in full before
+        it is subtracted, as in ``self - ring.monomial(m, c) * g``: over a
+        residue field the form of a result depends on that order.
+        """
+        g = self._coerce(g)
+        ring = self.ring
+        f = ring.field
+        prod = {}
+        for e2, c2 in g._terms.items():
+            _add_product_terms(f, prod, f.mul(c, c2), _leibniz_terms(ring, m, e2))
+        out = dict(self._terms)
+        for exp, t in prod.items():
+            acc = out.get(exp)
+            if acc is None:
+                out[exp] = f.neg(t)
+                continue
+            acc = f.sub(acc, t)
+            if f.is_zero(acc):
+                del out[exp]
+            else:
+                out[exp] = acc
+        return WeylOp(ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -360,12 +390,31 @@ class WeylOp:
         return WeylOp(target_ring, out)
 
 
+def _add_product_terms(f, acc, c, terms):
+    """Add c*num at exp into ``acc`` for each (exp, num) of a Leibniz expansion.
+
+    The multiply is skipped when num is 1, as it is for every term of a
+    product without an active pair.
+    """
+    for exp, num in terms:
+        t = c if num == 1 else f.mul(c, f.from_rational(Fraction(num)))
+        prev = acc.get(exp)
+        if prev is None:
+            acc[exp] = t
+            continue
+        t = f.add(prev, t)
+        if f.is_zero(t):
+            del acc[exp]
+        else:
+            acc[exp] = t
+
+
 def _leibniz_terms(ring, e1, e2):
     """Expand (normal e1) * (normal e2) into normally ordered terms.
 
-    Yields (exponent, integer coefficient).  Only pairs where the left
-    factor has derivative power and the right factor has position power
-    contribute corrections.
+    Returns a list of (exponent, integer coefficient).  Only pairs where
+    the left factor has derivative power and the right factor has
+    position power contribute corrections.
     """
     base = mono_mul(e1, e2)
     active = []
@@ -375,8 +424,7 @@ def _leibniz_terms(ring, e1, e2):
         if b > 0 and a > 0:
             active.append((p, d, a, b))
     if not active:
-        yield base, 1
-        return
+        return [(base, 1)]
     terms = [(base, 1)]
     for p, d, a, b in active:
         new = []
@@ -391,8 +439,7 @@ def _leibniz_terms(ring, e1, e2):
                     lowered[d] -= k
                     new.append((tuple(lowered), coef))
         terms = new
-    for exp, num in terms:
-        yield exp, num
+    return terms
 
 
 def commutator(f: WeylOp, g: WeylOp) -> WeylOp:

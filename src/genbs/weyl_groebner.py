@@ -11,10 +11,18 @@ bookkeeping carries over.
 Optional weight vectors are carried through the run purely as
 homogeneity assertions: the primary comparison is always the global
 order, never a signed weight.
+
+Pair selection is normal selection: the next S-pair is the one whose lcm
+is smallest in the ring order, ties broken by creation order (pairs are
+created as basis elements are appended, (0, t), (1, t), ..., (t-1, t)).
+Bases, cofactors and hence certificates depend on this rule, so a change
+to it changes reports.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -68,8 +76,7 @@ def left_reduce_step(f: WeylOp, basis):
         m = mono_div(lt, b.lead_exp())
         if m is not None:
             c = fld.div(lc, b.lead_coeff())
-            mono = f.ring.monomial(m, c)
-            return f - mono * b, i, mono
+            return f.sub_mul_term(c, m, b), i, f.ring.monomial(m, c)
     return None
 
 
@@ -82,18 +89,21 @@ def left_normal_form(f: WeylOp, basis, with_cofactors=False):
     ring = f.ring
     basis = list(basis)
     q = [ring.zero() for _ in basis] if with_cofactors else None
-    tail = ring.zero()
+    tail = {}
     work = f
     while not work.is_zero():
         step = left_reduce_step(work, basis)
         if step is None:
-            head = ring.monomial(work.lead_exp(), work.lead_coeff())
-            tail = tail + head
-            work = work - head
+            # move the irreducible lead to the tail; later leads are smaller
+            lt = work.lead_exp()
+            rest = dict(work._terms)
+            tail[lt] = rest.pop(lt)
+            work = WeylOp(ring, rest)
         else:
             work, i, mono = step
             if with_cofactors:
                 q[i] = q[i] + mono
+    tail = WeylOp(ring, tail)
     if with_cofactors:
         return tail, q
     return tail
@@ -104,8 +114,7 @@ def left_spoly(f: WeylOp, g: WeylOp):
     fld = ring.field
     l = mono_lcm(f.lead_exp(), g.lead_exp())
     mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    mg = ring.monomial(mono_div(l, g.lead_exp()), fld.inv(g.lead_coeff()))
-    return mf * f - mg * g
+    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp()), g)
 
 
 def _assert_homogeneous(op, weight_vectors, where):
@@ -139,7 +148,10 @@ def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=())
 
     basis = []
     reps = []
+    # heap of (order key of the lcm, creation index, i, j): normal selection
     pairs = []
+    key = ring.order.key
+    serial = itertools.count()
 
     def add(poly, rep, where):
         _assert_homogeneous(poly, weight_vectors, where)
@@ -147,8 +159,10 @@ def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=())
         if cofactors:
             reps.append(rep)
         t = len(basis) - 1
+        lt = poly.lead_exp()
         for i in range(t):
-            pairs.append((i, t, mono_lcm(basis[i].lead_exp(), poly.lead_exp())))
+            lcm = mono_lcm(basis[i].lead_exp(), lt)
+            heapq.heappush(pairs, (key(lcm), next(serial), i, t))
 
     for idx, g in enumerate(generators):
         if g.is_zero():
@@ -164,15 +178,13 @@ def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=())
         c = ring.field.inv(nf.lead_coeff())
         nf = nf.scale(c)
         if cofactors:
-            rep = [ring.const(c) * r for r in rep]
+            rep = [r.scale(c) for r in rep]
         add(nf, rep, "input reduction")
 
-    key = ring.order.key
     while pairs:
         if budget is not None:
             budget.tick()
-        pairs.sort(key=lambda t: key(t[2]))
-        i, j, _ = pairs.pop(0)
+        _, _, i, j = heapq.heappop(pairs)
         s = left_spoly(basis[i], basis[j])
         _assert_homogeneous(s, weight_vectors, "S-pair formation")
         nf, q = left_normal_form(s, basis, with_cofactors=True)
@@ -185,7 +197,7 @@ def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=())
         c = ring.field.inv(nf.lead_coeff())
         nf = nf.scale(c)
         if cofactors:
-            rep = [ring.const(c) * r for r in rep]
+            rep = [r.scale(c) for r in rep]
         add(nf, rep, "S-pair reduction")
 
     return _left_reduce_basis(basis, reps, ring, cofactors, weight_vectors)
@@ -196,8 +208,8 @@ def _left_spoly_rep(basis, reps, i, j, ring):
     f, g = basis[i], basis[j]
     l = mono_lcm(f.lead_exp(), g.lead_exp())
     mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    mg = ring.monomial(mono_div(l, g.lead_exp()), fld.inv(g.lead_coeff()))
-    return [mf * a - mg * b for a, b in zip(reps[i], reps[j])]
+    cg, mg = fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp())
+    return [(mf * a).sub_mul_term(cg, mg, b) for a, b in zip(reps[i], reps[j])]
 
 
 def _sub_left_combination(rep, q, reps, ring):
@@ -233,7 +245,7 @@ def _left_reduce_basis(basis, reps, ring, cofactors, weight_vectors):
         c = ring.field.inv(nf.lead_coeff())
         reduced.append(nf.scale(c))
         if cofactors:
-            redreps.append([ring.const(c) * r for r in rep])
+            redreps.append([r.scale(c) for r in rep])
 
     idx = sorted(
         range(len(reduced)),

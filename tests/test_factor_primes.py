@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genbs.errors import DecompositionUnsupported, UnitIdealError, ZeroPolynomialError
 from genbs.factor import (
@@ -79,6 +81,48 @@ def test_rational_roots():
     assert rational_roots(f, 0) == [-1, Fraction(-1, 2), 3]
     g = s**2 + 1
     assert rational_roots(g, 0) == []
+
+
+def _eval_univar(vals, r):
+    acc = Fraction(0)
+    for c in reversed(vals):
+        acc = acc * r + c
+    return acc
+
+
+def _reference_rational_roots(f):
+    """Every ±p/q over divisors of the integer end coefficients, tested in Q."""
+    vals = [f.coeff((k,)) for k in range(f.degree_in(0) + 1)]
+    den = 1
+    for v in vals:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vals]
+    a0, an = abs(ints[0]), abs(ints[-1])
+    divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    roots = {
+        Fraction(sign * p, q)
+        for p in divisors(a0)
+        for q in divisors(an)
+        for sign in (1, -1)
+        if _eval_univar(vals, Fraction(sign * p, q)) == 0
+    }
+    return sorted(roots)
+
+
+small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+
+
+@settings(deadline=None)
+@given(st.lists(small_roots, min_size=1, max_size=4), st.fractions(-3, 3, max_denominator=3).filter(bool))
+def test_rational_roots_products_of_linear_factors(roots, unit):
+    S = PolyRing(QQ, ("s",), GRevLex())
+    s = S.var("s")
+    f = S.const(unit) * (s**2 + 1)
+    for r in roots:
+        f = f * (s - S.const(r))
+    expected = sorted(set(roots))
+    assert _reference_rational_roots(f) == expected
+    assert rational_roots(f, 0) == expected
 
 
 def test_factor_shapes():

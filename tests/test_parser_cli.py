@@ -1,5 +1,6 @@
 """Parser grammar plus end-to-end CLI jobs: determinism, exit codes, reports."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -225,3 +226,24 @@ def test_text_rendering_stable():
     t2 = serialize_report(report, "text")
     assert t1 == t2
     assert "verified: True" in t1
+
+
+# S-pair counts and certificate digests of the reference implementation.
+# Pair selection order and the reduction path both shape P, so any change
+# to either shows up here.
+GOLDEN_BS = {
+    "y^2-x^3": (160, "1554a81345881f39bb38fff7e10379b4bb6e9709ab1ae1fddb21b13e83f72bff"),
+    "x*y*(x+y)": (402, "3cc99c5df3ecdda8f2c890085d621677d77f933d98adcaaeb4494f0acec71a10"),
+}
+
+
+@pytest.mark.parametrize("f", sorted(GOLDEN_BS))
+def test_cli_bs_golden_determinism(f):
+    steps, digest = GOLDEN_BS[f]
+    spec = JobSpec(command="bs", vars=("x", "y"), f=(f,), budget_steps=10**8)
+    report, code = run_command(spec)
+    assert code == 0
+    assert report["budget_used"]["steps"] == steps
+    P = report["certificates"]["P"]
+    assert P["sha256"] == digest
+    assert hashlib.sha256(P["value"].encode("utf-8")).hexdigest() == digest

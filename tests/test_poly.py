@@ -1,12 +1,20 @@
-"""Polynomial ring arithmetic, exact division, substitution, printing."""
+"""Polynomial ring arithmetic, exact division, substitution, printing.
 
+Also the term kernel shared with operators: the cached leading term and
+the fused reduction step ``f - c*x^m*g``, checked against the products
+they replace.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from genbs.errors import MixedRingError
-from genbs.orders import GRevLex, Lex
+from genbs.groebner import buchberger
+from genbs.orders import Block, GRevLex, Lex
+from genbs.parametric import ResidueField
 from genbs.poly import (
     Poly,
     PolyRing,
@@ -15,9 +23,20 @@ from genbs.poly import (
     univar_extended_gcd,
     univar_gcd,
 )
+from genbs.primes import PrimeIdealQ, certify_prime
+from genbs.weyl import WeylRing
 
 R = PolyRing(QQ, ("x", "y"), GRevLex())
 X, Y = R.var("x"), R.var("y")
+
+# two Weyl pairs (x, dx), (y, dy) and a central s, under a degree order and
+# under the elimination order used for s-elimination
+WEYL_NAMES = ("x", "y", "dx", "dy", "s")
+WEYL_PAIRS = ((0, 2), (1, 3))
+WEYL_RINGS = (
+    WeylRing(QQ, WEYL_NAMES, WEYL_PAIRS, GRevLex()),
+    WeylRing(QQ, WEYL_NAMES, WEYL_PAIRS, Block((0, 2))),
+)
 
 coeffs = st.fractions(
     min_value=-9, max_value=9, max_denominator=5
@@ -41,6 +60,18 @@ def poly_strategy(draw):
     return R.from_terms([(e, Fraction(c)) for e, c in terms])
 
 
+weyl_exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(WEYL_NAMES))
+
+
+@st.composite
+def weyl_op_strategy(draw, ring):
+    terms = draw(st.lists(st.tuples(weyl_exps, coeffs), max_size=6))
+    acc = ring.zero()
+    for e, c in terms:
+        acc = acc + ring.monomial(e, Fraction(c))
+    return acc
+
+
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
@@ -53,15 +84,91 @@ def test_ring_axioms(f, g, h):
     assert f - f == R.zero()
 
 
-@given(poly_strategy())
-def test_lead_term_consistency(f):
+@given(
+    poly_strategy(),
+    weyl_op_strategy(WEYL_RINGS[0]),
+    weyl_op_strategy(WEYL_RINGS[1]),
+)
+def test_lead_term_consistency(f, op_grevlex, op_block):
     if f.is_zero():
         assert f.total_degree() == -1
-        return
-    le = f.lead_exp()
-    assert f.coeff(le) == f.lead_coeff()
-    for e, _ in f.terms()[1:]:
-        assert R.order.greater(le, e)
+    else:
+        le = f.lead_exp()
+        assert f.coeff(le) == f.lead_coeff()
+        for e, _ in f.terms()[1:]:
+            assert R.order.greater(le, e)
+    for op in (op_grevlex, op_block):
+        if op.is_zero():
+            continue
+        # the cached lead is taken before any sort happens
+        le, lc = op.lead_exp(), op.lead_coeff()
+        assert op.terms()[0] == (le, lc)
+        for e, _ in op.terms()[1:]:
+            assert op.ring.order.greater(le, e)
+
+
+nonzero_coeffs = coeffs.filter(lambda c: c != 0).map(Fraction)
+
+
+def _same_terms(a, b):
+    """Equal term maps, in the same insertion order, coefficient by coefficient."""
+    fld = a.ring.field
+    return [(e, fld.to_str(c)) for e, c in a._terms.items()] == [
+        (e, fld.to_str(c)) for e, c in b._terms.items()
+    ]
+
+
+@given(
+    poly_strategy(),
+    poly_strategy(),
+    nonzero_coeffs,
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+def test_fused_reduction_poly(f, g, c, m):
+    fused = f.sub_mul_term(c, m, g)
+    assert fused == f - R.monomial(m, c) * g
+    assert _same_terms(fused, f - R.monomial(m, c) * g)
+
+
+@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["grevlex", "block"])
+@given(data=st.data(), c=nonzero_coeffs, m=weyl_exps)
+def test_fused_reduction_weyl(ring, data, c, m):
+    f = data.draw(weyl_op_strategy(ring))
+    g = data.draw(weyl_op_strategy(ring))
+    fused = f.sub_mul_term(c, m, g)
+    reference = f - ring.monomial(m, c) * g
+    assert fused == reference
+    assert _same_terms(fused, reference)
+
+
+def test_fused_reduction_residue_field():
+    # In Frac(Q[a,b]/(a*b-1)) an element has several num/den forms and the
+    # form reached depends on the order of field operations, so the fused
+    # step must run exactly the operations of the product it replaces.
+    param = PolyRing(QQ, ("a", "b"), GRevLex())
+    a, b = param.var("a"), param.var("b")
+    basis = buchberger([a * b - 1])
+    F = ResidueField(PrimeIdealQ(param, (a * b - 1,), tuple(basis), certify_prime(basis, param)))
+    ring = WeylRing(F, ("x", "dx"), ((0, 1),), GRevLex())
+    rng = random.Random(31)
+
+    def elem():
+        while True:
+            num = rng.randint(-2, 2) + rng.randint(-2, 2) * a + rng.randint(-1, 1) * b
+            den = rng.randint(-2, 2) + rng.randint(-2, 2) * a + rng.randint(-1, 1) * a * b
+            if not F.nf(den).is_zero() and not F.nf(num).is_zero():
+                return F.make(num, den)
+
+    def op():
+        acc = ring.zero()
+        for _ in range(4):
+            acc = acc + ring.monomial((rng.randint(0, 2), rng.randint(0, 2)), elem())
+        return acc
+
+    for _ in range(120):
+        f, g, c = op(), op(), elem()
+        m = (rng.randint(0, 1), rng.randint(1, 2))
+        assert _same_terms(f.sub_mul_term(c, m, g), f - ring.monomial(m, c) * g)
 
 
 def test_basic_shapes():
