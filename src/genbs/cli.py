@@ -78,10 +78,6 @@ def _cert(text: str) -> dict:
     return {"value": text, "sha256": _hash(text)}
 
 
-def _fraction_str(q: Fraction) -> str:
-    return str(q)
-
-
 def generic_family(n: int, p: int, d: int, registry: VarRegistry | None = None):
     """The fully generic degree <= d family with m = p C(n+d, d) parameters.
 
@@ -178,7 +174,7 @@ def _factor_doc(g) -> dict:
 
     fac = factor(g)
     return {
-        "unit": _fraction_str(fac.unit),
+        "unit": str(fac.unit),
         "factors": [
             {
                 "factor": str(p),

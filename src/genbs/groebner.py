@@ -1,19 +1,45 @@
-"""Commutative Groebner bases over a coefficient field, with certificates.
+"""Groebner bases of ideals and of left ideals, with certificates.
 
-The engine is a plain Buchberger loop with the Gebauer-Moeller variant of
-Buchberger's two criteria, normal pair selection, and a final
-minimalization plus interreduction pass.  Every routine is deterministic:
-given the same ring (including its term order) and the same generator
-list, the reduced basis comes out identical.
+One engine serves both rings: a commutative :class:`~genbs.poly.PolyRing`
+and a Weyl ring (:class:`~genbs.weyl.WeylRing`), which is a PolyRing with
+Weyl pairs whose product applies the Leibniz rule.  A commutative ring is
+a Weyl ring without pairs, so every routine is written for left ideals:
+S-pairs and reductions use left monomial multiples.  Orders must be
+global monomial orders; then the lead of a left product m*g is
+m + lead(g), because every Leibniz correction term strictly divides the
+top term, and the commutative divisibility bookkeeping carries over.
 
-When ``cofactors=True`` the basis is returned together with an expression
-of every basis element as an explicit polynomial combination of the input
-generators, which is what certificate extraction downstream relies on.
+Pair selection is normal selection: the next S-pair is the one whose lcm
+is smallest in the ring order, ties broken by creation order (pairs are
+created as basis elements are appended, (0, t), (1, t), ..., (t-1, t)).
+Bases, cofactors and hence certificates depend on this rule, so a change
+to it changes reports.
+
+Buchberger's criteria are applied, through the Gebauer-Moeller pair
+update, only in a ring without Weyl pairs.  In a solvable algebra the
+product criterion fails once the leading monomials carry a noncommuting
+pair, and the criteria hold only where no pair is active
+(Kandri-Rody & Weispfenning, *Non-commutative Groebner bases in algebras
+of solvable type*, 1990); whether a ring has pairs is a fact of the
+input, not an option.  A final minimalization plus interreduction pass
+gives the reduced basis.  Every routine is deterministic: given the same
+ring (including its term order) and the same generator list, the reduced
+basis comes out identical.
+
+Optional weight vectors are carried through a run purely as homogeneity
+assertions: the primary comparison is always the global order, never a
+signed weight.  When cofactors are asked for, the basis is returned
+together with an expression of every basis element as an explicit left
+combination of the input generators, which is what certificate
+extraction downstream relies on.
 """
 
 from __future__ import annotations
 
-from .errors import MissingBasisError, UnitIdealError
+import heapq
+import itertools
+
+from .errors import HomogeneityViolation, MissingBasisError, MixedRingError
 from .orders import (
     Block,
     GRevLex,
@@ -27,10 +53,10 @@ from .poly import Poly, PolyRing
 
 
 def reduce_step(f: Poly, basis):
-    """One top-reduction step of f by the first basis element that divides.
+    """One left top-reduction step of f by the first basis element that divides.
 
-    Returns (g, i, m, c) with g = f - c*m*basis[i], or None when the lead
-    of f is irreducible.
+    Returns (g, i, m, c) with g = f - c*x^m*basis[i], or None when the
+    lead of f is irreducible.
     """
     lt = f.lead_exp()
     lc = f.lead_coeff()
@@ -44,9 +70,10 @@ def reduce_step(f: Poly, basis):
 
 
 def normal_form(f: Poly, basis, with_cofactors=False):
-    """Full normal form of f modulo basis (reduce every term, not just the lead).
+    """Full left normal form; no term of the result is divisible by a lead.
 
-    With cofactors, also return the list q with f = sum q_i basis_i + nf.
+    With cofactors, also return q with f = sum q_i * basis_i + nf, the
+    products taken on the left.
     """
     ring = f.ring
     basis = list(basis)
@@ -60,28 +87,43 @@ def normal_form(f: Poly, basis, with_cofactors=False):
             lt = work.lead_exp()
             rest = dict(work._terms)
             tail[lt] = rest.pop(lt)
-            work = Poly(ring, rest)
+            work = type(f)(ring, rest)
         else:
             work, i, m, c = step
             if with_cofactors:
                 q[i] = q[i] + ring.monomial(m, c)
-    tail = Poly(ring, tail)
+    tail = type(f)(ring, tail)
     if with_cofactors:
         return tail, q
     return tail
 
 
 def spoly(f: Poly, g: Poly):
+    """Left S-polynomial of f and g."""
     ring = f.ring
     fld = ring.field
-    lf, lg = f.lead_exp(), g.lead_exp()
-    l = mono_lcm(lf, lg)
-    mf = ring.monomial(mono_div(l, lf), fld.inv(f.lead_coeff()))
-    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, lg), g)
+    l = mono_lcm(f.lead_exp(), g.lead_exp())
+    mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
+    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp()), g)
 
 
-def _update_pairs(pairs, basis, t):
-    """Gebauer-Moeller pair update when basis[t] is appended."""
+def _assert_homogeneous(op, weight_vectors, where):
+    for w in weight_vectors:
+        degs = {sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms}
+        if len(degs) > 1:
+            raise HomogeneityViolation(
+                "element is not weight-homogeneous during %s: degrees %s"
+                % (where, sorted(degs))
+            )
+
+
+def _update_pairs(pairs, basis, t, push):
+    """Gebauer-Moeller pair update when basis[t] is appended.
+
+    ``pairs`` is the heap of (key, serial, i, j, lcm); old pairs failing
+    the chain criterion are dropped from it in place, and the surviving
+    new pairs are handed to ``push`` as (i, t, lcm).
+    """
     lt = basis[t].lead_exp()
     new = [(i, t, mono_lcm(basis[i].lead_exp(), lt)) for i in range(t)]
 
@@ -102,15 +144,92 @@ def _update_pairs(pairs, basis, t):
             continue
         kept.append(min(cls))
     # chain criterion on old pairs
-    old = []
-    for i, j, l in pairs:
-        if (
-            not mono_divides(lt, l)
-            or mono_lcm(basis[i].lead_exp(), lt) == l
-            or mono_lcm(basis[j].lead_exp(), lt) == l
-        ):
-            old.append((i, j, l))
-    return old + kept
+    pairs[:] = [
+        p
+        for p in pairs
+        if not mono_divides(lt, p[4])
+        or mono_lcm(basis[p[2]].lead_exp(), lt) == p[4]
+        or mono_lcm(basis[p[3]].lead_exp(), lt) == p[4]
+    ]
+    heapq.heapify(pairs)
+    for pair in kept:
+        push(*pair)
+
+
+def _buchberger(generators, cofactors, budget, weight_vectors):
+    """Reduced (left) Groebner basis: the loop behind both public entry points.
+
+    Every appended element and every S-polynomial is asserted homogeneous
+    for each of ``weight_vectors``; the budget ticks once per S-pair.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return ([], []) if cofactors else []
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise MixedRingError("generators live in different rings")
+
+    basis = []
+    reps = []  # reps[k][i] = cofactor of generators[i] in basis[k]
+    # heap of (order key of the lcm, creation index, i, j, lcm): normal selection
+    pairs = []
+    key = ring.order.key
+    serial = itertools.count()
+
+    def push(i, j, lcm):
+        heapq.heappush(pairs, (key(lcm), next(serial), i, j, lcm))
+
+    def add(poly, rep, where):
+        _assert_homogeneous(poly, weight_vectors, where)
+        basis.append(poly)
+        if cofactors:
+            reps.append(rep)
+        t = len(basis) - 1
+        if not ring.pairs:
+            _update_pairs(pairs, basis, t, push)
+            return
+        lt = poly.lead_exp()
+        for i in range(t):
+            push(i, t, mono_lcm(basis[i].lead_exp(), lt))
+
+    for idx, g in enumerate(generators):
+        if g.is_zero():
+            continue
+        rep = None
+        nf, q = normal_form(g, basis, with_cofactors=True)
+        if cofactors:
+            rep = [ring.zero()] * len(generators)
+            rep[idx] = ring.one()
+            rep = _sub_combination(rep, q, reps)
+        if nf.is_zero():
+            continue
+        c = ring.field.inv(nf.lead_coeff())
+        nf = nf.scale(c)
+        if cofactors:
+            rep = [r.scale(c) for r in rep]
+        add(nf, rep, "input reduction")
+
+    while pairs:
+        if budget is not None:
+            budget.tick()
+        _, _, i, j, _ = heapq.heappop(pairs)
+        s = spoly(basis[i], basis[j])
+        _assert_homogeneous(s, weight_vectors, "S-pair formation")
+        nf, q = normal_form(s, basis, with_cofactors=True)
+        if nf.is_zero():
+            continue
+        rep = None
+        if cofactors:
+            rep = _spoly_rep(basis, reps, i, j, ring)
+            rep = _sub_combination(rep, q, reps)
+        c = ring.field.inv(nf.lead_coeff())
+        nf = nf.scale(c)
+        if cofactors:
+            rep = [r.scale(c) for r in rep]
+        add(nf, rep, "S-pair reduction")
+
+    return _reduce_basis(basis, reps, ring, cofactors, weight_vectors)
 
 
 def buchberger(generators, cofactors=False, budget=None):
@@ -127,65 +246,7 @@ def buchberger(generators, cofactors=False, budget=None):
 
     Returns the reduced basis (monic, sorted descending by lead monomial).
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        if cofactors:
-            return [], []
-        return []
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise MissingBasisError("generators live in different rings")
-
-    basis = []
-    reps = []  # reps[k][i] = cofactor of generators[i] in basis[k]
-    pairs = []
-
-    def append(poly, rep):
-        basis.append(poly)
-        if cofactors:
-            reps.append(rep)
-        return _update_pairs(pairs, basis, len(basis) - 1)
-
-    for idx, g in enumerate(generators):
-        if g.is_zero():
-            continue
-        rep = [ring.zero()] * len(generators)
-        rep[idx] = ring.one()
-        nf, q = normal_form(g, basis, with_cofactors=True)
-        if cofactors:
-            rep = _sub_combination(rep, q, reps, ring)
-        if nf.is_zero():
-            continue
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        pairs = append(nf, rep)
-
-    while pairs:
-        if budget is not None:
-            budget.tick()
-        # normal selection: smallest lcm in the ring order
-        key = ring.order.key
-        pairs.sort(key=lambda t: key(t[2]))
-        i, j, l = pairs.pop(0)
-        s = spoly(basis[i], basis[j])
-        nf, q = normal_form(s, basis, with_cofactors=True)
-        if nf.is_zero():
-            continue
-        if cofactors:
-            rep = _spoly_rep(basis, reps, i, j, ring)
-            rep = _sub_combination(rep, q, reps, ring)
-        else:
-            rep = None
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        pairs = append(nf, rep)
-
-    return _reduce_basis(basis, reps, generators, ring, cofactors)
+    return _buchberger(generators, cofactors, budget, ())
 
 
 def _spoly_rep(basis, reps, i, j, ring):
@@ -193,11 +254,11 @@ def _spoly_rep(basis, reps, i, j, ring):
     f, g = basis[i], basis[j]
     l = mono_lcm(f.lead_exp(), g.lead_exp())
     mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    mg = ring.monomial(mono_div(l, g.lead_exp()), fld.inv(g.lead_coeff()))
-    return [mf * a - mg * b for a, b in zip(reps[i], reps[j])]
+    cg, mg = fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp())
+    return [(mf * a).sub_mul_term(cg, mg, b) for a, b in zip(reps[i], reps[j])]
 
 
-def _sub_combination(rep, q, reps, ring):
+def _sub_combination(rep, q, reps):
     """rep - sum_k q[k] * reps[k], componentwise."""
     out = list(rep)
     for k, qk in enumerate(q):
@@ -207,7 +268,7 @@ def _sub_combination(rep, q, reps, ring):
     return out
 
 
-def _reduce_basis(basis, reps, generators, ring, cofactors):
+def _reduce_basis(basis, reps, ring, cofactors, weight_vectors):
     # minimalize: drop elements whose lead is divisible by another lead
     order = sorted(range(len(basis)), key=lambda k: ring.order.key(basis[k].lead_exp()))
     keep = []
@@ -225,9 +286,9 @@ def _reduce_basis(basis, reps, generators, ring, cofactors):
     for pos in range(len(minimal)):
         others = minimal[:pos] + minimal[pos + 1 :]
         nf, q = normal_form(minimal[pos], others, with_cofactors=True)
+        _assert_homogeneous(nf, weight_vectors, "interreduction")
         if cofactors:
-            other_reps = minreps[:pos] + minreps[pos + 1 :]
-            rep = _sub_combination(minreps[pos], q, other_reps, ring)
+            rep = _sub_combination(minreps[pos], q, minreps[:pos] + minreps[pos + 1 :])
         c = ring.field.inv(nf.lead_coeff())
         reduced.append(nf.scale(c))
         if cofactors:
@@ -317,10 +378,6 @@ def ideal_dim(basis, ring=None):
 
     extend(frozenset(), 0)
     return best
-
-
-def zero_dimensional(basis):
-    return ideal_dim(basis) <= 0
 
 
 def radical_membership(generators, f, budget=None):

@@ -69,23 +69,6 @@ class ProblemInstance:
         pairs = [(offset + i, offset + n + i) for i in range(n)]
         return WeylRing(field if field is not None else QQ, names, pairs)
 
-    def malgrange_ring(self) -> WeylRing:
-        """Extended operator ring with the t, u, dt, y blocks (no s)."""
-        r = self.registry
-        names = (
-            r.a + r.x + r.aux_t() + r.aux_u() + r.d_names() + r.aux_dt() + r.aux_y()
-        )
-        na, n, p = len(r.a), r.n, r.p
-        x0 = na
-        t0 = na + n
-        u0 = na + n + p
-        d0 = na + n + 2 * p
-        dt0 = na + 2 * n + 2 * p
-        pairs = [(x0 + i, d0 + i) for i in range(n)] + [
-            (t0 + j, dt0 + j) for j in range(p)
-        ]
-        return WeylRing(QQ, names, pairs)
-
     # -- family helpers ---------------------------------------------------------
 
     def f_power_v(self) -> Poly:

@@ -593,12 +593,6 @@ def generic_bs(
     )
 
 
-def check_congruence_package(g: GenericBS) -> bool:
-    from .fsmodule import check_congruence
-
-    return check_congruence(g)
-
-
 def specialize_check(g: GenericBS, point) -> bool:
     """Substitute a rational parameter point and verify the identity exactly.
 

@@ -83,7 +83,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
-        self.is_weyl = isinstance(ring, WeylRing)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -104,8 +103,6 @@ class _Parser:
 
     def _var(self, tok):
         try:
-            if self.is_weyl:
-                return self.ring.gen(tok.value)
             return self.ring.var(tok.value)
         except (KeyError, ValueError):
             raise ParseError(

@@ -4,11 +4,13 @@ The two fields used in practice are the rationals (coefficients are
 ``fractions.Fraction``) and the residue fields Frac(Q[a]/Q) defined in
 :mod:`genbs.parametric`.  Polynomials are immutable; a ring object carries
 the variable names, the coefficient field and the ambient term order, and
-all term bookkeeping is exact.
+all term bookkeeping is exact.  The Weyl algebra (:mod:`genbs.weyl`)
+subclasses both the polynomial and the ring and changes only the product.
 """
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 from .errors import MixedRingError, ZeroPolynomialError
@@ -72,120 +74,6 @@ class RationalField:
 QQ = RationalField()
 
 
-class PolyRing:
-    """A polynomial ring: coefficient field, ordered variable names, term order."""
-
-    def __init__(self, field, names, order: TermOrder | None = None):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names: %r" % (names,))
-        self.field = field
-        self.names = names
-        self.order = order if order is not None else GRevLex()
-        self.nvars = len(names)
-        self._index = {n: i for i, n in enumerate(names)}
-        self._zero_exp = (0,) * self.nvars
-
-    def index(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError("unknown variable %r in ring %r" % (name, self.names))
-
-    def zero(self):
-        return Poly(self, {})
-
-    def one(self):
-        return self.const(1)
-
-    def const(self, q):
-        c = self.field.from_rational(Fraction(q)) if not self._is_coeff(q) else q
-        if self.field.is_zero(c):
-            return Poly(self, {})
-        return Poly(self, {self._zero_exp: c})
-
-    def _is_coeff(self, value):
-        if isinstance(value, (int, Fraction)):
-            return False
-        return True
-
-    def var(self, name):
-        i = self.index(name) if isinstance(name, str) else name
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return Poly(self, {tuple(exp): self.field.one()})
-
-    def monomial(self, exp, coeff=1):
-        exp = tuple(exp)
-        if len(exp) != self.nvars:
-            raise ValueError("exponent length mismatch")
-        c = coeff if self._is_coeff(coeff) else self.field.from_rational(Fraction(coeff))
-        if self.field.is_zero(c):
-            return self.zero()
-        return Poly(self, {exp: c})
-
-    def from_terms(self, terms):
-        out = {}
-        f = self.field
-        for exp, c in terms:
-            exp = tuple(exp)
-            acc = out.get(exp)
-            c2 = c if acc is None else f.add(acc, c)
-            if f.is_zero(c2):
-                out.pop(exp, None)
-            else:
-                out[exp] = c2
-        return Poly(self, out)
-
-    def with_order(self, order):
-        if order == self.order:
-            return self
-        return PolyRing(self.field, self.names, order)
-
-    def convert(self, poly: "Poly"):
-        """Re-home a polynomial into this ring by matching variable names.
-
-        Variables absent from this ring must not occur in the input.
-        """
-        if poly.ring is self:
-            return poly
-        pos = []
-        for i, n in enumerate(poly.ring.names):
-            pos.append(self._index.get(n))
-        out = {}
-        for exp, c in poly._terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                j = pos[i]
-                if j is None:
-                    raise MixedRingError(
-                        "variable %r does not exist in target ring" % poly.ring.names[i]
-                    )
-                new[j] = e
-            out[tuple(new)] = c
-        return Poly(self, out)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, PolyRing)
-            and self.field == other.field
-            and self.names == other.names
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.names, self.order))
-
-    def __repr__(self):
-        return "PolyRing(%s; %s; %s)" % (
-            self.field,
-            ",".join(self.names),
-            self.order.describe(),
-        )
-
-
 def _check_same_ring(a, b):
     if a.ring is not b.ring and a.ring != b.ring:
         raise MixedRingError("polynomials live in different rings")
@@ -196,7 +84,9 @@ class Poly:
 
     The term map is never mutated after construction: every operation
     builds a new dict.  The cached leading exponent and the cached sorted
-    term list rely on that.
+    term list rely on that.  Results are built as ``type(self)``, so a
+    subclass that changes only the product (:class:`genbs.weyl.WeylOp`)
+    inherits everything else.
     """
 
     __slots__ = ("ring", "_terms", "_sorted", "_lead")
@@ -296,13 +186,13 @@ class Poly:
                 out.pop(exp, None)
             else:
                 out[exp] = c2
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.ring.field
-        return Poly(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
+        return type(self)(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -328,7 +218,7 @@ class Poly:
                         out.pop(e, None)
                     else:
                         out[e] = c3
-            return Poly(self.ring, out)
+            return type(self)(self.ring, out)
         if isinstance(other, (int, Fraction)):
             return self.scale(self.ring.field.from_rational(Fraction(other)))
         return NotImplemented
@@ -338,15 +228,18 @@ class Poly:
     def sub_mul_term(self, c, m, g):
         """Return self - c*x^m*g, with c a field element and m an exponent.
 
-        One pass over the terms of g; the reduction step of the Groebner
-        engine and exact division use it in place of building the product.
+        The reduction step of the Groebner engine and exact division use
+        it in place of building the product as a polynomial.
         """
         _check_same_ring(self, g)
         f = self.ring.field
+        return self._sub_terms({mono_mul(e, m): f.mul(c, v) for e, v in g._terms.items()})
+
+    def _sub_terms(self, prod):
+        """self minus the terms of ``prod``, a map exponent -> coefficient."""
+        f = self.ring.field
         out = dict(self._terms)
-        for e, v in g._terms.items():
-            exp = mono_mul(e, m)
-            t = f.mul(c, v)
+        for exp, t in prod.items():
             acc = out.get(exp)
             if acc is None:
                 out[exp] = f.neg(t)
@@ -356,13 +249,13 @@ class Poly:
                 del out[exp]
             else:
                 out[exp] = acc
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     def scale(self, c):
         f = self.ring.field
         if f.is_zero(c):
             return self.ring.zero()
-        return Poly(self.ring, {e: f.mul(c, v) for e, v in self._terms.items()})
+        return type(self)(self.ring, {e: f.mul(c, v) for e, v in self._terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -394,7 +287,7 @@ class Poly:
             new = list(exp)
             new[i] = e - 1
             out[tuple(new)] = f.mul(c, f.from_rational(Fraction(e)))
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     def subs(self, assignment):
         """Substitute rational values for variables (by name or index)."""
@@ -419,7 +312,7 @@ class Poly:
                 out.pop(key, None)
             else:
                 out[key] = c2
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     def coefficients_wrt(self, vars_subset):
         """Group terms by the exponents of ``vars_subset``.
@@ -436,7 +329,7 @@ class Poly:
             key = tuple(exp[i] for i in sel)
             rest = tuple(0 if i in selset else e for i, e in enumerate(exp))
             groups.setdefault(key, {})[rest] = c
-        return {k: Poly(self.ring, t) for k, t in sorted(groups.items())}
+        return {k: type(self)(self.ring, t) for k, t in sorted(groups.items())}
 
     def coeff_of_power(self, var, k):
         """Coefficient of var**k, as a polynomial in the other variables."""
@@ -447,7 +340,7 @@ class Poly:
                 new = list(exp)
                 new[i] = 0
                 out[tuple(new)] = c
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     # -- equality / printing -------------------------------------------------
 
@@ -484,7 +377,11 @@ class Poly:
         for exp, c in self.terms():
             mono = self._mono_str(exp)
             cs = f.to_str(c)
-            neg = cs.startswith("-")
+            # a compound coefficient, as over a residue field, is parenthesized
+            neg = cs.startswith("-") and "+" not in cs[1:] and "- " not in cs
+            if "+" in cs or " " in cs:
+                cs = "(%s)" % cs
+                neg = False
             if neg:
                 cs = cs[1:]
             if mono:
@@ -498,7 +395,7 @@ class Poly:
         return " ".join(chunks)
 
     def __repr__(self):
-        return "Poly(%s)" % self
+        return "%s(%s)" % (type(self).__name__, self)
 
     # -- conversions -------------------------------------------------------
 
@@ -510,7 +407,131 @@ class Poly:
             c2 = fn(c)
             if not tf.is_zero(c2):
                 out[exp] = c2
-        return Poly(target_ring, out)
+        return type(self)(target_ring, out)
+
+
+class PolyRing:
+    """A polynomial ring: coefficient field, ordered variable names, term order.
+
+    It is the Weyl ring without Weyl pairs (:class:`genbs.weyl.WeylRing`
+    adds them); ``_elem`` is the element class the ring builds.
+    """
+
+    pairs = ()
+    _elem = Poly
+
+    def __init__(self, field, names, order: TermOrder | None = None):
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names: %r" % (names,))
+        self.field = field
+        self.names = names
+        self.order = order if order is not None else GRevLex()
+        self.nvars = len(names)
+        self._index = {n: i for i, n in enumerate(names)}
+        self._zero_exp = (0,) * self.nvars
+
+    def index(self, name):
+        try:
+            return self._index[name]
+        except KeyError:
+            raise KeyError("unknown variable %r in ring %r" % (name, self.names))
+
+    def zero(self):
+        return self._elem(self, {})
+
+    def one(self):
+        return self.const(1)
+
+    def const(self, q):
+        c = self.field.from_rational(Fraction(q)) if not self._is_coeff(q) else q
+        if self.field.is_zero(c):
+            return self._elem(self, {})
+        return self._elem(self, {self._zero_exp: c})
+
+    def _is_coeff(self, value):
+        if isinstance(value, (int, Fraction)):
+            return False
+        return True
+
+    def var(self, name):
+        i = self.index(name) if isinstance(name, str) else name
+        exp = [0] * self.nvars
+        exp[i] = 1
+        return self._elem(self, {tuple(exp): self.field.one()})
+
+    def monomial(self, exp, coeff=1):
+        exp = tuple(exp)
+        if len(exp) != self.nvars:
+            raise ValueError("exponent length mismatch")
+        c = coeff if self._is_coeff(coeff) else self.field.from_rational(Fraction(coeff))
+        if self.field.is_zero(c):
+            return self.zero()
+        return self._elem(self, {exp: c})
+
+    def from_terms(self, terms):
+        out = {}
+        f = self.field
+        for exp, c in terms:
+            exp = tuple(exp)
+            acc = out.get(exp)
+            c2 = c if acc is None else f.add(acc, c)
+            if f.is_zero(c2):
+                out.pop(exp, None)
+            else:
+                out[exp] = c2
+        return self._elem(self, out)
+
+    def with_order(self, order):
+        if order == self.order:
+            return self
+        ring = copy.copy(self)
+        ring.order = order
+        return ring
+
+    def convert(self, poly: "Poly"):
+        """Re-home a polynomial into this ring by matching variable names.
+
+        Variables absent from this ring must not occur in the input.
+        """
+        if poly.ring is self:
+            return poly
+        pos = []
+        for i, n in enumerate(poly.ring.names):
+            pos.append(self._index.get(n))
+        out = {}
+        for exp, c in poly._terms.items():
+            new = [0] * self.nvars
+            for i, e in enumerate(exp):
+                if e == 0:
+                    continue
+                j = pos[i]
+                if j is None:
+                    raise MixedRingError(
+                        "variable %r does not exist in target ring" % poly.ring.names[i]
+                    )
+                new[j] = e
+            out[tuple(new)] = c
+        return self._elem(self, out)
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.names == other.names
+            and self.pairs == other.pairs
+            and self.order == other.order
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.names, self.pairs, self.order))
+
+    def __repr__(self):
+        return "PolyRing(%s; %s; %s)" % (
+            self.field,
+            ",".join(self.names),
+            self.order.describe(),
+        )
 
 
 # -- field-generic univariate helpers ---------------------------------------

@@ -66,15 +66,3 @@ class VarRegistry:
     def d_names(self):
         """Derivative names paired with the x block."""
         return tuple("d" + name for name in self.x)
-
-    def aux_t(self):
-        return tuple("_t%d" % (j + 1) for j in range(self.p))
-
-    def aux_u(self):
-        return tuple("_u%d" % (j + 1) for j in range(self.p))
-
-    def aux_y(self):
-        return tuple("_y%d" % (j + 1) for j in range(self.p))
-
-    def aux_dt(self):
-        return tuple("_dt%d" % (j + 1) for j in range(self.p))

@@ -1,37 +1,28 @@
-"""Left Groebner bases in Weyl-type rings, elimination and weight extraction.
+"""Left Groebner bases in Weyl rings: budget, elimination and weights.
 
-The engine is Buchberger's procedure adapted to left ideals: S-pairs are
-formed with left monomial multiples, and no coprimality shortcut is used
-(the product criterion is unsound when the leading monomials carry
-noncommuting pairs).  Orders must be global monomial orders; then the
-lead of a left product m*g is m + lead(g) because all Leibniz correction
-terms strictly divide the top term, so the commutative divisibility
-bookkeeping carries over.
-
-Optional weight vectors are carried through the run purely as
-homogeneity assertions: the primary comparison is always the global
-order, never a signed weight.
-
-Pair selection is normal selection: the next S-pair is the one whose lcm
-is smallest in the ring order, ties broken by creation order (pairs are
-created as basis elements are appended, (0, t), (1, t), ..., (t-1, t)).
-Bases, cofactors and hence certificates depend on this rule, so a change
-to it changes reports.
+The engine itself is :mod:`genbs.groebner`, shared with commutative
+rings; its routines serve here under their left-ideal names.  This
+module adds the step budget shared by every Groebner loop,
+``left_buchberger`` with its weight-vector assertions, elimination in
+block orders, and the weight bookkeeping of the Malgrange construction.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    HomogeneityViolation,
-    MissingBasisError,
-    MixedRingError,
-    TimeoutBudget,
+from .errors import HomogeneityViolation, TimeoutBudget
+# _assert_homogeneous is held here too: perfbench/tracer.py counts the
+# S-pairs of left_buchberger through this name
+from .groebner import (
+    _assert_homogeneous,
+    _buchberger,
+    is_groebner as is_left_groebner,
+    normal_form as left_normal_form,
+    reduce_step as left_reduce_step,
+    spoly as left_spoly,
 )
-from .orders import Block, mono_div, mono_divides, mono_lcm
+from .orders import Block
 from .weyl import WeylOp, WeylRing
 
 
@@ -61,73 +52,6 @@ class LeftIdealW:
     generators: list
     basis: list | None = None
 
-    def require_basis(self):
-        if self.basis is None:
-            raise MissingBasisError("left Groebner basis not computed")
-        return self.basis
-
-
-def left_reduce_step(f: WeylOp, basis):
-    """One left top-reduction step, or None when the lead is irreducible."""
-    lt = f.lead_exp()
-    lc = f.lead_coeff()
-    fld = f.ring.field
-    for i, b in enumerate(basis):
-        m = mono_div(lt, b.lead_exp())
-        if m is not None:
-            c = fld.div(lc, b.lead_coeff())
-            return f.sub_mul_term(c, m, b), i, f.ring.monomial(m, c)
-    return None
-
-
-def left_normal_form(f: WeylOp, basis, with_cofactors=False):
-    """Full left normal form; no term of the result is divisible by a lead.
-
-    With cofactors, also returns q with f = sum q_i * basis_i + nf, the
-    products taken on the left.
-    """
-    ring = f.ring
-    basis = list(basis)
-    q = [ring.zero() for _ in basis] if with_cofactors else None
-    tail = {}
-    work = f
-    while not work.is_zero():
-        step = left_reduce_step(work, basis)
-        if step is None:
-            # move the irreducible lead to the tail; later leads are smaller
-            lt = work.lead_exp()
-            rest = dict(work._terms)
-            tail[lt] = rest.pop(lt)
-            work = WeylOp(ring, rest)
-        else:
-            work, i, mono = step
-            if with_cofactors:
-                q[i] = q[i] + mono
-    tail = WeylOp(ring, tail)
-    if with_cofactors:
-        return tail, q
-    return tail
-
-
-def left_spoly(f: WeylOp, g: WeylOp):
-    ring = f.ring
-    fld = ring.field
-    l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp()), g)
-
-
-def _assert_homogeneous(op, weight_vectors, where):
-    for w in weight_vectors:
-        degs = {
-            sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms
-        }
-        if len(degs) > 1:
-            raise HomogeneityViolation(
-                "element is not weight-homogeneous during %s: degrees %s"
-                % (where, sorted(degs))
-            )
-
 
 def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=()):
     """Reduced left Groebner basis of the left ideal of ``generators``.
@@ -138,135 +62,7 @@ def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=())
     homogeneous with respect to each (the Malgrange construction's
     gradings survive the run, and this check certifies it).
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return ([], []) if cofactors else []
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise MixedRingError("generators live in different rings")
-
-    basis = []
-    reps = []
-    # heap of (order key of the lcm, creation index, i, j): normal selection
-    pairs = []
-    key = ring.order.key
-    serial = itertools.count()
-
-    def add(poly, rep, where):
-        _assert_homogeneous(poly, weight_vectors, where)
-        basis.append(poly)
-        if cofactors:
-            reps.append(rep)
-        t = len(basis) - 1
-        lt = poly.lead_exp()
-        for i in range(t):
-            lcm = mono_lcm(basis[i].lead_exp(), lt)
-            heapq.heappush(pairs, (key(lcm), next(serial), i, t))
-
-    for idx, g in enumerate(generators):
-        if g.is_zero():
-            continue
-        rep = None
-        nf, q = left_normal_form(g, basis, with_cofactors=True)
-        if cofactors:
-            rep = [ring.zero()] * len(generators)
-            rep[idx] = ring.one()
-            rep = _sub_left_combination(rep, q, reps, ring)
-        if nf.is_zero():
-            continue
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        add(nf, rep, "input reduction")
-
-    while pairs:
-        if budget is not None:
-            budget.tick()
-        _, _, i, j = heapq.heappop(pairs)
-        s = left_spoly(basis[i], basis[j])
-        _assert_homogeneous(s, weight_vectors, "S-pair formation")
-        nf, q = left_normal_form(s, basis, with_cofactors=True)
-        if nf.is_zero():
-            continue
-        rep = None
-        if cofactors:
-            rep = _left_spoly_rep(basis, reps, i, j, ring)
-            rep = _sub_left_combination(rep, q, reps, ring)
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        add(nf, rep, "S-pair reduction")
-
-    return _left_reduce_basis(basis, reps, ring, cofactors, weight_vectors)
-
-
-def _left_spoly_rep(basis, reps, i, j, ring):
-    fld = ring.field
-    f, g = basis[i], basis[j]
-    l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    cg, mg = fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp())
-    return [(mf * a).sub_mul_term(cg, mg, b) for a, b in zip(reps[i], reps[j])]
-
-
-def _sub_left_combination(rep, q, reps, ring):
-    out = list(rep)
-    for k, qk in enumerate(q):
-        if qk.is_zero():
-            continue
-        out = [r - qk * rk for r, rk in zip(out, reps[k])]
-    return out
-
-
-def _left_reduce_basis(basis, reps, ring, cofactors, weight_vectors):
-    order = sorted(range(len(basis)), key=lambda k: ring.order.key(basis[k].lead_exp()))
-    keep = []
-    for k in order:
-        lt = basis[k].lead_exp()
-        if any(mono_divides(basis[k2].lead_exp(), lt) for k2 in keep):
-            continue
-        keep.append(k)
-    minimal = [basis[k] for k in keep]
-    minreps = [reps[k] for k in keep] if cofactors else None
-
-    reduced = []
-    redreps = []
-    for pos in range(len(minimal)):
-        others = minimal[:pos] + minimal[pos + 1 :]
-        nf, q = left_normal_form(minimal[pos], others, with_cofactors=True)
-        _assert_homogeneous(nf, weight_vectors, "interreduction")
-        rep = None
-        if cofactors:
-            other_reps = minreps[:pos] + minreps[pos + 1 :]
-            rep = _sub_left_combination(minreps[pos], q, other_reps, ring)
-        c = ring.field.inv(nf.lead_coeff())
-        reduced.append(nf.scale(c))
-        if cofactors:
-            redreps.append([r.scale(c) for r in rep])
-
-    idx = sorted(
-        range(len(reduced)),
-        key=lambda k: ring.order.key(reduced[k].lead_exp()),
-        reverse=True,
-    )
-    final = [reduced[k] for k in idx]
-    if cofactors:
-        return final, [redreps[k] for k in idx]
-    return final
-
-
-def is_left_groebner(basis, budget=None):
-    """Direct check: every left S-polynomial reduces to zero."""
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if budget is not None:
-                budget.tick()
-            if not left_normal_form(left_spoly(basis[i], basis[j]), basis).is_zero():
-                return False
-    return True
+    return _buchberger(generators, cofactors, budget, weight_vectors)
 
 
 def subring_elements(basis, kill_names):
@@ -305,12 +101,8 @@ def weight_vector(ring, assignment):
     return w
 
 
-def op_weight_degrees(op: WeylOp, w):
-    return sorted({sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms})
-
-
 def is_weight_homogeneous(op: WeylOp, w) -> bool:
-    return len(op_weight_degrees(op, w)) <= 1
+    return len({sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms}) <= 1
 
 
 def weight0_extract(basis, ring, t_names, dt_names, u_names=(), y_names=()):

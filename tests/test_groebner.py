@@ -1,11 +1,11 @@
-"""Commutative Groebner engine: reduction, idempotence, elimination, dimension."""
+"""Groebner engine on commutative rings: reduction, idempotence, elimination, dimension."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from genbs.errors import MissingBasisError, TimeoutBudget
+from genbs.errors import MissingBasisError, MixedRingError, TimeoutBudget
 from genbs.groebner import (
     buchberger,
     eliminate,
@@ -19,7 +19,8 @@ from genbs.groebner import (
 )
 from genbs.orders import Block, GRevLex, Lex
 from genbs.poly import PolyRing, QQ
-from genbs.weyl_groebner import GBBudget
+from genbs.weyl import WeylRing
+from genbs.weyl_groebner import GBBudget, left_buchberger
 
 R = PolyRing(QQ, ("x", "y", "z"), GRevLex())
 X, Y, Z = R.var("x"), R.var("y"), R.var("z")
@@ -33,6 +34,28 @@ def random_poly(rng, ring, max_terms=4, max_exp=3):
         if c:
             terms.append((exp, c))
     return ring.from_terms(terms)
+
+
+def test_pair_free_weyl_ring_gives_the_commutative_basis():
+    # one engine serves both rings: a Weyl ring without pairs is R
+    W = WeylRing(QQ, R.names, ())
+    rng = random.Random(5)
+    for _ in range(6):
+        gens = [random_poly(rng, R) for _ in range(3)]
+        basis, reps = buchberger(gens, cofactors=True)
+        wbasis, wreps = left_buchberger([W.convert(g) for g in gens], cofactors=True)
+        assert [str(g) for g in wbasis] == [str(g) for g in basis]
+        assert [[str(r) for r in rep] for rep in wreps] == [
+            [str(r) for r in rep] for rep in reps
+        ]
+
+
+def test_mixed_rings_rejected():
+    S = PolyRing(QQ, ("x", "y", "z"), Lex())
+    with pytest.raises(MixedRingError):
+        buchberger([X, S.var("y")])
+    with pytest.raises(MixedRingError):
+        left_buchberger([X, WeylRing(QQ, R.names, ()).var("y")])
 
 
 def test_normal_form_is_remainder():

@@ -116,17 +116,18 @@ def test_residue_context_vanishing_family():
         residue_context(inst, _prime([A]))
 
 
-def _fake_ctx(p):
+def _fake_ctx(p, Q=None):
     s_names = ("s",) if p == 1 else tuple("s%d" % (j + 1) for j in range(p))
-    F = ResidueField(the_zero_prime(PARAM))
+    F = ResidueField(Q if Q is not None else the_zero_prime(PARAM))
     base = PolyRing(F, ("x",), GRevLex())
     f = tuple(base.var("x") for _ in range(p))
     return OpContext(field_=F, a_names=(), x_names=("x",), s_names=s_names, v=(1,) * p, f=f)
 
 
-def _fake_bs(ctx, generators):
+def _fake_bs(ctx, generators, certs=None):
     wring = ctx.weyl_ring()
-    certs = tuple(wring.one() for _ in generators)
+    if certs is None:
+        certs = tuple(wring.one() for _ in generators)
     return BSIdeal(
         context=ctx,
         generators=tuple(generators),
@@ -159,6 +160,65 @@ def test_rationalize_strategy_univariate_gcd():
     res = rationalize(B)
     assert res.strategy == "univariate-gcd"
     assert str(res.b) == "s + 1"
+    # the certificate is the cofactor combination of the generators' operators
+    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)))
+    assert str(res.U_residue) == "-x + dx"
+
+
+@pytest.mark.parametrize(
+    "Q, U",
+    [
+        (
+            None,
+            "((-1)/(a^2 + a + 1))*x*s + ((a)/(a^2 + a + 1))*x + ((1)/(a^2 + a + 1))*dx",
+        ),
+        (Q_SQRT2, "((-1)/(a + 3))*x*s + ((a)/(a + 3))*x + ((1)/(a + 3))*dx"),
+    ],
+)
+def test_rationalize_univariate_gcd_certificate(Q, U):
+    # the commutative GB with cofactors over Frac(Q[a]/Q) gives U; the
+    # expected strings were recorded before the two Groebner engines merged
+    ctx = _fake_ctx(1, Q)
+    ring = ctx.s_poly_ring()
+    F = ctx.field_
+    s = ring.var("s")
+    aa = ring.const(F.make(A))
+    g1 = (s + 1) * (s + aa)
+    g2 = (s + 1) * (s * s + aa + 1)
+    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)))
+    assert res.strategy == "univariate-gcd"
+    assert str(res.b) == "s + 1"
+    assert str(res.U_residue) == U
+
+
+def test_buchberger_cofactors_residue_field():
+    # commutative GB with cofactors over Frac(Q[a]/(a^2 - 2)); the expected
+    # strings were recorded before the two Groebner engines merged
+    R = PolyRing(F2, ("s", "t"), GRevLex())
+    s, t = R.var("s"), R.var("t")
+    aa, a1 = R.const(F2.make(A)), R.const(F2.make(A + 1))
+    gens = [s**3 - aa * t**2, a1 * s * t - t**2]
+    basis, reps = buchberger(gens, cofactors=True)
+    assert [str(g) for g in basis] == [
+        "t^4 + (-7*a - 10)*t^3",
+        "s^3 - a*t^2",
+        "s*t + ((-1)/(a + 1))*t^2",
+    ]
+    assert [[str(r) for r in rep] for rep in reps] == [
+        [
+            "(5*a + 7)*t",
+            "((-5*a - 7)/(a + 1))*s^2 + ((-5/2*a - 7/2)/(a + 3/2))*s*t - t^2",
+        ],
+        ["1", "0"],
+        ["0", "((1)/(a + 1))"],
+    ]
+    for g, rep in zip(basis, reps):
+        combo = R.zero()
+        for r, gen in zip(rep, gens):
+            combo = combo + r * gen
+        assert combo == g
 
 
 def test_rationalize_strategy_linear_combination():

@@ -23,7 +23,7 @@ from genbs.poly import (
     univar_extended_gcd,
     univar_gcd,
 )
-from genbs.primes import PrimeIdealQ, certify_prime
+from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.weyl import WeylRing
 
 R = PolyRing(QQ, ("x", "y"), GRevLex())
@@ -170,6 +170,18 @@ def test_fused_reduction_residue_field():
         f, g, c = op(), op(), elem()
         m = (rng.randint(0, 1), rng.randint(1, 2))
         assert _same_terms(f.sub_mul_term(c, m, g), f - ring.monomial(m, c) * g)
+
+
+def test_str_parenthesizes_compound_coefficients():
+    # over a residue field a coefficient can be a sum; it prints in parentheses
+    param = PolyRing(QQ, ("a",), GRevLex())
+    F = ResidueField(the_zero_prime(param))
+    S = PolyRing(F, ("s",), GRevLex())
+    c = S.const(F.make(param.var("a") + 1))
+    s = S.var("s")
+    assert str(c * s) == "(a + 1)*s"
+    assert str(-(c * s)) == "(-a - 1)*s"
+    assert str(s - S.const(F.make(param.var("a")))) == "s - a"
 
 
 def test_basic_shapes():

@@ -7,7 +7,7 @@ import pytest
 
 from genbs.errors import MixedRingError
 from genbs.poly import PolyRing, QQ
-from genbs.orders import GRevLex
+from genbs.orders import Block, GRevLex
 from genbs.weyl import WeylOp, WeylRing, commutator
 
 W = WeylRing(QQ, ("a", "x", "y", "dx", "dy", "s"), ((1, 3), (2, 4)))
@@ -79,6 +79,24 @@ def test_from_poly_and_to_poly():
     Q2 = PolyRing(QQ, ("dx",), GRevLex())
     with pytest.raises(MixedRingError):
         W.from_poly(Q2.var("dx"))
+
+
+def test_weyl_ring_extends_poly_ring():
+    # a Weyl ring never equals the commutative ring on the same names,
+    # pairs or not, and every inherited method stays in the Weyl ring
+    P = PolyRing(QQ, W.names, GRevLex())
+    assert W != P and P != W
+    assert WeylRing(QQ, W.names, ()) != P
+    assert WeylRing(QQ, W.names, W.pairs) == W
+    assert hash(WeylRing(QQ, W.names, W.pairs)) == hash(W)
+    op = (DX + X * S).scale(Fraction(2)) - 1
+    for value in (op, op.monic(), -op, op**2, W.convert(op), W.var("x"), W.zero()):
+        assert isinstance(value, WeylOp) and value.ring == W
+    assert op.map_coeffs(lambda c: c, W) == op
+    V = W.with_order(Block((1, 3)))
+    assert isinstance(V, WeylRing) and V.pairs == W.pairs and V.order == Block((1, 3))
+    with pytest.raises(MixedRingError):
+        X + P.var("x")
 
 
 def test_total_degree_and_str():
