@@ -30,6 +30,7 @@ from .errors import (
     PointOutsideStratum,
     TimeoutBudget,
     UnitIdealError,
+    VerificationFailed,
     ZeroPolynomialError,
 )
 from .factor import Factorization, factor, squarefree_decomposition, squarefree_part
@@ -116,6 +117,7 @@ __all__ = [
     "TimeoutBudget",
     "UnitIdealError",
     "VarRegistry",
+    "VerificationFailed",
     "Weighted",
     "WeylOp",
     "WeylRing",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ZeroPolynomialError
+from .errors import VerificationFailed, ZeroPolynomialError
 from .factor import factor, rational_roots
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
@@ -217,7 +217,7 @@ def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, ctx: OpCon
         for j, (ti, di) in enumerate(zip(t_idx, dt_idx)):
             cj = exp[ti]
             if exp[di] != cj:
-                raise AssertionError("unmatched t/dt powers reached substitution")
+                raise VerificationFailed("unmatched t/dt powers reached substitution")
             for i in range(cj):
                 sub = sub * (-s_ops[j] - (1 + i))
         base = [0] * target.nvars
@@ -236,7 +236,7 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None, verify: bool =
         symbol = FsElement.symbol(inst)
         for g in ideal.generators:
             if not act(g, symbol).is_zero():
-                raise AssertionError(
+                raise VerificationFailed(
                     "annihilator candidate fails to kill f^s: %s" % g
                 )
     return ideal
@@ -283,7 +283,7 @@ def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None, verify: bool
     if verify:
         for b, P in zip(B.generators, B.certificates):
             if not check_identity(b, P, inst):
-                raise AssertionError(
+                raise VerificationFailed(
                     "certificate fails the functional identity for %s" % b
                 )
     return B
@@ -329,7 +329,7 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
         g = d
     g = g.monic()
     if not check_identity(g, P, inst):
-        raise AssertionError("combined certificate fails for the gcd generator")
+        raise VerificationFailed("combined certificate fails for the gcd generator")
     return BernsteinPoly(
         b=g, certificate=P, factorization=factor(g), ideal=B
     )

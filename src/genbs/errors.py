@@ -2,7 +2,8 @@
 
 Every error that can surface through the CLI carries an ``exit_code`` so
 that command dispatch can map failures onto the documented process exit
-codes (3 = budget exhausted, 4 = input/problem error).
+codes (2 = verification failed, 3 = budget exhausted, 4 = input/problem
+error).
 """
 
 
@@ -30,6 +31,12 @@ class DecompositionUnsupported(GenbsError):
 
 class ZeroPolynomialError(GenbsError):
     """Zero polynomial passed where a nonzero one is required."""
+
+
+class VerificationFailed(GenbsError):
+    """An internal check on a computed result failed: a pipeline bug."""
+
+    exit_code = 2
 
 
 class HomogeneityViolation(GenbsError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroPolynomialError
+from .errors import VerificationFailed, ZeroPolynomialError
 from .orders import mono_div
 from .poly import Poly, QQ, univar_gcd
 
@@ -137,7 +137,7 @@ def _prem(a, b, ring):
         for k in range(len(shifted)):
             r[k] = r[k] - lcr * shifted[k]
         if _deg(r) == dr:
-            raise AssertionError("pseudo-division failed to drop the degree")
+            raise VerificationFailed("pseudo-division failed to drop the degree")
     return r
 
 

@@ -15,16 +15,24 @@ created as basis elements are appended, (0, t), (1, t), ..., (t-1, t)).
 Bases, cofactors and hence certificates depend on this rule, so a change
 to it changes reports.
 
-Buchberger's criteria are applied, through the Gebauer-Moeller pair
-update, only in a ring without Weyl pairs.  In a solvable algebra the
-product criterion fails once the leading monomials carry a noncommuting
-pair, and the criteria hold only where no pair is active
+New pairs pass the Gebauer-Moeller update.  Its chain parts (the M
+test, one pair per lcm, and the chain test on old pairs) run in every
+ring: Buchberger's chain criterion holds in solvable algebras such as
+the Weyl algebra, because the leading terms of left multiples multiply
+like commutative monomials.  The product criterion runs only in a ring
+without Weyl pairs; it needs commuting leading monomials, and in a
+solvable algebra an S-pair with coprime leads need not reduce to zero
 (Kandri-Rody & Weispfenning, *Non-commutative Groebner bases in algebras
-of solvable type*, 1990); whether a ring has pairs is a fact of the
-input, not an option.  A final minimalization plus interreduction pass
-gives the reduced basis.  Every routine is deterministic: given the same
-ring (including its term order) and the same generator list, the reduced
-basis comes out identical.
+of solvable type*, 1990; Levandovskyy, *Non-commutative computer algebra
+for polynomial algebras*, thesis, 2005).  Whether a ring has pairs is a
+fact of the input, not an option.  A pair the criteria skip has an
+S-polynomial with a standard representation through the pairs kept, so
+the result is still a Groebner basis.
+
+A final minimalization plus interreduction pass gives the reduced basis.
+Every routine is deterministic: given the same ring (including its term
+order) and the same generator list, the reduced basis comes out
+identical.
 
 Optional weight vectors are carried through a run purely as homogeneity
 assertions: the primary comparison is always the global order, never a
@@ -122,9 +130,11 @@ def _update_pairs(pairs, basis, t, push):
 
     ``pairs`` is the heap of (key, serial, i, j, lcm); old pairs failing
     the chain criterion are dropped from it in place, and the surviving
-    new pairs are handed to ``push`` as (i, t, lcm).
+    new pairs are handed to ``push`` as (i, t, lcm).  The chain parts run
+    in every ring; the product criterion only in a ring without Weyl pairs.
     """
     lt = basis[t].lead_exp()
+    product = not basis[t].ring.pairs
     new = [(i, t, mono_lcm(basis[i].lead_exp(), lt)) for i in range(t)]
 
     # M: drop a new pair when another new pair's lcm strictly divides its lcm
@@ -133,14 +143,14 @@ def _update_pairs(pairs, basis, t, push):
         for i, j, l in new
         if not any(l2 != l and mono_divides(l2, l) for _, _, l2 in new)
     ]
-    # F: one pair per lcm value; a whole class dies if any member has
-    # coprime leads (that member reduces to zero by the product criterion)
+    # F: one pair per lcm value; with the product criterion a whole class
+    # dies if any member has coprime leads (that member reduces to zero)
     classes = {}
     for i, j, l in new:
         classes.setdefault(l, []).append((i, j, l))
     kept = []
     for l, cls in classes.items():
-        if any(mono_mul(basis[i].lead_exp(), lt) == l for i, j, l2 in cls):
+        if product and any(mono_mul(basis[i].lead_exp(), lt) == l for i, j, l2 in cls):
             continue
         kept.append(min(cls))
     # chain criterion on old pairs
@@ -160,7 +170,8 @@ def _buchberger(generators, cofactors, budget, weight_vectors):
     """Reduced (left) Groebner basis: the loop behind both public entry points.
 
     Every appended element and every S-polynomial is asserted homogeneous
-    for each of ``weight_vectors``; the budget ticks once per S-pair.
+    for each of ``weight_vectors``; the budget ticks once per S-pair that
+    survives the criteria.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -185,13 +196,7 @@ def _buchberger(generators, cofactors, budget, weight_vectors):
         basis.append(poly)
         if cofactors:
             reps.append(rep)
-        t = len(basis) - 1
-        if not ring.pairs:
-            _update_pairs(pairs, basis, t, push)
-            return
-        lt = poly.lead_exp()
-        for i in range(t):
-            push(i, t, mono_lcm(basis[i].lead_exp(), lt))
+        _update_pairs(pairs, basis, len(basis) - 1, push)
 
     for idx, g in enumerate(generators):
         if g.is_zero():
@@ -242,7 +247,7 @@ def buchberger(generators, cofactors=False, budget=None):
         When true, return (basis, reps) where reps[k] expresses basis[k]
         as a list of polynomial cofactors against the input generators.
     budget : optional object with a ``tick()`` method, called once per
-        processed S-pair; it may raise to abort long runs.
+        S-pair that survives the criteria; it may raise to abort long runs.
 
     Returns the reduced basis (monic, sorted descending by lead monomial).
     """

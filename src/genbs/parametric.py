@@ -26,6 +26,7 @@ from .errors import (
     FamilyVanishesModQ,
     NonRationalCertificate,
     PointOutsideStratum,
+    VerificationFailed,
 )
 from .factor import exact_div, multi_gcd, squarefree_part
 from .fsmodule import (
@@ -64,7 +65,13 @@ class ResidueField:
         self.Q = Q
         self.ring = Q.ring
         self.basis = [self.ring.convert(b) for b in Q.basis]
-        self.ledger = {}
+        # keyed by the term map, so make() prints nothing; ledger prints on read
+        self._denominators = {}
+
+    @property
+    def ledger(self) -> dict:
+        """The non-constant denominators met so far, keyed by their string."""
+        return {str(den): den for den in self._denominators.values()}
 
     def nf(self, poly: Poly) -> Poly:
         poly = self.ring.convert(poly)
@@ -91,7 +98,7 @@ class ResidueField:
             den = den.scale(inv)
             num = num.scale(inv)
         if not den.is_constant():
-            self.ledger.setdefault(str(den), den)
+            self._denominators.setdefault(frozenset(den._terms.items()), den)
         return ResidueElem(num, den)
 
     # -- field protocol --------------------------------------------------------
@@ -576,10 +583,10 @@ def generic_bs(
     h, U = op_scale_clear(res.U_residue, param, target)
     r = congruence_remainder(h, res.b, U, inst)
     if not remainder_in_Q(r, Q, inst):
-        raise AssertionError("congruence remainder escaped Q; pipeline bug")
+        raise VerificationFailed("congruence remainder escaped Q; pipeline bug")
     F = ctx.field_
     if F.nf(h).is_zero():
-        raise AssertionError("cleared denominator lies in Q; pipeline bug")
+        raise VerificationFailed("cleared denominator lies in Q; pipeline bug")
     return GenericBS(
         instance=inst,
         Q=Q,

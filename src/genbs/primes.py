@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DecompositionUnsupported, UnitIdealError
+from .errors import DecompositionUnsupported, UnitIdealError, VerificationFailed
 from .factor import factor, is_certified_irreducible
 from .groebner import buchberger, ideal_dim, is_unit_ideal, normal_form
 
@@ -112,7 +112,7 @@ def minimal_primes(generators, ring, budget=None):
         if polys is not None:
             for p in polys:
                 if normal_form(p, gb).is_zero():
-                    raise AssertionError(
+                    raise VerificationFailed(
                         "factor of a reduced basis element lies in the ideal"
                     )
                 work.append(tuple(gb) + (p,))

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FamilyVanishesModQ, PointOutsideStratum
+from .errors import FamilyVanishesModQ, PointOutsideStratum, VerificationFailed
 from .groebner import buchberger, ideal_dim
 from .instance import ProblemInstance
 from .parametric import GenericBS, generic_bs
@@ -159,7 +159,7 @@ def stratify(
                 if sub_dim >= 0:
                     # h is not in the prime Q, so the cut is proper
                     if not sub_dim < Q.dim():
-                        raise AssertionError(
+                        raise VerificationFailed(
                             "excluded locus failed to drop dimension"
                         )
                     queue.append(deeper)

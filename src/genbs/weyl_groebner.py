@@ -28,7 +28,12 @@ from .weyl import WeylOp, WeylRing
 
 @dataclass
 class GBBudget:
-    """Step budget shared by Groebner loops; tick once per processed pair."""
+    """Step budget shared by Groebner loops.
+
+    A loop ticks once per S-pair it reduces, i.e. per pair that survives
+    the pair criteria, so ``used`` is the count a report gives as
+    ``budget_used.steps``.
+    """
 
     max_steps: int = 200000
     used: int = 0

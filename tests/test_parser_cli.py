@@ -163,6 +163,17 @@ def test_cli_verify_pass_and_fail():
     assert code2 == 2 and not report2["verified"]
 
 
+def test_cli_failed_pipeline_check_exit_2(monkeypatch):
+    # a certificate that fails its internal replay is a verification
+    # failure (exit 2 with an error report), not a traceback
+    monkeypatch.setattr("genbs.annbs.check_identity", lambda b, P, inst: False)
+    report, code = run_command(JobSpec(command="bs", vars=("x",), f=("x",)))
+    assert code == 2
+    assert report["error"]["type"] == "VerificationFailed"
+    assert report["error"]["code"] == 2
+    assert not report["verified"]
+
+
 def test_cli_stratify_report():
     spec = JobSpec(command="stratify", vars=("x",), params=("a",), f=("x^2+a",))
     report, code = run_command(spec)
@@ -230,10 +241,11 @@ def test_text_rendering_stable():
 
 # S-pair counts and certificate digests of the reference implementation.
 # Pair selection order and the reduction path both shape P, so any change
-# to either shows up here.
+# to either shows up here.  The counts are the S-pairs that survive the
+# pair criteria; skipping pairs that reduce to zero leaves the digests.
 GOLDEN_BS = {
-    "y^2-x^3": (160, "1554a81345881f39bb38fff7e10379b4bb6e9709ab1ae1fddb21b13e83f72bff"),
-    "x*y*(x+y)": (402, "3cc99c5df3ecdda8f2c890085d621677d77f933d98adcaaeb4494f0acec71a10"),
+    "y^2-x^3": (68, "1554a81345881f39bb38fff7e10379b4bb6e9709ab1ae1fddb21b13e83f72bff"),
+    "x*y*(x+y)": (110, "3cc99c5df3ecdda8f2c890085d621677d77f933d98adcaaeb4494f0acec71a10"),
 }
 
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from genbs.annbs import bs_ideal_ctx, malgrange_ideal, plain_context
 from genbs.errors import HomogeneityViolation, TimeoutBudget
-from genbs.poly import QQ
+from genbs.instance import make_instance
+from genbs.orders import GRevLex
+from genbs.poly import QQ, PolyRing
 from genbs.weyl import WeylOp, WeylRing
 from genbs.weyl_groebner import (
     GBBudget,
@@ -26,13 +29,22 @@ W = WeylRing(QQ, ("x", "dx", "s"), ((0, 1),))
 X, DX, S = (W.gen(n) for n in W.names)
 
 
-def random_op(rng, ring, max_terms=3, max_exp=2):
+def shifted_op(rng, ring, max_terms=2, max_exp=2):
+    """Random operator with one fixed x/dx degree shift per Weyl pair.
+
+    Left ideals of such operators are seldom the whole ring, so their
+    bases have several elements and the pair criteria get to fire.
+    """
+    shifts = [rng.randrange(-1, 2) for _ in ring.pairs]
     acc = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
-        exp = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
+        exp = [rng.randrange(max_exp + 1) for _ in range(ring.nvars)]
+        for (p, d), k in zip(ring.pairs, shifts):
+            e = exp[d]
+            exp[p], exp[d] = (e + k, e) if k >= 0 else (e, e - k)
         c = Fraction(rng.randrange(-3, 4))
         if c:
-            acc[exp] = acc.get(exp, 0) + c
+            acc[tuple(exp)] = acc.get(tuple(exp), 0) + c
     return WeylOp(ring, {e: c for e, c in acc.items() if c})
 
 
@@ -69,21 +81,62 @@ def test_left_buchberger_cofactors():
         assert rebuilt == g
 
 
+W2 = WeylRing(QQ, ("x", "y", "dx", "dy"), ((0, 2), (1, 3)))
+W2S = WeylRing(QQ, ("x", "y", "dx", "dy", "s"), ((0, 2), (1, 3)))
+
+# The engine skips S-pairs by the chain criterion in every ring; these
+# rings cover one and two Weyl pairs, a central variable, and the block
+# elimination orders of the s-elimination.
+CRITERIA_RINGS = {
+    "one_pair_central": W,
+    "two_pairs": W2,
+    "one_pair_block": W.with_order(elimination_order(W, ("x", "dx"))),
+    "two_pairs_central_block": W2S.with_order(
+        elimination_order(W2S, ("x", "y", "dx", "dy"))
+    ),
+}
+
+
 def test_left_buchberger_random_spoly_property():
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(20):
-        gens = [random_op(rng, W, max_terms=2, max_exp=2) for _ in range(2)]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            continue
-        try:
-            basis = left_buchberger(gens, budget=GBBudget(max_steps=600))
-        except TimeoutBudget:
-            continue
-        assert is_left_groebner(basis)
-        checked += 1
-    assert checked >= 5
+    for name, ring in CRITERIA_RINGS.items():
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(20):
+            gens = [shifted_op(rng, ring) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            try:
+                basis, reps = left_buchberger(
+                    gens, cofactors=True, budget=GBBudget(max_steps=200)
+                )
+            except TimeoutBudget:
+                continue
+            # is_left_groebner reduces every S-pair, with no criterion
+            assert is_left_groebner(basis), name
+            for g, rep in zip(basis, reps):
+                rebuilt = ring.zero()
+                for q, f in zip(rep, gens):
+                    rebuilt = rebuilt + q * f
+                assert rebuilt == g, name
+            checked += 1
+        assert checked >= 15, name
+
+
+def test_pipeline_bases_pass_the_all_pairs_check():
+    R = PolyRing(QQ, ("x", "y"), GRevLex())
+    x, y = R.var("x"), R.var("y")
+    # the Malgrange basis of the cusp, in the u, y elimination order
+    cusp = plain_context(make_instance(("x", "y"), [y**2 - x**3]))
+    ideal = malgrange_ideal(cusp)
+    E = ideal.ring.with_order(
+        elimination_order(ideal.ring, cusp.aux("u") + cusp.aux("y"))
+    )
+    malgrange = left_buchberger([WeylOp(E, g._terms) for g in ideal.generators])
+    assert is_left_groebner(malgrange)
+    # the s-elimination basis of the pair (x^3, y^4)
+    pair = plain_context(make_instance(("x", "y"), [x**3, y**4]))
+    assert is_left_groebner(bs_ideal_ctx(pair).elimination_basis)
 
 
 def test_elimination_and_subring():
