@@ -9,6 +9,14 @@ with all bookkeeping exact.  Denominators are exponent vectors, never
 general polynomials, and the canonical form divides out f_j from the
 numerator while possible.
 
+An operator acts along a derivative ladder.  Its terms x^alpha s^gamma
+d^beta are grouped by beta, and D^beta e is computed once per beta: each
+rung is a single d_x of a rung already on the ladder, with prod f_l and
+(d_x f_j) prod_{l != j} f_l formed once per action, not per rung.  Each
+rung is multiplied by its group's multiplier polynomial, the parts are
+brought to one common denominator, and the sum is reduced once, so trial
+division runs once per action instead of after every term.
+
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
 Groebner pipeline and serves as the oracle for everything else.
@@ -75,13 +83,9 @@ class FsElement:
     def _common(self, other):
         if self.instance != other.instance:
             raise MixedRingError("f^s elements over different instances")
-        K = tuple(max(a, b) for a, b in zip(self.k, other.k))
-        fs = _f_lifted(self.instance)
-        n1 = self.numerator
-        n2 = other.numerator
-        for j, fj in enumerate(fs):
-            n1 = n1 * fj ** (K[j] - self.k[j])
-            n2 = n2 * fj ** (K[j] - other.k[j])
+        (n1, n2), K = _common_denominator(
+            self.instance, [(self.numerator, self.k), (other.numerator, other.k)]
+        )
         return n1, n2, K
 
     def __add__(self, other):
@@ -152,24 +156,82 @@ def _reduce(instance, numerator, k):
     return numerator, tuple(k)
 
 
-def _diff_once(e: FsElement, x_name: str) -> FsElement:
-    """Action of a single d/dx on the element."""
-    inst = e.instance
+def _diff_constants(inst):
+    """The factors of d_x (g f^s) that depend on f alone.
+
+    Returns (prod_l f_l, [s_j], {x: [(d_x f_j) prod_{l != j} f_l]}), so a
+    rung of the derivative ladder costs two products and a short sum.
+    """
     ring = inst.fs_ring()
     fs = _f_lifted(inst)
-    p = inst.registry.p
-    s_vars = [ring.var(name) for name in inst.registry.s]
-    term = e.numerator.diff(x_name)
+    prod = ring.one()
     for fj in fs:
-        term = term * fj
-    for j in range(p):
+        prod = prod * fj
+    cofactors = []
+    for j in range(len(fs)):
         cof = ring.one()
-        for l in range(p):
+        for l, fl in enumerate(fs):
             if l != j:
-                cof = cof * fs[l]
-        factor = s_vars[j] - ring.const(e.k[j])
-        term = term + factor * fs[j].diff(x_name) * e.numerator * cof
-    return FsElement(inst, term, tuple(kj + 1 for kj in e.k))
+                cof = cof * fl
+        cofactors.append(cof)
+    grads = {
+        x: [fj.diff(x) * cof for fj, cof in zip(fs, cofactors)]
+        for x in inst.registry.x
+    }
+    s_vars = [ring.var(name) for name in inst.registry.s]
+    return prod, s_vars, grads
+
+
+def _diff_once(e: FsElement, x_name: str, consts) -> FsElement:
+    """Action of a single d/dx on the element; consts from _diff_constants.
+
+    d_x (g / prod f^k f^s) = (g' prod f + g sum_j (s_j - k_j) (d_x f_j)
+    prod_{l != j} f_l) / prod f^(k+1) f^s.
+    """
+    prod, s_vars, grads = consts
+    log = e.numerator.ring.zero()
+    for s_j, k_j, g_j in zip(s_vars, e.k, grads[x_name]):
+        log = log + (s_j - k_j) * g_j
+    term = e.numerator.diff(x_name) * prod + e.numerator * log
+    return FsElement(e.instance, term, tuple(kj + 1 for kj in e.k))
+
+
+def _derivative_ladder(e: FsElement, x_names, betas):
+    """Iterator of (beta, D^beta e), once for each multi-index in betas
+    (indexed like x_names).
+
+    The rungs form a tree: the parent of beta has one derivative fewer in
+    beta's last nonzero coordinate, so D^beta e is reached by the same
+    single derivatives as applying the d_x^beta_x in x_names order.  The
+    tree is walked depth first, lazily, through the rungs some beta
+    needs, each one _diff_once from its parent; only the rungs on the
+    current path are held.
+    """
+    n = len(x_names)
+    wanted = set(betas)
+    needed = set()
+    for beta in wanted:
+        while beta not in needed:
+            needed.add(beta)
+            if any(beta):
+                i = _last_index(beta)
+                beta = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+    consts = _diff_constants(e.instance)
+
+    def walk(beta, cur):
+        if beta in wanted:
+            yield beta, cur
+        for i in range(_last_index(beta), n):
+            child = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+            if child in needed:
+                yield from walk(child, _diff_once(cur, x_names[i], consts))
+
+    return walk((0,) * n, e)
+
+
+def _last_index(beta):
+    """Position of beta's last nonzero entry, 0 when beta = 0."""
+    return max((i for i, b in enumerate(beta) if b), default=0)
 
 
 def act(A: WeylOp, e: FsElement) -> FsElement:
@@ -178,32 +240,58 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
     Every generator of A's ring must be either a variable of the
     numerator ring (acting by multiplication) or a derivative paired to
     an x variable (acting by differentiation).
+
+    The terms x^alpha s^gamma d^beta of A are grouped by beta.  Each
+    D^beta e is taken once from the derivative ladder and multiplied by
+    the polynomial sum of its group's multipliers; the parts are summed
+    over their common denominator prod f_j^K_j, and the sum is reduced
+    once.  When the f_j are pairwise coprime the reduced form of an
+    element is unique, so the result is the canonical element a
+    term-by-term sum would give.  A = 0 gives the zero numerator over
+    e's denominator.
     """
     inst = e.instance
     ring = inst.fs_ring()
     wr = A.ring
-    der_to_x = {}
-    for pos, der in wr.pairs:
-        der_to_x[der] = wr.names[pos]
-    mult_index = {}
-    for i, name in enumerate(wr.names):
-        if i in der_to_x:
-            continue
-        mult_index[i] = ring.index(name)
+    ders = [der for _, der in wr.pairs]
+    x_names = [wr.names[pos] for pos, _ in wr.pairs]
+    mult_index = [
+        (i, ring.index(name)) for i, name in enumerate(wr.names) if i not in ders
+    ]
+    if A.is_zero():
+        return FsElement(inst, ring.zero(), e.k, reduce=False)
 
-    result = FsElement(inst, ring.zero(), e.k, reduce=False)
+    groups = {}
     for exp, c in A._terms.items():
-        cur = e
-        for der_i, x_name in der_to_x.items():
-            for _ in range(exp[der_i]):
-                cur = _diff_once(cur, x_name)
-        mono_exp = [0] * ring.nvars
-        for i, j in mult_index.items():
-            mono_exp[j] = exp[i]
-        mono = ring.monomial(tuple(mono_exp), c)
-        cur = FsElement(inst, cur.numerator * mono, cur.k)
-        result = result + cur
-    return result
+        mono = [0] * ring.nvars
+        for i, j in mult_index:
+            mono[j] = exp[i]
+        beta = tuple(exp[der] for der in ders)
+        groups.setdefault(beta, []).append((tuple(mono), c))
+
+    total = None
+    for beta, r in _derivative_ladder(e, x_names, groups):
+        part = r.numerator * ring.from_terms(groups[beta])
+        if total is None:
+            total, K = part, r.k
+        else:
+            (total, part), K = _common_denominator(inst, [(total, K), (part, r.k)])
+            total = total + part
+    return FsElement(inst, total, K)
+
+
+def _common_denominator(inst, parts):
+    """Numerators of (numerator, k) parts over prod f_j^K_j, K the
+    componentwise maximum of the k; returns (numerators, K)."""
+    K = tuple(max(col) for col in zip(*(k for _, k in parts)))
+    fs = _f_lifted(inst)
+    out = []
+    for num, k in parts:
+        for j, fj in enumerate(fs):
+            if K[j] > k[j]:
+                num = num * fj ** (K[j] - k[j])
+        out.append(num)
+    return out, K
 
 
 def check_identity(b: Poly, P: WeylOp, inst: ProblemInstance) -> bool:
@@ -344,14 +432,7 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     alphas = _multi_indices(n, bounds.x_degree)
     gammas = _multi_indices(p, bounds.s_degree)
 
-    shifted = FsElement.shifted(inst)
-    base_by_beta = {}
-    for beta in betas:
-        cur = shifted
-        for i, name in enumerate(inst.registry.x):
-            for _ in range(beta[i]):
-                cur = _diff_once(cur, name)
-        base_by_beta[beta] = cur
+    base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), inst.registry.x, betas))
 
     symbol = FsElement.symbol(inst)
 
@@ -377,14 +458,7 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
         mono = ring.monomial(tuple(exp))
         elements.append(FsElement(inst, -(symbol.numerator * mono), symbol.k))
 
-    K = tuple(max(e.k[j] for e in elements) for j in range(p))
-    fs = _f_lifted(inst)
-    numerators = []
-    for e in elements:
-        num = e.numerator
-        for j in range(p):
-            num = num * fs[j] ** (K[j] - e.k[j])
-        numerators.append(num)
+    numerators, _ = _common_denominator(inst, [(e.numerator, e.k) for e in elements])
 
     monomials = sorted({exp for num in numerators for exp in num._terms})
     rows = []

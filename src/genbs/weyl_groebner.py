@@ -32,7 +32,9 @@ class GBBudget:
 
     A loop ticks once per S-pair it reduces, i.e. per pair that survives
     the pair criteria, so ``used`` is the count a report gives as
-    ``budget_used.steps``.
+    ``budget_used.steps``.  It caps S-pairs only: the reduction work of
+    one pair and certificate replay are not counted, so ``max_steps``
+    does not bound a run's time.
     """
 
     max_steps: int = 200000

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import genbs.fsmodule as fsmodule
 from genbs.errors import EmptyAnsatz
 from genbs.fsmodule import (
     AnsatzBounds,
     FsElement,
+    _f_lifted,
     act,
     ansatz_bs,
     check_identity,
@@ -141,3 +144,155 @@ def test_congruence_remainder_nonzero_prime(inst_x2a):
     assert not r.is_zero()
     assert remainder_in_Q(r, Q, inst_x2a)
     assert not remainder_in_Q(r, the_zero_prime(param), inst_x2a)
+
+
+# -- the ladder against the term-by-term action -------------------------------
+
+
+def _diff_once_reference(e, x_name):
+    """One d/dx, every product formed from f afresh."""
+    inst = e.instance
+    ring = inst.fs_ring()
+    fs = _f_lifted(inst)
+    p = inst.registry.p
+    s_vars = [ring.var(name) for name in inst.registry.s]
+    term = e.numerator.diff(x_name)
+    for fj in fs:
+        term = term * fj
+    for j in range(p):
+        cof = ring.one()
+        for l in range(p):
+            if l != j:
+                cof = cof * fs[l]
+        factor = s_vars[j] - ring.const(e.k[j])
+        term = term + factor * fs[j].diff(x_name) * e.numerator * cof
+    return FsElement(inst, term, tuple(kj + 1 for kj in e.k))
+
+
+def _act_term_by_term(A, e):
+    """Reference action: differentiate from e for every term of A and
+    reduce after every addition."""
+    inst = e.instance
+    ring = inst.fs_ring()
+    wr = A.ring
+    der_to_x = {}
+    for pos, der in wr.pairs:
+        der_to_x[der] = wr.names[pos]
+    mult_index = {}
+    for i, name in enumerate(wr.names):
+        if i in der_to_x:
+            continue
+        mult_index[i] = ring.index(name)
+    result = FsElement(inst, ring.zero(), e.k, reduce=False)
+    for exp, c in A._terms.items():
+        cur = e
+        for der_i, x_name in der_to_x.items():
+            for _ in range(exp[der_i]):
+                cur = _diff_once_reference(cur, x_name)
+        mono_exp = [0] * ring.nvars
+        for i, j in mult_index.items():
+            mono_exp[j] = exp[i]
+        mono = ring.monomial(tuple(mono_exp), c)
+        cur = FsElement(inst, cur.numerator * mono, cur.k)
+        result = result + cur
+    return result
+
+
+def _family(x_names, fs, a_names=()):
+    R = PolyRing(QQ, tuple(a_names) + tuple(x_names), GRevLex())
+    gens = {name: R.var(name) for name in R.names}
+    return make_instance(x_names, [f(**gens) for f in fs], a_names=a_names)
+
+
+LADDER_FAMILIES = {
+    "p1_cusp": _family(("x", "y"), [lambda x, y: y**2 - x**3]),
+    "p2_line_conic": _family(("x", "y"), [lambda x, y: x, lambda x, y: x**2 + y**2]),
+    "nodal_a": _family(
+        ("x", "y"), [lambda a, x, y: y**2 - x**3 - a * x**2], a_names=("a",)
+    ),
+}
+
+
+@st.composite
+def operators(draw, inst, d_order, max_terms):
+    """Random operators of A_n[s]: x and s degree <= 2, parameter degree
+    <= 1, each derivative to at most d_order."""
+    ring = inst.weyl_ring()
+    ders = {der for _, der in ring.pairs}
+    caps = [
+        d_order if i in ders else 1 if name in inst.registry.a else 2
+        for i, name in enumerate(ring.names)
+    ]
+    exps = st.tuples(*[st.integers(0, cap) for cap in caps])
+    coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
+    return ring.from_terms(draw(st.lists(st.tuples(exps, coeffs), max_size=max_terms)))
+
+
+def _same_element(new, ref):
+    assert new.numerator == ref.numerator
+    assert new.k == ref.k
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(LADDER_FAMILIES)), data=st.data())
+def test_act_matches_term_by_term_reference(name, data):
+    inst = LADDER_FAMILIES[name]
+    A = data.draw(operators(inst, 2, 4), label="A")
+    for e in (FsElement.symbol(inst), FsElement.shifted(inst)):
+        _same_element(act(A, e), _act_term_by_term(A, e))
+    # an input with poles: dx alone gives every k_j = 1 on f^s
+    B = data.draw(operators(inst, 1, 2), label="B") + inst.weyl_ring().gen("dx")
+    sym = FsElement.symbol(inst)
+    inner = _act_term_by_term(B, sym)
+    _same_element(act(B, sym), inner)
+    _same_element(act(A, act(B, sym)), _act_term_by_term(A, inner))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_FAMILIES))
+def test_act_zero_operator_keeps_the_input_denominator(name):
+    inst = LADDER_FAMILIES[name]
+    W = inst.weyl_ring()
+    e = act(W.gen("dx") ** 2, FsElement.symbol(inst))
+    assert any(e.k)
+    out = act(W.zero(), e)
+    assert out.is_zero()
+    assert out.k == e.k
+    _same_element(out, _act_term_by_term(W.zero(), e))
+
+
+@pytest.fixture
+def diff_calls(monkeypatch):
+    calls = []
+    inner = fsmodule._diff_once
+
+    def counted(e, x_name, consts):
+        calls.append(x_name)
+        return inner(e, x_name, consts)
+
+    monkeypatch.setattr(fsmodule, "_diff_once", counted)
+    return calls
+
+
+def test_act_differentiates_once_per_multi_index(inst_x2, inst_xy, diff_calls):
+    W = inst_x2.weyl_ring()
+    x, dx, s = W.gen("x"), W.gen("dx"), W.gen("s")
+    A = dx**3 + x * dx**3 + s * dx**2
+    sym = FsElement.symbol(inst_x2)
+    _same_element(act(A, sym), _act_term_by_term(A, sym))
+    assert diff_calls == ["x"] * 3  # rungs dx, dx^2, dx^3; term by term: 8
+
+    del diff_calls[:]
+    W = inst_xy.weyl_ring()
+    x, dx, dy = W.gen("x"), W.gen("dx"), W.gen("dy")
+    A = dx**2 * dy + x * dx * dy
+    sym = FsElement.symbol(inst_xy)
+    _same_element(act(A, sym), _act_term_by_term(A, sym))
+    # rungs (1,0), (2,0), (2,1) and (1,1): one call each
+    assert sorted(diff_calls) == ["x", "x", "y", "y"]
+
+
+def test_ansatz_differentiates_once_per_multi_index(inst_xy, diff_calls):
+    pairs = ansatz_bs(inst_xy, AnsatzBounds(x_degree=0, d_order=2, s_degree=2))
+    assert (str(pairs[0][0]), str(pairs[0][1])) == ("s^2 + 2*s + 1", "dx*dy")
+    # the five nonzero beta with |beta| <= 2
+    assert len(diff_calls) == 5
