@@ -140,12 +140,11 @@ def malgrange_ideal(inst_or_ctx) -> LeftIdealW:
     """The extended left ideal whose elimination yields Ann f^s."""
     ctx = inst_or_ctx if isinstance(inst_or_ctx, OpContext) else plain_context(inst_or_ctx)
     ring = ctx.malgrange_ring()
-    base = ctx.base_ring()
     t = [ring.gen(nm) for nm in ctx.aux("t")]
     u = [ring.gen(nm) for nm in ctx.aux("u")]
     dt = [ring.gen(nm) for nm in ctx.aux("dt")]
     y = [ring.gen(nm) for nm in ctx.aux("y")]
-    f_ops = [ring.from_poly(base.convert(fj)) for fj in ctx.f]
+    f_ops = [ring.convert(fj) for fj in ctx.f]
 
     gens = []
     for j in range(ctx.p):
@@ -153,9 +152,9 @@ def malgrange_ideal(inst_or_ctx) -> LeftIdealW:
     for i, xn in enumerate(ctx.x_names):
         g = ring.gen("d" + xn)
         for j in range(ctx.p):
-            df = base.convert(ctx.f[j]).diff(base.index(xn))
+            df = ctx.f[j].diff(xn)
             if not df.is_zero():
-                g = g + u[j] * ring.from_poly(df) * dt[j]
+                g = g + u[j] * ring.convert(df) * dt[j]
         gens.append(g)
     for j in range(ctx.p):
         gens.append(u[j] * y[j] - 1)
@@ -182,7 +181,7 @@ def ann_fs_ctx(ctx: OpContext, budget: GBBudget | None = None) -> LeftIdealW:
     ring = ideal.ring
     front = [ring.index(nm) for nm in ctx.aux("u") + ctx.aux("y")]
     elim_ring = ring.with_order(Block(tuple(sorted(front))))
-    gens = [WeylOp(elim_ring, g._terms) for g in ideal.generators]
+    gens = [elim_ring.convert(g) for g in ideal.generators]
     w = _malgrange_weights(elim_ring, ctx)
     basis = left_buchberger(gens, budget=budget, weight_vectors=(w,))
     kept = subring_elements(basis, ctx.aux("u") + ctx.aux("y"))
@@ -246,13 +245,13 @@ def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
     """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included."""
     ann = ann_fs_ctx(ctx, budget=budget)
     ring = ann.ring
-    fv = ring.from_poly(ctx.f_power_v())
+    fv = ring.convert(ctx.f_power_v())
     gens = list(ann.generators) + [fv]
 
     xd = ctx.x_names + ctx.d_names()
     front = tuple(sorted(ring.index(nm) for nm in xd))
     elim_ring = ring.with_order(Block(front))
-    egens = [WeylOp(elim_ring, g._terms) for g in gens]
+    egens = [elim_ring.convert(g) for g in gens]
     basis, reps = left_buchberger(egens, cofactors=True, budget=budget)
 
     s_only = []
@@ -260,9 +259,8 @@ def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
     spoly_ring = ctx.s_poly_ring()
     for g, rep in zip(basis, reps):
         if all(all(exp[i] == 0 for i in front) for exp in g._terms):
-            s_only.append(elim_ring.to_poly(g, spoly_ring))
-            P = WeylOp(ring, rep[-1]._terms)
-            certs.append(P)
+            s_only.append(spoly_ring.convert(g))
+            certs.append(ring.convert(rep[-1]))
     return BSIdeal(
         context=ctx,
         generators=s_only,
@@ -323,9 +321,7 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
             g, P = g2, P2
             continue
         d, u_cof, w_cof = univar_extended_gcd(g, g2)
-        P = wring.from_poly(_to_weyl_poly(u_cof, wring)) * P + wring.from_poly(
-            _to_weyl_poly(w_cof, wring)
-        ) * P2
+        P = wring.convert(u_cof) * P + wring.convert(w_cof) * P2
         g = d
     g = g.monic()
     if not check_identity(g, P, inst):
@@ -333,12 +329,6 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
     return BernsteinPoly(
         b=g, certificate=P, factorization=factor(g), ideal=B
     )
-
-
-def _to_weyl_poly(q: Poly, wring: WeylRing) -> Poly:
-    """Re-home an s-polynomial into a ring sharing the operator ring names."""
-    target = PolyRing(q.ring.field, wring.names, GRevLex())
-    return target.convert(q)
 
 
 def rationality_report(B: BSIdeal) -> dict:
@@ -350,7 +340,7 @@ def rationality_report(B: BSIdeal) -> dict:
         entry["rational"] = _is_rational_poly(g, ctx.a_names)
         if entry["rational"]:
             out["rational_element_found"] = True
-            gq = _as_rational_poly(g, ctx.s_names)
+            gq = PolyRing(QQ, ctx.s_names, GRevLex()).convert(g)
             fac = factor(gq)
             all_neg = True
             for piece, mult, certified in fac.factors:
@@ -390,18 +380,3 @@ def _is_rational_poly(g: Poly, a_names) -> bool:
     if rational is None:
         return False
     return all(rational(c) for c in g._terms.values())
-
-
-def _as_rational_poly(g: Poly, s_names) -> Poly:
-    """Project a rational-coefficient generator onto Q[s]."""
-    target = PolyRing(QQ, tuple(s_names), GRevLex())
-    fld = g.ring.field
-    if fld == QQ:
-        return target.convert(g)
-    out = {}
-    sel = [g.ring.index(nm) for nm in s_names]
-    for exp, c in g._terms.items():
-        q = fld.as_rational(c)
-        if q:
-            out[tuple(exp[i] for i in sel)] = q
-    return Poly(target, out)

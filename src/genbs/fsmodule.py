@@ -117,9 +117,6 @@ class FsElement:
         n1, n2, _ = self._common(other)
         return n1 == n2
 
-    def __hash__(self):
-        return hash((self.instance.registry, str(self.numerator), self.k))
-
     def __str__(self):
         den = []
         for fj, kj in zip(self.instance.f, self.k):
@@ -253,25 +250,14 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
     inst = e.instance
     ring = inst.fs_ring()
     wr = A.ring
-    ders = [der for _, der in wr.pairs]
-    x_names = [wr.names[pos] for pos, _ in wr.pairs]
-    mult_index = [
-        (i, ring.index(name)) for i, name in enumerate(wr.names) if i not in ders
-    ]
     if A.is_zero():
         return FsElement(inst, ring.zero(), e.k, reduce=False)
 
-    groups = {}
-    for exp, c in A._terms.items():
-        mono = [0] * ring.nvars
-        for i, j in mult_index:
-            mono[j] = exp[i]
-        beta = tuple(exp[der] for der in ders)
-        groups.setdefault(beta, []).append((tuple(mono), c))
-
+    x_names = [wr.names[pos] for pos, _ in wr.pairs]
+    groups = A.coefficients_wrt([der for _, der in wr.pairs])
     total = None
     for beta, r in _derivative_ladder(e, x_names, groups):
-        part = r.numerator * ring.from_terms(groups[beta])
+        part = r.numerator * ring.convert(groups[beta])
         if total is None:
             total, K = part, r.k
         else:

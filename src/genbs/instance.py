@@ -60,14 +60,14 @@ class ProblemInstance:
             QQ, self.registry.a + self.registry.x + self.registry.s, GRevLex()
         )
 
-    def weyl_ring(self, field=None) -> WeylRing:
+    def weyl_ring(self) -> WeylRing:
         """Operator ring A_n[s]; parameters (if any) are central generators."""
         r = self.registry
         names = r.a + r.x + r.d_names() + r.s
         offset = len(r.a)
         n = r.n
         pairs = [(offset + i, offset + n + i) for i in range(n)]
-        return WeylRing(field if field is not None else QQ, names, pairs)
+        return WeylRing(QQ, names, pairs)
 
     # -- family helpers ---------------------------------------------------------
 

@@ -114,9 +114,6 @@ class ResidueField:
     def from_rational(self, q):
         return ResidueElem(self.ring.const(Fraction(q)), self.ring.one())
 
-    def from_poly(self, poly):
-        return self.make(poly)
-
     def is_zero(self, e):
         return e.num.is_zero()
 
@@ -173,11 +170,6 @@ class ResidueField:
             ",".join(self.ring.names),
             ", ".join(str(b) for b in self.Q.basis),
         )
-
-
-def residue_invert(field: ResidueField, e: ResidueElem) -> ResidueElem:
-    """Field inverse; DivisionByZeroModQ when the numerator lies in Q."""
-    return field.inv(e)
 
 
 def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> OpContext:
@@ -238,32 +230,18 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
         for c in A._terms.values():
             d = c.denominator
             denlcm = denlcm * d // _int_gcd(denlcm, d)
-        h = param_ring.const(denlcm)
-        out = {}
-        for exp, c in A._terms.items():
-            out[_map_exp(A.ring, target, exp)] = c * denlcm
-        return h, WeylOp(target, out)
+        return param_ring.const(denlcm), target.convert(A * denlcm)
 
     h = param_ring.one()
     for c in A._terms.values():
         h = _poly_lcm(h, param_ring.convert(c.den))
-    out = {}
+    terms = []
     for exp, c in A._terms.items():
         cof = exact_div(h, param_ring.convert(c.den)) * param_ring.convert(c.num)
-        base = _map_exp(A.ring, target, exp)
-        for aexp, q in cof._terms.items():
-            full = list(base)
-            for i, e in enumerate(aexp):
-                if e:
-                    full[target.index(param_ring.names[i])] += e
-            key = tuple(full)
-            prev = out.get(key)
-            q2 = q if prev is None else prev + q
-            if q2:
-                out[key] = q2
-            else:
-                out.pop(key, None)
-    return h, WeylOp(target, out)
+        # the parameters are central, so this product only adds exponents
+        term = target.convert(cof) * target.convert(A.ring.monomial(exp))
+        terms.extend(term._terms.items())
+    return h, target.from_terms(terms)
 
 
 def _int_gcd(a, b):
@@ -271,14 +249,6 @@ def _int_gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def _map_exp(source: WeylRing, target: WeylRing, exp):
-    new = [0] * target.nvars
-    for i, e in enumerate(exp):
-        if e:
-            new[target.index(source.names[i])] = e
-    return tuple(new)
 
 
 # -- rationalization -----------------------------------------------------------
@@ -307,10 +277,10 @@ def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
         raise NonRationalCertificate("the computed ideal has no generators")
     s_ring = PolyRing(QQ, ctx.s_names, GRevLex())
 
-    found = _strategy_rational_generator(B, F, s_ring)
+    found = _strategy_rational_generator(B, s_ring)
     if found is not None:
         return found
-    found = _strategy_univariate_products(B, F, s_ring)
+    found = _strategy_univariate_products(B, s_ring)
     if found is not None:
         return found
     found = _strategy_linear_combination(B, F, s_ring, degree_budget)
@@ -321,37 +291,34 @@ def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
     )
 
 
-def _as_QQ_poly(g: Poly, F, s_ring: PolyRing) -> Poly | None:
-    if not all(F.is_rational_elem(c) for c in g._terms.values()):
+def _over_QQ(g: Poly, s_ring: PolyRing) -> Poly | None:
+    """g moved into s_ring over Q, None when a coefficient is not rational."""
+    try:
+        return s_ring.convert(g)
+    except ValueError:
         return None
-    out = {}
-    for exp, c in g._terms.items():
-        q = F.as_rational(c)
-        if q:
-            out[exp] = q
-    return Poly(s_ring, out)
 
 
-def _strategy_rational_generator(B, F, s_ring):
+def _strategy_rational_generator(B, s_ring):
     for g, P in zip(B.generators, B.certificates):
-        q = _as_QQ_poly(g, F, s_ring)
+        q = _over_QQ(g, s_ring)
         if q is not None and not q.is_zero():
             return RationalizeResult(b=q, U_residue=P, strategy="rational-generator")
     return None
 
 
-def _strategy_univariate_products(B, F, s_ring):
+def _strategy_univariate_products(B, s_ring):
     ctx = B.context
     p = len(ctx.s_names)
     if p == 1:
-        factors = _univariate_part(B, F, s_ring, 0)
+        factors = _univariate_part(B, s_ring, 0)
         if factors is None:
             return None
         b, U = factors
         return RationalizeResult(b=b, U_residue=U, strategy="univariate-gcd")
     parts = []
     for j in range(p):
-        part = _univariate_part(B, F, s_ring, j)
+        part = _univariate_part(B, s_ring, j)
         if part is None:
             return None
         parts.append(part)
@@ -363,25 +330,11 @@ def _strategy_univariate_products(B, F, s_ring):
         prefix = prefix * bj
     wring = B.certificates[0].ring if B.certificates else None
     U_last = parts[-1][1]
-    U = wring.from_poly(_rehome(prefix, wring)) * U_last
+    U = wring.convert(prefix) * U_last
     return RationalizeResult(b=b, U_residue=U, strategy="univariate-products")
 
 
-def _rehome(q: Poly, wring: WeylRing) -> Poly:
-    target = PolyRing(wring.field, wring.names, GRevLex())
-    out = {}
-    for exp, c in q._terms.items():
-        new = [0] * target.nvars
-        for i, e in enumerate(exp):
-            if e:
-                new[target.index(q.ring.names[i])] = e
-        out[tuple(new)] = (
-            c if not isinstance(c, (int, Fraction)) else target.field.from_rational(c)
-        )
-    return Poly(target, out)
-
-
-def _univariate_part(B, F, s_ring, j):
+def _univariate_part(B, s_ring, j):
     """Monic rational generator of B intersected with F[s_j], with certificate."""
     ctx = B.context
     ring = ctx.s_poly_ring()
@@ -401,16 +354,15 @@ def _univariate_part(B, F, s_ring, j):
     if best is None:
         return None
     g, rep = best
-    q = _as_QQ_poly(g, F, PolyRing(QQ, ring.names, GRevLex()))
-    if q is None or q.is_zero():
+    bq = _over_QQ(g, s_ring)
+    if bq is None or bq.is_zero():
         return None
-    bq = s_ring.convert(q)
     wring = B.certificates[0].ring
     U = wring.zero()
     for cof, P in zip(rep, B.certificates):
         if cof.is_zero():
             continue
-        U = U + wring.from_poly(_rehome(cof, wring)) * P
+        U = U + wring.convert(cof) * P
     return bq, U
 
 
@@ -441,7 +393,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
             for j, nm in enumerate(ctx.s_names):
                 exp[ring.index(nm)] = gamma[j]
             mono = ring.monomial(tuple(exp))
-            cert = wring.from_poly(_rehome(mono, wring)) * P
+            cert = wring.convert(mono) * P
             add_candidate(mono * g, cert)
     for i, (gi, Pi) in enumerate(zip(gens, B.certificates)):
         for j2 in range(i, len(gens)):
@@ -449,7 +401,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
             prod = gi * gj
             if prod.total_degree() > degree_budget:
                 continue
-            cert = wring.from_poly(_rehome(gi, wring)) * Pj
+            cert = wring.convert(gi) * Pj
             add_candidate(prod, cert)
 
     if not candidates:
@@ -513,16 +465,13 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     )
     priority = [ncand + i for i in border] + list(range(ncand))
     reduced = _echelon_by_priority(kernel, priority)
+    ring_q = PolyRing(QQ, ring.names, GRevLex())
     best = None
     for vec in reduced:
-        bterms = {}
-        for i, sexp in enumerate(s_monomials):
-            c = vec[ncand + i]
-            if c:
-                bterms[_squeeze_s(sexp, ring, s_ring)] = c
-        if not bterms:
+        bterms = [(sexp, vec[ncand + i]) for i, sexp in enumerate(s_monomials)]
+        b = s_ring.convert(ring_q.from_terms(bterms))
+        if b.is_zero():
             continue
-        b = s_ring.from_terms(list(bterms.items()))
         if best is None or b.total_degree() < best[0].total_degree():
             best = (b, vec)
     if best is None:
@@ -536,10 +485,6 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     b = b.monic()
     U = U.scale(F.from_rational(Fraction(1) / lc))
     return RationalizeResult(b=b, U_residue=U, strategy="linear-combination")
-
-
-def _squeeze_s(exp, ring, s_ring):
-    return tuple(exp[ring.index(nm)] for nm in s_ring.names)
 
 
 # -- the generic package --------------------------------------------------------
@@ -626,33 +571,6 @@ def specialize_check(g: GenericBS, point) -> bool:
 
     inst0 = inst.specialize(values)
     wring0 = inst0.weyl_ring()
-    U0 = _specialize_op(g.U, values, wring0)
+    U0 = wring0.convert(g.U.subs(values))
     b0 = g.b * hq
     return check_identity(b0, U0, inst0)
-
-
-def _specialize_op(U: WeylOp, values: dict, target: WeylRing) -> WeylOp:
-    src = U.ring
-    out = {}
-    a_pos = {i: src.names[i] for i in range(src.nvars) if src.names[i] in values}
-    for exp, c in U._terms.items():
-        scalar = Fraction(c)
-        new = [0] * target.nvars
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            nm = src.names[i]
-            if i in a_pos:
-                scalar *= Fraction(values[nm]) ** e
-            else:
-                new[target.index(nm)] = e
-        if scalar == 0:
-            continue
-        key = tuple(new)
-        prev = out.get(key, Fraction(0))
-        val = prev + scalar
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return WeylOp(target, out)

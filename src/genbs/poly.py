@@ -490,15 +490,31 @@ class PolyRing:
         return ring
 
     def convert(self, poly: "Poly"):
-        """Re-home a polynomial into this ring by matching variable names.
+        """Move an element of another ring into this one.
 
-        Variables absent from this ring must not occur in the input.
+        This is the one move between rings (commutative, Weyl, over Q or
+        a residue field), and it follows three rules:
+
+        - names: each variable goes to the generator of the same name;
+          a variable with no namesake here must not occur.
+        - derivatives: an element of a ring without Weyl pairs must not
+          occur in a generator this ring pairs as a derivative, since
+          commuting variables carry no normal order.
+        - field: when the fields differ, each coefficient is carried as
+          its rational value; a residue coefficient that is not rational
+          raises ValueError.
+
+        Terms are walked in their stored order.  With the same names and
+        field, and no derivative to guard, the term map is shared.
         """
         if poly.ring is self:
             return poly
-        pos = []
-        for i, n in enumerate(poly.ring.names):
-            pos.append(self._index.get(n))
+        src = poly.ring
+        lift = src.field is not self.field and src.field != self.field
+        guard = {d for _, d in self.pairs} if not src.pairs else ()
+        if src.names == self.names and not lift and not guard:
+            return self._elem(self, poly._terms)
+        pos = [self._index.get(n) for n in src.names]
         out = {}
         for exp, c in poly._terms.items():
             new = [0] * self.nvars
@@ -508,9 +524,15 @@ class PolyRing:
                 j = pos[i]
                 if j is None:
                     raise MixedRingError(
-                        "variable %r does not exist in target ring" % poly.ring.names[i]
+                        "variable %r does not exist in target ring" % src.names[i]
+                    )
+                if j in guard:
+                    raise MixedRingError(
+                        "cannot embed a polynomial in a derivative generator"
                     )
                 new[j] = e
+            if lift:
+                c = self.field.from_rational(src.field.as_rational(c))
             out[tuple(new)] = c
         return self._elem(self, out)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import MixedRingError
 from .orders import mono_mul
 from .poly import Poly, PolyRing
 
@@ -87,50 +86,6 @@ class WeylRing(PolyRing):
     def central_indices(self):
         paired = {i for pd in self.pairs for i in pd}
         return [i for i in range(self.nvars) if i not in paired]
-
-    def from_poly(self, poly: Poly):
-        """Embed a commutative polynomial whose variables all exist here.
-
-        The polynomial must not involve derivative generators (an
-        embedded product of commuting variables needs no reordering).
-        """
-        der = {d for _, d in self.pairs}
-        out = {}
-        for exp, c in poly._terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                j = self._index.get(poly.ring.names[i])
-                if j is None:
-                    raise MixedRingError(
-                        "variable %r not present in the operator ring"
-                        % poly.ring.names[i]
-                    )
-                if j in der:
-                    raise MixedRingError(
-                        "cannot embed a polynomial in a derivative generator"
-                    )
-                new[j] = e
-            out[tuple(new)] = c
-        return WeylOp(self, out)
-
-    def to_poly(self, op: "WeylOp", target: PolyRing) -> Poly:
-        """Rewrite an operator as a commutative polynomial in ``target``.
-
-        Valid whenever, for every term, no Weyl pair has both entries
-        nonzero in the same monomial of any product ambiguity; since the
-        operator is already normally ordered this is a plain renaming.
-        """
-        out = {}
-        for exp, c in op._terms.items():
-            new = [0] * target.nvars
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                new[target.index(self.names[i])] = e
-            out[tuple(new)] = c
-        return Poly(target, out)
 
     def __repr__(self):
         return "WeylRing(%s; %s; pairs=%s)" % (

@@ -76,6 +76,19 @@ def test_fs_element_arithmetic(inst_x2):
     assert two == sym.scale(2)
 
 
+def test_fs_element_equal_over_common_denominator_and_unhashable(Rxy):
+    # f = (x*y, x): y / (x*y) and 1 / x are one element, so a hash of the
+    # stored numerator could not agree with equality; elements are unhashable
+    x, y = Rxy.var("x"), Rxy.var("y")
+    inst = make_instance(("x", "y"), [x * y, x], v=(1, 1))
+    fs = inst.fs_ring()
+    e1 = FsElement(inst, fs.var("y"), (1, 0))
+    e2 = FsElement(inst, fs.one(), (0, 1))
+    assert e1 == e2
+    with pytest.raises(TypeError):
+        hash(e1)
+
+
 def test_check_identity_classical(inst_x, inst_x2):
     Wx = inst_x.weyl_ring()
     s = inst_x.s_ring().var("s")

@@ -23,7 +23,6 @@ from genbs.parametric import (
     op_scale_clear,
     rationalize,
     residue_context,
-    residue_invert,
     specialize_check,
 )
 from genbs.poly import PolyRing, QQ
@@ -97,7 +96,7 @@ def test_residue_rationality_detection():
 def test_residue_invert_zero_raises():
     F = ResidueField(_prime([A]))
     with pytest.raises(DivisionByZeroModQ):
-        residue_invert(F, F.make(A))
+        F.inv(F.make(A))
     with pytest.raises(DivisionByZeroModQ):
         F.make(PARAM.one(), A)
 
@@ -235,6 +234,39 @@ def test_rationalize_strategy_linear_combination():
     assert res.strategy == "linear-combination"
     S = PolyRing(QQ, ("s1", "s2"), GRevLex())
     assert res.b == (S.var("s1") + 1) * (S.var("s2") + 1)
+    # the certificate lifts the rational kernel vector into the residue
+    # field; the expected string was recorded before ring conversion was
+    # unified in PolyRing.convert
+    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)), degree_budget=4)
+    assert str(res.U_residue) == (
+        "-1/4*x*s1*s2 + 1/4*dx*s1*s2 + (1/4*a - 1/4)*x*s1 + (1/4*a + 1/4)*dx*s1"
+        " - 1/4*x*s2 + 1/4*dx*s2 + (1/4*a + 1/4)*x + (1/4*a + 3/4)*dx"
+    )
+
+
+def test_rationalize_strategy_univariate_products():
+    # each s_j has a rational univariate part s_j + 1; b is their product
+    # and U lifts the rational prefix into the residue field.  The expected
+    # string was recorded before ring conversion was unified in
+    # PolyRing.convert
+    ctx = _fake_ctx(2)
+    ring = ctx.s_poly_ring()
+    F = ctx.field_
+    s1, s2 = ring.var("s1"), ring.var("s2")
+    aa = ring.const(F.make(A))
+    gens = [
+        (s1 + 1) * (s1 + aa),
+        (s1 + 1) * (s1 + aa + 1),
+        (s2 + 1) * (s2 + aa),
+        (s2 + 1) * (s2 + aa + 1),
+    ]
+    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(ctx, gens, certs=(x, dx, x * dx, dx * dx)))
+    assert res.strategy == "univariate-products"
+    S = PolyRing(QQ, ("s1", "s2"), GRevLex())
+    assert res.b == (S.var("s1") + 1) * (S.var("s2") + 1)
+    assert str(res.U_residue) == "-x*dx*s1 + dx^2*s1 - x*dx + dx^2"
 
 
 def test_rationalize_honest_failure():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genbs.errors import MixedRingError
-from genbs.poly import PolyRing, QQ
+from genbs.poly import Poly, PolyRing, QQ
 from genbs.orders import Block, GRevLex
 from genbs.weyl import WeylOp, WeylRing, commutator
 
@@ -68,17 +68,17 @@ def test_distributivity_random():
         assert (f + g) * h == f * h + g * h
 
 
-def test_from_poly_and_to_poly():
+def test_convert_embeds_and_recovers_commutative_poly():
     P = PolyRing(QQ, ("a", "x", "y"), GRevLex())
     f = P.var("x") ** 2 + P.var("a") * P.var("y")
-    op = W.from_poly(f)
-    assert op == X**2 + Av * Y
-    back = W.to_poly(op, P)
-    assert back == f
+    op = W.convert(f)
+    assert isinstance(op, WeylOp) and op == X**2 + Av * Y
+    back = P.convert(op)
+    assert type(back) is Poly and back == f
     # derivative generators cannot be embedded from a commutative poly
     Q2 = PolyRing(QQ, ("dx",), GRevLex())
     with pytest.raises(MixedRingError):
-        W.from_poly(Q2.var("dx"))
+        W.convert(Q2.var("dx"))
 
 
 def test_weyl_ring_extends_poly_ring():
