@@ -227,17 +227,16 @@ def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, ctx: OpCon
     return out
 
 
-def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None, verify: bool = True) -> LeftIdealW:
-    """Ann f^s with every generator checked to kill f^s exactly."""
-    ctx = plain_context(inst)
-    ideal = ann_fs_ctx(ctx, budget=budget)
-    if verify:
-        symbol = FsElement.symbol(inst)
-        for g in ideal.generators:
-            if not act(g, symbol).is_zero():
-                raise VerificationFailed(
-                    "annihilator candidate fails to kill f^s: %s" % g
-                )
+def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
+    """Ann f^s with every generator replayed once: it must kill f^s
+    exactly, or VerificationFailed is raised."""
+    ideal = ann_fs_ctx(plain_context(inst), budget=budget)
+    symbol = FsElement.symbol(inst)
+    for g in ideal.generators:
+        if not act(g, symbol).is_zero():
+            raise VerificationFailed(
+                "annihilator candidate fails to kill f^s: %s" % g
+            )
     return ideal
 
 
@@ -270,20 +269,20 @@ def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
     )
 
 
-def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None, verify: bool = True) -> BSIdeal:
+def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """Bernstein-Sato ideal over the plain coefficients, verified.
 
     In plain mode parameters are central variables, so every generator's
-    identity b f^s = P f^(s+v) holds literally over Q[a] and is checked
-    by direct action.
+    identity b f^s = P f^(s+v) holds literally over Q[a]; each one is
+    replayed once by direct action, and a failure raises
+    VerificationFailed.
     """
     B = bs_ideal_ctx(plain_context(inst), budget=budget)
-    if verify:
-        for b, P in zip(B.generators, B.certificates):
-            if not check_identity(b, P, inst):
-                raise VerificationFailed(
-                    "certificate fails the functional identity for %s" % b
-                )
+    for b, P in zip(B.generators, B.certificates):
+        if not check_identity(b, P, inst):
+            raise VerificationFailed(
+                "certificate fails the functional identity for %s" % b
+            )
     return B
 
 
@@ -300,32 +299,29 @@ class BernsteinPoly:
 def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinPoly:
     """The Bernstein polynomial: monic generator of B^v(f) for p = 1.
 
-    The principal generator is the gcd of the elimination output; the
-    extended Euclidean cofactors combine the member certificates into a
-    certificate for the gcd, which is verified against the oracle.
+    The principal generator is the gcd of the elimination output.  With
+    one member, (b, P) is the reduced, hence monic, pair that bs_ideal
+    already replayed.  With more, the extended Euclidean cofactors
+    combine the member certificates into one for the monic gcd, and that
+    new certificate is replayed here.
     """
     if inst.registry.p != 1:
         raise ValueError("the Bernstein polynomial is defined for p = 1")
     if inst.registry.m != 0:
         raise ValueError("plain rational coefficients required; specialize first")
-    B = bs_ideal(inst, budget=budget, verify=True)
+    B = bs_ideal(inst, budget=budget)
     if not B.generators:
         raise ZeroPolynomialError(
             "no nonzero element found in B^v(f); enlarge budgets"
         )
-    wring = B.context.weyl_ring()
-    g = B.generators[0]
-    P = B.certificates[0]
-    for g2, P2 in zip(B.generators[1:], B.certificates[1:]):
-        if g.is_zero():
-            g, P = g2, P2
-            continue
-        d, u_cof, w_cof = univar_extended_gcd(g, g2)
-        P = wring.convert(u_cof) * P + wring.convert(w_cof) * P2
-        g = d
-    g = g.monic()
-    if not check_identity(g, P, inst):
-        raise VerificationFailed("combined certificate fails for the gcd generator")
+    g, P = B.generators[0], B.certificates[0]
+    if len(B.generators) > 1:
+        wring = B.context.weyl_ring()
+        for g2, P2 in zip(B.generators[1:], B.certificates[1:]):
+            g, u_cof, w_cof = univar_extended_gcd(g, g2)
+            P = wring.convert(u_cof) * P + wring.convert(w_cof) * P2
+        if not check_identity(g, P, inst):
+            raise VerificationFailed("combined certificate fails for the gcd generator")
     return BernsteinPoly(
         b=g, certificate=P, factorization=factor(g), ideal=B
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import VerificationFailed, ZeroPolynomialError
 from .orders import mono_div
@@ -202,14 +203,9 @@ def rational_roots(f: Poly, var: int):
     """
     coeffs = _univar_coeffs(f, var)
     vals = [c.const_value() for c in coeffs]
-    den_lcm = 1
-    for v in vals:
-        if v:
-            den_lcm = den_lcm * v.denominator // _gcd_int(den_lcm, v.denominator)
+    den_lcm = lcm(*(v.denominator for v in vals))
     ints = [int(v * den_lcm) for v in vals]
-    content = 0
-    for z in ints:
-        content = _gcd_int(content, z)
+    content = gcd(*ints)
     ints = [z // content for z in ints]
     a0, an = ints[0], ints[-1]
     if a0 == 0:
@@ -217,19 +213,12 @@ def rational_roots(f: Poly, var: int):
     roots = []
     for p in _divisors(a0):
         for q in _divisors(an):
-            if _gcd_int(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for sign in (1, -1):
                 if _homogeneous_value(ints, sign * p, q) == 0:
                     roots.append(Fraction(sign * p, q))
     return sorted(roots)
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _homogeneous_value(ints, p, q):

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .errors import EmptyAnsatz, MixedRingError
 from .factor import exact_div
+from .groebner import normal_form
 from .instance import ProblemInstance
 from .poly import Poly
 from .weyl import WeylOp
@@ -304,8 +305,6 @@ def check_congruence(g, inst: ProblemInstance | None = None) -> bool:
 
 
 def remainder_in_Q(r: FsElement, Q, inst: ProblemInstance) -> bool:
-    from .groebner import normal_form
-
     if r.is_zero():
         return True
     ring = inst.fs_ring()

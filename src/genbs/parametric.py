@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .annbs import BSIdeal, OpContext, bs_ideal_ctx
 from .errors import (
@@ -226,10 +227,7 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
     """
     fld = A.ring.field
     if isinstance(fld, RationalField):
-        denlcm = 1
-        for c in A._terms.values():
-            d = c.denominator
-            denlcm = denlcm * d // _int_gcd(denlcm, d)
+        denlcm = lcm(*(c.denominator for c in A._terms.values()))
         return param_ring.const(denlcm), target.convert(A * denlcm)
 
     h = param_ring.one()
@@ -242,13 +240,6 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
         term = target.convert(cof) * target.convert(A.ring.monomial(exp))
         terms.extend(term._terms.items())
     return h, target.from_terms(terms)
-
-
-def _int_gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- rationalization -----------------------------------------------------------

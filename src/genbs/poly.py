@@ -397,18 +397,6 @@ class Poly:
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self)
 
-    # -- conversions -------------------------------------------------------
-
-    def map_coeffs(self, fn, target_ring):
-        """Apply ``fn`` to every coefficient, rebuilding in ``target_ring``."""
-        tf = target_ring.field
-        out = {}
-        for exp, c in self._terms.items():
-            c2 = fn(c)
-            if not tf.is_zero(c2):
-                out[exp] = c2
-        return type(self)(target_ring, out)
-
 
 class PolyRing:
     """A polynomial ring: coefficient field, ordered variable names, term order.

@@ -53,11 +53,10 @@ class GBBudget:
 
 @dataclass
 class LeftIdealW:
-    """A left ideal with an optional cached reduced left Groebner basis."""
+    """A left ideal of a Weyl ring, given by its generators."""
 
     ring: WeylRing
     generators: list
-    basis: list | None = None
 
 
 def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=()):

@@ -1,10 +1,13 @@
 """Annihilator and Bernstein-Sato pipeline: the classical corpus, certified."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import genbs.annbs
 from genbs.annbs import ann_fs, bs_ideal, bs_poly, malgrange_ideal, rationality_report
+from genbs.errors import VerificationFailed
 from genbs.fsmodule import FsElement, act, check_identity
 from genbs.groebner import buchberger, ideal_contains
 from genbs.instance import make_instance
@@ -89,6 +92,34 @@ def test_bs_ideal_certificate_is_cofactor(inst_x2):
     fsr = inst_x2.fs_ring()
     for g, P in zip(B.generators, B.certificates):
         assert check_identity(fsr.convert(g), P, inst_x2)
+
+
+def test_bs_poly_replays_combined_certificate(monkeypatch, inst_x):
+    # two members (s+1)(s+2), (s+1)(s+3) of B(x), certified by (s+2) dx and
+    # (s+3) dx: their gcd s + 1 and its combined certificate -(s+2) dx +
+    # (s+3) dx = dx are built by bs_poly, so bs_poly replays them
+    B = bs_ideal(inst_x)
+    (g,), (P,) = B.generators, B.certificates
+    s, s_op = g.ring.var("s"), P.ring.var("s")
+    members = dataclasses.replace(
+        B,
+        generators=[g * (s + 2), g * (s + 3)],
+        certificates=[(s_op + 2) * P, (s_op + 3) * P],
+    )
+    monkeypatch.setattr(genbs.annbs, "bs_ideal", lambda inst, budget=None: members)
+    replayed = []
+
+    def spy(b, P, inst):
+        replayed.append((b, P))
+        return check_identity(b, P, inst)
+
+    monkeypatch.setattr(genbs.annbs, "check_identity", spy)
+    res = bs_poly(inst_x)
+    assert (str(res.b), str(res.certificate)) == ("s + 1", "dx")
+    assert replayed == [(res.b, res.certificate)]
+    monkeypatch.setattr(genbs.annbs, "check_identity", lambda b, P, inst: False)
+    with pytest.raises(VerificationFailed):
+        bs_poly(inst_x)
 
 
 def test_bs_poly_shift_vector():

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import genbs.fsmodule
 from genbs.cli import (
     JobSpec,
     build_argparser,
@@ -163,15 +165,90 @@ def test_cli_verify_pass_and_fail():
     assert code2 == 2 and not report2["verified"]
 
 
-def test_cli_failed_pipeline_check_exit_2(monkeypatch):
-    # a certificate that fails its internal replay is a verification
-    # failure (exit 2 with an error report), not a traceback
-    monkeypatch.setattr("genbs.annbs.check_identity", lambda b, P, inst: False)
-    report, code = run_command(JobSpec(command="bs", vars=("x",), f=("x",)))
+def _assert_verification_failed(report, code):
     assert code == 2
     assert report["error"]["type"] == "VerificationFailed"
     assert report["error"]["code"] == 2
     assert not report["verified"]
+
+
+def test_cli_failed_pipeline_check_exit_2(monkeypatch):
+    # a certificate that fails its internal replay is a verification
+    # failure (exit 2 with an error report), not a traceback; p = 1 goes
+    # through bs_poly, p = 2 through bs_ideal alone
+    monkeypatch.setattr("genbs.annbs.check_identity", lambda b, P, inst: False)
+    for spec in (
+        JobSpec(command="bs", vars=("x",), f=("x",)),
+        JobSpec(command="bs", vars=("x", "y"), f=("x", "y"), v=(1, 1)),
+    ):
+        _assert_verification_failed(*run_command(spec))
+
+
+def test_cli_failed_library_replay_exit_2(monkeypatch):
+    # the CLI does not check again what the library computed, so a failed
+    # replay inside generic_bs or ann_fs alone must reach exit 2
+    monkeypatch.setattr("genbs.parametric.remainder_in_Q", lambda r, Q, inst: False)
+    for command in ("generic-bs", "stratify"):
+        spec = JobSpec(command=command, vars=("x",), params=("a",), f=("x^2+a",))
+        _assert_verification_failed(*run_command(spec))
+    # an "annihilator" that leaves f^s as it is
+    monkeypatch.setattr("genbs.annbs.act", lambda A, e: e)
+    spec = JobSpec(command="annfs", vars=("x", "y"), f=("x*y",))
+    _assert_verification_failed(*run_command(spec))
+
+
+def _count_replays(monkeypatch):
+    """Wrap fsmodule.act wherever a genbs module holds it; every replay of
+    a certificate, (b, P) or (Q, h, U), acts once on an f^s element."""
+    calls = []
+    original = genbs.fsmodule.act
+
+    def counting(A, e):
+        calls.append(A)
+        return original(A, e)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("genbs") and getattr(module, "act", None) is original:
+            monkeypatch.setattr(module, "act", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, replays",
+    [
+        # bs_ideal replays the one member, which bs_poly returns as it is
+        (JobSpec(command="bs", vars=("x", "y"), f=("y^2-x^3",)), lambda out: 1),
+        (
+            JobSpec(command="bs", vars=("x", "y"), f=("x*y", "x"), v=(1, 1)),
+            lambda out: len(out["generators"]),
+        ),
+        (
+            JobSpec(command="annfs", vars=("x", "y"), f=("x*y",)),
+            lambda out: len(out["generators"]),
+        ),
+        # generic_bs replays the congruence, then one specialization a point
+        (
+            JobSpec(
+                command="generic-bs",
+                vars=("x", "y"),
+                params=("a",),
+                f=("y^2-x^3-a*x^2",),
+                points=("1", "-1"),
+            ),
+            lambda out: 1 + len(out["specialize_checks"]),
+        ),
+        (
+            JobSpec(command="stratify", vars=("x",), params=("a",), f=("x^2+a",)),
+            lambda out: sum(len(st["witnesses"]) for st in out["strata"]),
+        ),
+    ],
+    ids=["bs-p1", "bs-p2", "annfs", "generic-bs", "stratify"],
+)
+def test_cli_replays_each_certificate_once(monkeypatch, spec, replays):
+    calls = _count_replays(monkeypatch)
+    report, code = run_command(spec)
+    assert code == 0 and report["verified"]
+    assert len(calls) == replays(report["outputs"]) > 0
 
 
 def test_cli_stratify_report():
