@@ -9,7 +9,6 @@ operator identity that re-verifies by direct action on f^s.
 from .annbs import (
     BernsteinPoly,
     BSIdeal,
-    OpContext,
     ann_fs,
     bs_ideal,
     bs_poly,
@@ -101,7 +100,6 @@ __all__ = [
     "LocallyClosedSet",
     "MixedRingError",
     "NonRationalCertificate",
-    "OpContext",
     "ParseError",
     "PointOutsideStratum",
     "Poly",

@@ -11,9 +11,10 @@ landing in A_n(R)[s].  Appending f^v = prod f_j^v_j and eliminating x, dx
 yields the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of
 the f^v generator is the certificate operator P with b f^s = P f^(s+v).
 
-Everything runs over a pluggable coefficient field so the same code
-serves plain rational instances (parameters as central variables) and
-residue fields of the parameter ring (parameters as field elements).
+Every ring comes from the instance, over its coefficient field, so the
+same code serves instances over Q (parameters as central variables) and
+over a residue field Frac(Q[a]/Q) of the parameter ring (parameters as
+field elements).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .factor import factor, rational_roots
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
 from .orders import Block, GRevLex
-from .poly import Poly, PolyRing, QQ, univar_extended_gcd
+from .poly import Poly, PolyRing, QQ
 from .weyl import WeylOp, WeylRing
 from .weyl_groebner import (
     GBBudget,
@@ -37,96 +38,17 @@ from .weyl_groebner import (
 )
 
 
-@dataclass(frozen=True)
-class OpContext:
-    """Names, shift vector and family for one operator-algebra computation.
-
-    ``a_names`` are central parameter generators (plain mode); in residue
-    mode they are empty and the parameters live inside the field.
-    """
-
-    field_: object
-    a_names: tuple
-    x_names: tuple
-    s_names: tuple
-    v: tuple
-    f: tuple
-
-    @property
-    def n(self):
-        return len(self.x_names)
-
-    @property
-    def p(self):
-        return len(self.s_names)
-
-    def d_names(self):
-        return tuple("d" + x for x in self.x_names)
-
-    def aux(self, prefix):
-        return tuple("_%s%d" % (prefix, j + 1) for j in range(self.p))
-
-    def base_ring(self) -> PolyRing:
-        return PolyRing(self.field_, self.a_names + self.x_names, GRevLex())
-
-    def s_poly_ring(self) -> PolyRing:
-        return PolyRing(self.field_, self.a_names + self.s_names, GRevLex())
-
-    def weyl_ring(self) -> WeylRing:
-        names = self.a_names + self.x_names + self.d_names() + self.s_names
-        na, n = len(self.a_names), self.n
-        pairs = [(na + i, na + n + i) for i in range(n)]
-        return WeylRing(self.field_, names, pairs)
-
-    def malgrange_ring(self) -> WeylRing:
-        names = (
-            self.a_names
-            + self.x_names
-            + self.aux("t")
-            + self.aux("u")
-            + self.d_names()
-            + self.aux("dt")
-            + self.aux("y")
-        )
-        na, n, p = len(self.a_names), self.n, self.p
-        x0, t0 = na, na + n
-        d0 = na + n + 2 * p
-        dt0 = na + 2 * n + 2 * p
-        pairs = [(x0 + i, d0 + i) for i in range(n)] + [
-            (t0 + j, dt0 + j) for j in range(p)
-        ]
-        return WeylRing(self.field_, names, pairs)
-
-    def f_power_v(self) -> Poly:
-        acc = self.base_ring().one()
-        for fj, vj in zip(self.f, self.v):
-            acc = acc * self.base_ring().convert(fj) ** vj
-        return acc
-
-
-def plain_context(inst: ProblemInstance) -> OpContext:
-    r = inst.registry
-    return OpContext(
-        field_=QQ,
-        a_names=r.a,
-        x_names=r.x,
-        s_names=r.s,
-        v=tuple(inst.v),
-        f=tuple(inst.f),
-    )
-
-
 @dataclass
 class BSIdeal:
     """Verified members of the Bernstein-Sato ideal with certificates.
 
-    ``generators[i]`` is a polynomial in the s variables (and parameters
-    in plain mode); ``certificates[i]`` is the operator P with
+    ``generators[i]`` lies in the instance's ``s_ring`` (parameters and
+    s); ``certificates[i]`` is the operator P with
     generators[i] * f^s = P f^(s+v).  ``elimination_basis`` is the full
     left basis the intersection was read from.
     """
 
-    context: OpContext
+    instance: ProblemInstance
     generators: list
     certificates: list
     ann_basis: list
@@ -136,80 +58,80 @@ class BSIdeal:
         return not self.generators
 
 
-def malgrange_ideal(inst_or_ctx) -> LeftIdealW:
+def malgrange_ideal(inst: ProblemInstance) -> LeftIdealW:
     """The extended left ideal whose elimination yields Ann f^s."""
-    ctx = inst_or_ctx if isinstance(inst_or_ctx, OpContext) else plain_context(inst_or_ctx)
-    ring = ctx.malgrange_ring()
-    t = [ring.gen(nm) for nm in ctx.aux("t")]
-    u = [ring.gen(nm) for nm in ctx.aux("u")]
-    dt = [ring.gen(nm) for nm in ctx.aux("dt")]
-    y = [ring.gen(nm) for nm in ctx.aux("y")]
-    f_ops = [ring.convert(fj) for fj in ctx.f]
+    ring = inst.malgrange_ring()
+    t = [ring.gen(nm) for nm in inst.aux("t")]
+    u = [ring.gen(nm) for nm in inst.aux("u")]
+    dt = [ring.gen(nm) for nm in inst.aux("dt")]
+    y = [ring.gen(nm) for nm in inst.aux("y")]
+    f_ops = [ring.convert(fj) for fj in inst.f]
+    p = inst.registry.p
 
     gens = []
-    for j in range(ctx.p):
+    for j in range(p):
         gens.append(t[j] - u[j] * f_ops[j])
-    for i, xn in enumerate(ctx.x_names):
+    for xn in inst.registry.x:
         g = ring.gen("d" + xn)
-        for j in range(ctx.p):
-            df = ctx.f[j].diff(xn)
+        for j in range(p):
+            df = inst.f[j].diff(xn)
             if not df.is_zero():
                 g = g + u[j] * ring.convert(df) * dt[j]
         gens.append(g)
-    for j in range(ctx.p):
+    for j in range(p):
         gens.append(u[j] * y[j] - 1)
     return LeftIdealW(ring=ring, generators=gens)
 
 
-def _malgrange_weights(ring, ctx):
+def _malgrange_weights(ring, inst):
     """The +1/-1 grading on t, u versus dt, y, one aggregate vector."""
     assignment = {}
-    for nm in ctx.aux("t"):
+    for nm in inst.aux("t"):
         assignment[nm] = 1
-    for nm in ctx.aux("u"):
+    for nm in inst.aux("u"):
         assignment[nm] = 1
-    for nm in ctx.aux("dt"):
+    for nm in inst.aux("dt"):
         assignment[nm] = -1
-    for nm in ctx.aux("y"):
+    for nm in inst.aux("y"):
         assignment[nm] = -1
     return weight_vector(ring, assignment)
 
 
-def ann_fs_ctx(ctx: OpContext, budget: GBBudget | None = None) -> LeftIdealW:
+def ann_fs_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
     """Generators of Ann f^s in A_n(R)[s], not yet verified."""
-    ideal = malgrange_ideal(ctx)
+    ideal = malgrange_ideal(inst)
     ring = ideal.ring
-    front = [ring.index(nm) for nm in ctx.aux("u") + ctx.aux("y")]
+    front = [ring.index(nm) for nm in inst.aux("u") + inst.aux("y")]
     elim_ring = ring.with_order(Block(tuple(sorted(front))))
     gens = [elim_ring.convert(g) for g in ideal.generators]
-    w = _malgrange_weights(elim_ring, ctx)
+    w = _malgrange_weights(elim_ring, inst)
     basis = left_buchberger(gens, budget=budget, weight_vectors=(w,))
-    kept = subring_elements(basis, ctx.aux("u") + ctx.aux("y"))
+    kept = subring_elements(basis, inst.aux("u") + inst.aux("y"))
     balanced = weight0_extract(
         kept,
         elim_ring,
-        ctx.aux("t"),
-        ctx.aux("dt"),
-        u_names=ctx.aux("u"),
-        y_names=ctx.aux("y"),
+        inst.aux("t"),
+        inst.aux("dt"),
+        u_names=inst.aux("u"),
+        y_names=inst.aux("y"),
     )
-    target = ctx.weyl_ring()
-    out = [_theta_substitute(g, elim_ring, target, ctx) for g in balanced]
+    target = inst.weyl_ring()
+    out = [_theta_substitute(g, elim_ring, target, inst) for g in balanced]
     out = [g for g in out if not g.is_zero()]
     return LeftIdealW(ring=target, generators=out)
 
 
-def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, ctx: OpContext):
+def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, inst: ProblemInstance):
     """Rewrite matched t^c dt^c blocks as falling factorials in -s_j - 1.
 
     Uses t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) and t_j dt_j = -s_j - 1;
     the substituted symbol is central on the remaining generators, so the
     rewrite respects products.
     """
-    t_idx = [source.index(nm) for nm in ctx.aux("t")]
-    dt_idx = [source.index(nm) for nm in ctx.aux("dt")]
+    t_idx = [source.index(nm) for nm in inst.aux("t")]
+    dt_idx = [source.index(nm) for nm in inst.aux("dt")]
     tset = set(t_idx) | set(dt_idx)
-    s_ops = [target.gen(nm) for nm in ctx.s_names]
+    s_ops = [target.gen(nm) for nm in inst.registry.s]
     out = target.zero()
     for exp, c in op._terms.items():
         sub = target.one()
@@ -230,7 +152,7 @@ def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, ctx: OpCon
 def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
     """Ann f^s with every generator replayed once: it must kill f^s
     exactly, or VerificationFailed is raised."""
-    ideal = ann_fs_ctx(plain_context(inst), budget=budget)
+    ideal = ann_fs_ctx(inst, budget=budget)
     symbol = FsElement.symbol(inst)
     for g in ideal.generators:
         if not act(g, symbol).is_zero():
@@ -240,14 +162,14 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
     return ideal
 
 
-def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
+def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included."""
-    ann = ann_fs_ctx(ctx, budget=budget)
+    ann = ann_fs_ctx(inst, budget=budget)
     ring = ann.ring
-    fv = ring.convert(ctx.f_power_v())
+    fv = ring.convert(inst.f_power_v())
     gens = list(ann.generators) + [fv]
 
-    xd = ctx.x_names + ctx.d_names()
+    xd = inst.registry.x + inst.registry.d_names()
     front = tuple(sorted(ring.index(nm) for nm in xd))
     elim_ring = ring.with_order(Block(front))
     egens = [elim_ring.convert(g) for g in gens]
@@ -255,13 +177,13 @@ def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
 
     s_only = []
     certs = []
-    spoly_ring = ctx.s_poly_ring()
+    s_ring = inst.s_ring()
     for g, rep in zip(basis, reps):
         if all(all(exp[i] == 0 for i in front) for exp in g._terms):
-            s_only.append(spoly_ring.convert(g))
+            s_only.append(s_ring.convert(g))
             certs.append(ring.convert(rep[-1]))
     return BSIdeal(
-        context=ctx,
+        instance=inst,
         generators=s_only,
         certificates=certs,
         ann_basis=list(ann.generators),
@@ -272,12 +194,12 @@ def bs_ideal_ctx(ctx: OpContext, budget: GBBudget | None = None) -> BSIdeal:
 def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """Bernstein-Sato ideal over the plain coefficients, verified.
 
-    In plain mode parameters are central variables, so every generator's
+    Over Q the parameters are central variables, so every generator's
     identity b f^s = P f^(s+v) holds literally over Q[a]; each one is
     replayed once by direct action, and a failure raises
     VerificationFailed.
     """
-    B = bs_ideal_ctx(plain_context(inst), budget=budget)
+    B = bs_ideal_ctx(inst, budget=budget)
     for b, P in zip(B.generators, B.certificates):
         if not check_identity(b, P, inst):
             raise VerificationFailed(
@@ -299,11 +221,10 @@ class BernsteinPoly:
 def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinPoly:
     """The Bernstein polynomial: monic generator of B^v(f) for p = 1.
 
-    The principal generator is the gcd of the elimination output.  With
-    one member, (b, P) is the reduced, hence monic, pair that bs_ideal
-    already replayed.  With more, the extended Euclidean cofactors
-    combine the member certificates into one for the monic gcd, and that
-    new certificate is replayed here.
+    B^v(f) is principal, and a reduced elimination basis holds at most
+    one element of Q[s] (two leads s^i, s^j would divide each other).
+    So (b, P) is the one reduced, hence monic, pair that bs_ideal
+    already replayed; a second member raises VerificationFailed.
     """
     if inst.registry.p != 1:
         raise ValueError("the Bernstein polynomial is defined for p = 1")
@@ -314,14 +235,12 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
         raise ZeroPolynomialError(
             "no nonzero element found in B^v(f); enlarge budgets"
         )
-    g, P = B.generators[0], B.certificates[0]
     if len(B.generators) > 1:
-        wring = B.context.weyl_ring()
-        for g2, P2 in zip(B.generators[1:], B.certificates[1:]):
-            g, u_cof, w_cof = univar_extended_gcd(g, g2)
-            P = wring.convert(u_cof) * P + wring.convert(w_cof) * P2
-        if not check_identity(g, P, inst):
-            raise VerificationFailed("combined certificate fails for the gcd generator")
+        raise VerificationFailed(
+            "B^v(f) is principal, but the elimination basis has %d members"
+            % len(B.generators)
+        )
+    g, P = B.generators[0], B.certificates[0]
     return BernsteinPoly(
         b=g, certificate=P, factorization=factor(g), ideal=B
     )
@@ -329,14 +248,14 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
 
 def rationality_report(B: BSIdeal) -> dict:
     """Which generators lie in Q[s], with exact root data per factor."""
-    ctx = B.context
+    r = B.instance.registry
     out = {"generators": [], "rational_element_found": False}
     for g in B.generators:
         entry = {"poly": str(g), "rational": None, "factors": []}
-        entry["rational"] = _is_rational_poly(g, ctx.a_names)
+        entry["rational"] = _is_rational_poly(g, r.a)
         if entry["rational"]:
             out["rational_element_found"] = True
-            gq = PolyRing(QQ, ctx.s_names, GRevLex()).convert(g)
+            gq = PolyRing(QQ, r.s, GRevLex()).convert(g)
             fac = factor(gq)
             all_neg = True
             for piece, mult, certified in fac.factors:

@@ -7,8 +7,9 @@ failed, 3 budget exhausted, 4 invalid input or mathematical
 precondition violation.
 
 Each certificate is replayed once, by the library function that builds
-it: ``bs_ideal``, ``bs_poly``, ``ann_fs`` and ``generic_bs`` (hence
-``stratify``) raise VerificationFailed, exit 2, when a replay fails, so
+it: ``bs_ideal`` (hence ``bs_poly``, which returns its one generator),
+``ann_fs`` and ``generic_bs`` (hence ``stratify``) raise
+VerificationFailed, exit 2, when a replay fails, so
 ``bs``, ``annfs``, ``generic-bs`` and ``stratify`` report that success
 instead of checking again.  The CLI's own replays check what it is
 given, not what it computed: ``verify`` replays the (b, P) of its
@@ -336,8 +337,7 @@ def _cmd_verify(spec: JobSpec) -> dict:
     inst = _build_instance(spec)
     if spec.b is None or spec.op is None:
         raise GenbsError("verify needs --b and --op")
-    sring = PolyRing(QQ, inst.registry.a + inst.registry.s, GRevLex())
-    b = parse_poly(spec.b, sring)
+    b = parse_poly(spec.b, inst.s_ring())
     P = parse_op(spec.op, inst.weyl_ring())
     ok = check_identity(inst.fs_ring().convert(b), P, inst)
     out = {"b": str(b), "identity_holds": ok}

@@ -50,14 +50,13 @@ import itertools
 from .errors import HomogeneityViolation, MissingBasisError, MixedRingError
 from .orders import (
     Block,
-    GRevLex,
     mono_div,
     mono_divides,
     mono_is_one,
     mono_lcm,
     mono_mul,
 )
-from .poly import Poly, PolyRing
+from .poly import Poly
 
 
 def reduce_step(f: Poly, basis):
@@ -383,18 +382,3 @@ def ideal_dim(basis, ring=None):
 
     extend(frozenset(), 0)
     return best
-
-
-def radical_membership(generators, f, budget=None):
-    """Decide f in rad(I) via the Rabinowitsch trick: 1 in I + (1 - t*f)."""
-    if f.is_zero():
-        return True
-    ring = f.ring
-    if "_rab" in ring.names:
-        raise ValueError("ring already contains the auxiliary name _rab")
-    big = PolyRing(ring.field, ring.names + ("_rab",), GRevLex())
-    gens = [big.convert(g) for g in generators]
-    t = big.var("_rab")
-    gens.append(big.one() - t * big.convert(f))
-    gb = buchberger(gens, budget=budget)
-    return is_unit_ideal(gb)

@@ -1,13 +1,17 @@
 """Problem instances: a family f = (f_1..f_p) with shift vector v.
 
-The family's coefficients live in Q[a_1..a_m] with m = 0 meaning plain
-rational coefficients; the f_j themselves are polynomials in the x
-variables.  One canonical commutative ring (parameters first, then x)
-holds the family, and derived rings (adding s, or the operator rings)
-are built here so every downstream module agrees on generator order.
+One instance type serves both readings of a family.  Over Q, the
+default ``field``, the coefficients live in Q[a_1..a_m] with the
+parameters as central variables (m = 0: plain rational coefficients).
+Over a residue field Frac(Q[a]/Q) the parameters are scalars of the
+field and the registry lists none: the family read at the generic point
+of V(Q).  The f_j live in the instance's ``x_ring``, and every derived
+ring (adding s, or the operator rings) is built here over ``field`` so
+every downstream module agrees on generator order.
 
-Canonical generator order for operator rings: parameters, x block,
-t block, u block, dx block, dt block, y block, s block.
+Generator order: parameters, x block, then
+  - A_n[s] (``weyl_ring``): dx block, s block;
+  - the Malgrange ring: t block, u block, dx block, dt block, y block.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from .weyl import WeylRing
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Fixed data: registry (n, p, m), family f, shift vector v."""
+    """Fixed data: registry (n, p, m), family f, shift vector v, and the
+    coefficient field of every ring built from them."""
 
     registry: VarRegistry
     f: tuple
     v: tuple
+    field: object = QQ
 
     def __post_init__(self):
         if len(self.f) != self.registry.p or len(self.v) != self.registry.p:
@@ -46,18 +52,19 @@ class ProblemInstance:
     # -- rings ----------------------------------------------------------------
 
     def x_ring(self) -> PolyRing:
-        return PolyRing(QQ, self.registry.a + self.registry.x, GRevLex())
+        return PolyRing(self.field, self.registry.a + self.registry.x, GRevLex())
 
     def param_ring(self) -> PolyRing:
         return PolyRing(QQ, self.registry.a, GRevLex())
 
     def s_ring(self) -> PolyRing:
-        return PolyRing(QQ, self.registry.s, GRevLex())
+        """Ring of Bernstein-Sato ideal members: field[a, s]."""
+        return PolyRing(self.field, self.registry.a + self.registry.s, GRevLex())
 
     def fs_ring(self) -> PolyRing:
-        """Numerator ring for f^s module elements: Q[a, x, s]."""
+        """Numerator ring for f^s module elements: field[a, x, s]."""
         return PolyRing(
-            QQ, self.registry.a + self.registry.x + self.registry.s, GRevLex()
+            self.field, self.registry.a + self.registry.x + self.registry.s, GRevLex()
         )
 
     def weyl_ring(self) -> WeylRing:
@@ -67,7 +74,27 @@ class ProblemInstance:
         offset = len(r.a)
         n = r.n
         pairs = [(offset + i, offset + n + i) for i in range(n)]
-        return WeylRing(QQ, names, pairs)
+        return WeylRing(self.field, names, pairs)
+
+    def aux(self, prefix):
+        """Names of one auxiliary block of the Malgrange ring, one per f_j."""
+        return tuple("_%s%d" % (prefix, j + 1) for j in range(self.registry.p))
+
+    def malgrange_ring(self) -> WeylRing:
+        """Ring of the extended ideal whose elimination yields Ann f^s."""
+        r = self.registry
+        names = (
+            r.a + r.x + self.aux("t") + self.aux("u")
+            + r.d_names() + self.aux("dt") + self.aux("y")
+        )
+        na, n, p = r.m, r.n, r.p
+        x0, t0 = na, na + n
+        d0 = na + n + 2 * p
+        dt0 = na + 2 * n + 2 * p
+        pairs = [(x0 + i, d0 + i) for i in range(n)] + [
+            (t0 + j, dt0 + j) for j in range(p)
+        ]
+        return WeylRing(self.field, names, pairs)
 
     # -- family helpers ---------------------------------------------------------
 

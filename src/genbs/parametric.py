@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .annbs import BSIdeal, OpContext, bs_ideal_ctx
+from .annbs import BSIdeal, bs_ideal_ctx
 from .errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
@@ -43,6 +43,7 @@ from .instance import ProblemInstance
 from .orders import Block, GRevLex
 from .poly import Poly, PolyRing, QQ, RationalField
 from .primes import PrimeIdealQ, the_zero_prime
+from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing
 
 
@@ -66,13 +67,6 @@ class ResidueField:
         self.Q = Q
         self.ring = Q.ring
         self.basis = [self.ring.convert(b) for b in Q.basis]
-        # keyed by the term map, so make() prints nothing; ledger prints on read
-        self._denominators = {}
-
-    @property
-    def ledger(self) -> dict:
-        """The non-constant denominators met so far, keyed by their string."""
-        return {str(den): den for den in self._denominators.values()}
 
     def nf(self, poly: Poly) -> Poly:
         poly = self.ring.convert(poly)
@@ -98,8 +92,6 @@ class ResidueField:
             inv = Fraction(1) / lc
             den = den.scale(inv)
             num = num.scale(inv)
-        if not den.is_constant():
-            self._denominators.setdefault(frozenset(den._terms.items()), den)
         return ResidueElem(num, den)
 
     # -- field protocol --------------------------------------------------------
@@ -173,8 +165,9 @@ class ResidueField:
         )
 
 
-def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> OpContext:
-    """Move the family into the residue field, parameters become scalars.
+def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> ProblemInstance:
+    """The family read over F = Frac(Q[a]/Q): an instance over F with no
+    parameters, which become scalars of F.
 
     Raises FamilyVanishesModQ when some f_j has all coefficients in Q.
     """
@@ -195,14 +188,7 @@ def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> OpContext:
                 "family member %s vanishes identically mod Q = %s" % (fj, Q)
             )
         new_f.append(base.from_terms(terms))
-    return OpContext(
-        field_=F,
-        a_names=(),
-        x_names=r.x,
-        s_names=r.s,
-        v=tuple(inst.v),
-        f=tuple(new_f),
-    )
+    return ProblemInstance(VarRegistry(r.x, r.s), tuple(new_f), inst.v, field=F)
 
 
 # -- denominator clearing ------------------------------------------------------
@@ -262,11 +248,10 @@ def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
     (iii) Q-linear combinations of s-monomial multiples and pairwise
     products of generators up to the degree budget.
     """
-    ctx = B.context
-    F = ctx.field_
+    F = B.instance.field
     if not B.generators:
         raise NonRationalCertificate("the computed ideal has no generators")
-    s_ring = PolyRing(QQ, ctx.s_names, GRevLex())
+    s_ring = PolyRing(QQ, B.instance.registry.s, GRevLex())
 
     found = _strategy_rational_generator(B, s_ring)
     if found is not None:
@@ -299,16 +284,8 @@ def _strategy_rational_generator(B, s_ring):
 
 
 def _strategy_univariate_products(B, s_ring):
-    ctx = B.context
-    p = len(ctx.s_names)
-    if p == 1:
-        factors = _univariate_part(B, s_ring, 0)
-        if factors is None:
-            return None
-        b, U = factors
-        return RationalizeResult(b=b, U_residue=U, strategy="univariate-gcd")
     parts = []
-    for j in range(p):
+    for j in range(B.instance.registry.p):
         part = _univariate_part(B, s_ring, j)
         if part is None:
             return None
@@ -327,10 +304,10 @@ def _strategy_univariate_products(B, s_ring):
 
 def _univariate_part(B, s_ring, j):
     """Monic rational generator of B intersected with F[s_j], with certificate."""
-    ctx = B.context
-    ring = ctx.s_poly_ring()
+    ring = B.instance.s_ring()
     gens = [ring.convert(g) for g in B.generators]
-    others = tuple(i for i, nm in enumerate(ring.names) if nm != ctx.s_names[j])
+    sj = B.instance.registry.s[j]
+    others = tuple(i for i, nm in enumerate(ring.names) if nm != sj)
     if others:
         elim = ring.with_order(Block(others))
     else:
@@ -358,8 +335,8 @@ def _univariate_part(B, s_ring, j):
 
 
 def _strategy_linear_combination(B, F, s_ring, degree_budget):
-    ctx = B.context
-    ring = ctx.s_poly_ring()
+    s_names = B.instance.registry.s
+    ring = B.instance.s_ring()
     param = F.ring
     candidates = []  # (poly over F in s, certificate op)
 
@@ -379,9 +356,9 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
         room = degree_budget - g.total_degree()
         if room < 0:
             continue
-        for gamma in _multi_indices(len(ctx.s_names), room):
+        for gamma in _multi_indices(len(s_names), room):
             exp = [0] * ring.nvars
-            for j, nm in enumerate(ctx.s_names):
+            for j, nm in enumerate(s_names):
                 exp[ring.index(nm)] = gamma[j]
             mono = ring.monomial(tuple(exp))
             cert = wring.convert(mono) * P
@@ -510,8 +487,7 @@ def generic_bs(
     """Generic package: rational b valid on V(Q) minus V(h), certified."""
     if Q is None:
         Q = the_zero_prime(inst.param_ring())
-    ctx = residue_context(inst, Q)
-    B = bs_ideal_ctx(ctx, budget=budget)
+    B = bs_ideal_ctx(residue_context(inst, Q), budget=budget)
     res = rationalize(B, degree_budget=degree_budget)
 
     param = inst.param_ring()
@@ -520,8 +496,7 @@ def generic_bs(
     r = congruence_remainder(h, res.b, U, inst)
     if not remainder_in_Q(r, Q, inst):
         raise VerificationFailed("congruence remainder escaped Q; pipeline bug")
-    F = ctx.field_
-    if F.nf(h).is_zero():
+    if B.instance.field.nf(h).is_zero():
         raise VerificationFailed("cleared denominator lies in Q; pipeline bug")
     return GenericBS(
         instance=inst,

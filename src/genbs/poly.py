@@ -127,9 +127,6 @@ class Poly:
     def monomials(self):
         return [exp for exp, _ in self.terms()]
 
-    def num_terms(self):
-        return len(self._terms)
-
     def lead_exp(self):
         if self._lead is None:
             if not self._terms:
@@ -587,20 +584,3 @@ def univar_gcd(a: Poly, b: Poly):
         _, r = univar_divmod(a, b)
         a, b = b, r
     return a.monic() if not a.is_zero() else a
-
-
-def univar_extended_gcd(a: Poly, b: Poly):
-    """Return (g, u, w) with g = u*a + w*b, g the monic gcd."""
-    ring = a.ring
-    r0, r1 = a, b
-    u0, u1 = ring.one(), ring.zero()
-    w0, w1 = ring.zero(), ring.one()
-    while not r1.is_zero():
-        q, r = univar_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        w0, w1 = w1, w0 - q * w1
-    if r0.is_zero():
-        return r0, u0, w0
-    c = ring.field.inv(r0.lead_coeff())
-    return r0.scale(c), u0.scale(c), w0.scale(c)

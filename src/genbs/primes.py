@@ -30,9 +30,6 @@ class PrimeIdealQ:
     def contains(self, f) -> bool:
         return normal_form(self.ring.convert(f), list(self.basis)).is_zero()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.basis
-
     def dim(self) -> int:
         return ideal_dim(list(self.basis), self.ring)
 

@@ -83,10 +83,6 @@ class WeylRing(PolyRing):
     # the Weyl algebra calls its variables generators
     gen = PolyRing.var
 
-    def central_indices(self):
-        paired = {i for pd in self.pairs for i in pd}
-        return [i for i in range(self.nvars) if i not in paired]
-
     def __repr__(self):
         return "WeylRing(%s; %s; pairs=%s)" % (
             self.field,

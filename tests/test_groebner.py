@@ -14,7 +14,6 @@ from genbs.groebner import (
     is_groebner,
     is_unit_ideal,
     normal_form,
-    radical_membership,
     spoly,
 )
 from genbs.orders import Block, GRevLex, Lex
@@ -136,14 +135,6 @@ def test_ideal_dim():
     assert ideal_dim(buchberger([X, X + 1]), R) == -1
     with pytest.raises(MissingBasisError):
         ideal_dim([], None)
-
-
-def test_radical_membership():
-    basis = [X**2]
-    # x is in the radical of <x^2> but not in the ideal
-    assert radical_membership(basis, X)
-    assert not ideal_contains(buchberger(basis), X)
-    assert not radical_membership([X**2], Y)
 
 
 def test_budget_exhaustion():

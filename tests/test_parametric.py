@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genbs.annbs import BSIdeal, OpContext, bs_ideal_ctx
+from genbs.annbs import BSIdeal
 from genbs.errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
@@ -14,7 +14,7 @@ from genbs.errors import (
 )
 from genbs.fsmodule import check_congruence
 from genbs.groebner import buchberger
-from genbs.instance import make_instance
+from genbs.instance import ProblemInstance, make_instance
 from genbs.orders import GRevLex
 from genbs.parametric import (
     RationalizeResult,
@@ -25,8 +25,10 @@ from genbs.parametric import (
     residue_context,
     specialize_check,
 )
+from genbs.parser import parse_poly
 from genbs.poly import PolyRing, QQ
 from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
+from genbs.variables import VarRegistry
 from genbs.weyl import WeylOp, WeylRing
 
 PARAM = PolyRing(QQ, ("a",), GRevLex())
@@ -101,12 +103,6 @@ def test_residue_invert_zero_raises():
         F.make(PARAM.one(), A)
 
 
-def test_denominator_ledger_records():
-    F = ResidueField(the_zero_prime(PARAM))
-    F.div(F.one(), F.make(A + 1))
-    assert any("a + 1" in k for k in F.ledger)
-
-
 def test_residue_context_vanishing_family():
     R = PolyRing(QQ, ("a", "x"), GRevLex())
     a, x = R.var("a"), R.var("x")
@@ -115,20 +111,52 @@ def test_residue_context_vanishing_family():
         residue_context(inst, _prime([A]))
 
 
-def _fake_ctx(p, Q=None):
-    s_names = ("s",) if p == 1 else tuple("s%d" % (j + 1) for j in range(p))
+def _named_pairs(ring):
+    return {(ring.names[i], ring.names[j]) for i, j in ring.pairs}
+
+
+@pytest.mark.parametrize("x_names, fs", [(("x",), ["x^2 + a"]), (("x", "y"), ["x + a", "y"])])
+def test_residue_context_is_an_instance_over_F(x_names, fs):
+    R = PolyRing(QQ, ("a",) + x_names, GRevLex())
+    inst = make_instance(x_names, [parse_poly(t, R) for t in fs], a_names=("a",))
+    res = residue_context(inst, Q_SQRT2)
+    assert isinstance(res, ProblemInstance)
+    assert res.field == ResidueField(Q_SQRT2)
+    assert res.registry.a == ()
+    assert (res.registry.x, res.registry.s, res.v) == (inst.registry.x, inst.registry.s, inst.v)
+    # the same rings as the plain instance's, minus the parameters, over F
+    for build in ("weyl_ring", "s_ring", "malgrange_ring"):
+        plain, ring = getattr(inst, build)(), getattr(res, build)()
+        assert ring.field == res.field
+        assert ring.names == tuple(nm for nm in plain.names if nm != "a")
+        assert _named_pairs(ring) == _named_pairs(plain)
+
+
+def test_residue_instance_rejects_member_outside_x_ring():
+    F = ResidueField(Q_SQRT2)
+    registry = VarRegistry.create(("x",), 1)
+    over_Q = PolyRing(QQ, ("x",), GRevLex()).var("x")
+    extra_name = PolyRing(F, ("x", "y"), GRevLex()).var("x")
+    for f in (over_Q, extra_name):
+        with pytest.raises(ValueError):
+            ProblemInstance(registry, (f,), (1,), field=F)
+    # the same member in F[x] is accepted
+    ProblemInstance(registry, (PolyRing(F, ("x",), GRevLex()).var("x"),), (1,), field=F)
+
+
+def _fake_inst(p, Q=None):
     F = ResidueField(Q if Q is not None else the_zero_prime(PARAM))
     base = PolyRing(F, ("x",), GRevLex())
     f = tuple(base.var("x") for _ in range(p))
-    return OpContext(field_=F, a_names=(), x_names=("x",), s_names=s_names, v=(1,) * p, f=f)
+    return ProblemInstance(VarRegistry.create(("x",), p), f, (1,) * p, field=F)
 
 
-def _fake_bs(ctx, generators, certs=None):
-    wring = ctx.weyl_ring()
+def _fake_bs(inst, generators, certs=None):
+    wring = inst.weyl_ring()
     if certs is None:
         certs = tuple(wring.one() for _ in generators)
     return BSIdeal(
-        context=ctx,
+        instance=inst,
         generators=tuple(generators),
         certificates=certs,
         ann_basis=(),
@@ -137,10 +165,10 @@ def _fake_bs(ctx, generators, certs=None):
 
 
 def test_rationalize_strategy_rational_generator():
-    ctx = _fake_ctx(1)
-    ring = ctx.s_poly_ring()
+    inst = _fake_inst(1)
+    ring = inst.s_ring()
     s = ring.var("s")
-    B = _fake_bs(ctx, [s + 1])
+    B = _fake_bs(inst, [s + 1])
     res = rationalize(B)
     assert res.strategy == "rational-generator"
     assert str(res.b) == "s + 1"
@@ -148,20 +176,20 @@ def test_rationalize_strategy_rational_generator():
 
 def test_rationalize_strategy_univariate_gcd():
     # neither generator rational, their gcd over the residue field is s + 1
-    ctx = _fake_ctx(1)
-    ring = ctx.s_poly_ring()
-    F = ctx.field_
+    inst = _fake_inst(1)
+    ring = inst.s_ring()
+    F = inst.field
     s = ring.var("s")
     aa = ring.const(F.make(A))
     g1 = (s + 1) * (s + aa)
     g2 = (s + 1) * (s + aa + 1)
-    B = _fake_bs(ctx, [g1, g2])
+    B = _fake_bs(inst, [g1, g2])
     res = rationalize(B)
-    assert res.strategy == "univariate-gcd"
+    assert res.strategy == "univariate-products"
     assert str(res.b) == "s + 1"
     # the certificate is the cofactor combination of the generators' operators
-    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)))
+    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)))
     assert str(res.U_residue) == "-x + dx"
 
 
@@ -178,16 +206,16 @@ def test_rationalize_strategy_univariate_gcd():
 def test_rationalize_univariate_gcd_certificate(Q, U):
     # the commutative GB with cofactors over Frac(Q[a]/Q) gives U; the
     # expected strings were recorded before the two Groebner engines merged
-    ctx = _fake_ctx(1, Q)
-    ring = ctx.s_poly_ring()
-    F = ctx.field_
+    inst = _fake_inst(1, Q)
+    ring = inst.s_ring()
+    F = inst.field
     s = ring.var("s")
     aa = ring.const(F.make(A))
     g1 = (s + 1) * (s + aa)
     g2 = (s + 1) * (s * s + aa + 1)
-    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)))
-    assert res.strategy == "univariate-gcd"
+    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)))
+    assert res.strategy == "univariate-products"
     assert str(res.b) == "s + 1"
     assert str(res.U_residue) == U
 
@@ -222,14 +250,14 @@ def test_buchberger_cofactors_residue_field():
 
 def test_rationalize_strategy_linear_combination():
     # (s1+1)(s2+1+a) and (s1+1)(s2+1-a): the mean is rational, nothing else is
-    ctx = _fake_ctx(2)
-    ring = ctx.s_poly_ring()
-    F = ctx.field_
+    inst = _fake_inst(2)
+    ring = inst.s_ring()
+    F = inst.field
     s1, s2 = ring.var("s1"), ring.var("s2")
     aa = ring.const(F.make(A))
     g1 = (s1 + 1) * (s2 + 1 + aa)
     g2 = (s1 + 1) * (s2 + 1 - aa)
-    B = _fake_bs(ctx, [g1, g2])
+    B = _fake_bs(inst, [g1, g2])
     res = rationalize(B, degree_budget=4)
     assert res.strategy == "linear-combination"
     S = PolyRing(QQ, ("s1", "s2"), GRevLex())
@@ -237,8 +265,8 @@ def test_rationalize_strategy_linear_combination():
     # the certificate lifts the rational kernel vector into the residue
     # field; the expected string was recorded before ring conversion was
     # unified in PolyRing.convert
-    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(ctx, [g1, g2], certs=(x, dx)), degree_budget=4)
+    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)), degree_budget=4)
     assert str(res.U_residue) == (
         "-1/4*x*s1*s2 + 1/4*dx*s1*s2 + (1/4*a - 1/4)*x*s1 + (1/4*a + 1/4)*dx*s1"
         " - 1/4*x*s2 + 1/4*dx*s2 + (1/4*a + 1/4)*x + (1/4*a + 3/4)*dx"
@@ -250,9 +278,9 @@ def test_rationalize_strategy_univariate_products():
     # and U lifts the rational prefix into the residue field.  The expected
     # string was recorded before ring conversion was unified in
     # PolyRing.convert
-    ctx = _fake_ctx(2)
-    ring = ctx.s_poly_ring()
-    F = ctx.field_
+    inst = _fake_inst(2)
+    ring = inst.s_ring()
+    F = inst.field
     s1, s2 = ring.var("s1"), ring.var("s2")
     aa = ring.const(F.make(A))
     gens = [
@@ -261,8 +289,8 @@ def test_rationalize_strategy_univariate_products():
         (s2 + 1) * (s2 + aa),
         (s2 + 1) * (s2 + aa + 1),
     ]
-    x, dx = (ctx.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(ctx, gens, certs=(x, dx, x * dx, dx * dx)))
+    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
+    res = rationalize(_fake_bs(inst, gens, certs=(x, dx, x * dx, dx * dx)))
     assert res.strategy == "univariate-products"
     S = PolyRing(QQ, ("s1", "s2"), GRevLex())
     assert res.b == (S.var("s1") + 1) * (S.var("s2") + 1)
@@ -270,12 +298,12 @@ def test_rationalize_strategy_univariate_products():
 
 
 def test_rationalize_honest_failure():
-    ctx = _fake_ctx(1)
-    ring = ctx.s_poly_ring()
-    F = ctx.field_
+    inst = _fake_inst(1)
+    ring = inst.s_ring()
+    F = inst.field
     s = ring.var("s")
     aa = ring.const(F.make(A))
-    B = _fake_bs(ctx, [s + aa])
+    B = _fake_bs(inst, [s + aa])
     with pytest.raises(NonRationalCertificate):
         rationalize(B, degree_budget=3)
 

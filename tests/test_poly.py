@@ -20,7 +20,6 @@ from genbs.poly import (
     PolyRing,
     QQ,
     univar_divmod,
-    univar_extended_gcd,
     univar_gcd,
 )
 from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
@@ -255,9 +254,6 @@ def test_univar_divmod_gcd():
     assert r.total_degree() < b.total_degree()
     g = univar_gcd(a, b)
     assert g == s + 1
-    g2, u, w = univar_extended_gcd(a, b)
-    assert g2 == s + 1
-    assert u * a + w * b == g2
 
 
 @given(poly_strategy())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from genbs.annbs import bs_ideal_ctx, malgrange_ideal, plain_context
+from genbs.annbs import bs_ideal_ctx, malgrange_ideal
 from genbs.errors import HomogeneityViolation, TimeoutBudget
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
@@ -127,7 +127,7 @@ def test_pipeline_bases_pass_the_all_pairs_check():
     R = PolyRing(QQ, ("x", "y"), GRevLex())
     x, y = R.var("x"), R.var("y")
     # the Malgrange basis of the cusp, in the u, y elimination order
-    cusp = plain_context(make_instance(("x", "y"), [y**2 - x**3]))
+    cusp = make_instance(("x", "y"), [y**2 - x**3])
     ideal = malgrange_ideal(cusp)
     E = ideal.ring.with_order(
         elimination_order(ideal.ring, cusp.aux("u") + cusp.aux("y"))
@@ -135,7 +135,7 @@ def test_pipeline_bases_pass_the_all_pairs_check():
     malgrange = left_buchberger([WeylOp(E, g._terms) for g in ideal.generators])
     assert is_left_groebner(malgrange)
     # the s-elimination basis of the pair (x^3, y^4)
-    pair = plain_context(make_instance(("x", "y"), [x**3, y**4]))
+    pair = make_instance(("x", "y"), [x**3, y**4])
     assert is_left_groebner(bs_ideal_ctx(pair).elimination_basis)
 
 
