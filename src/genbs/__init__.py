@@ -15,7 +15,7 @@ from .annbs import (
     malgrange_ideal,
     rationality_report,
 )
-from .cli import JobSpec, generic_family, main, run_command
+from .cli import JobSpec, main, run_command
 from .errors import (
     DecompositionUnsupported,
     DivisionByZeroModQ,
@@ -23,6 +23,7 @@ from .errors import (
     FamilyVanishesModQ,
     GenbsError,
     HomogeneityViolation,
+    InvalidInput,
     MixedRingError,
     NonRationalCertificate,
     ParseError,
@@ -43,7 +44,7 @@ from .fsmodule import (
     congruence_remainder,
 )
 from .groebner import buchberger, eliminate, ideal_dim, normal_form
-from .instance import ProblemInstance, make_instance
+from .instance import ProblemInstance, generic_family, make_instance
 from .orders import Block, GRevLex, Lex, TermOrder, Weighted
 from .parametric import (
     GenericBS,
@@ -94,6 +95,7 @@ __all__ = [
     "GenericBS",
     "GRevLex",
     "HomogeneityViolation",
+    "InvalidInput",
     "JobSpec",
     "LeftIdealW",
     "Lex",

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import VerificationFailed, ZeroPolynomialError
+from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
 from .factor import factor, rational_roots
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
-from .orders import Block, GRevLex
+from .orders import GRevLex
 from .poly import Poly, PolyRing, QQ
 from .weyl import WeylOp, WeylRing
 from .weyl_groebner import (
     GBBudget,
     LeftIdealW,
+    elimination_order,
     left_buchberger,
     subring_elements,
     weight0_extract,
@@ -101,8 +102,7 @@ def ann_fs_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIde
     """Generators of Ann f^s in A_n(R)[s], not yet verified."""
     ideal = malgrange_ideal(inst)
     ring = ideal.ring
-    front = [ring.index(nm) for nm in inst.aux("u") + inst.aux("y")]
-    elim_ring = ring.with_order(Block(tuple(sorted(front))))
+    elim_ring = ring.with_order(elimination_order(ring, inst.aux("u") + inst.aux("y")))
     gens = [elim_ring.convert(g) for g in ideal.generators]
     w = _malgrange_weights(elim_ring, inst)
     basis = left_buchberger(gens, budget=budget, weight_vectors=(w,))
@@ -169,9 +169,8 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
     fv = ring.convert(inst.f_power_v())
     gens = list(ann.generators) + [fv]
 
-    xd = inst.registry.x + inst.registry.d_names()
-    front = tuple(sorted(ring.index(nm) for nm in xd))
-    elim_ring = ring.with_order(Block(front))
+    order = elimination_order(ring, inst.registry.x + inst.registry.d_names())
+    elim_ring = ring.with_order(order)
     egens = [elim_ring.convert(g) for g in gens]
     basis, reps = left_buchberger(egens, cofactors=True, budget=budget)
 
@@ -179,7 +178,7 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
     certs = []
     s_ring = inst.s_ring()
     for g, rep in zip(basis, reps):
-        if all(all(exp[i] == 0 for i in front) for exp in g._terms):
+        if all(all(exp[i] == 0 for i in order.front) for exp in g._terms):
             s_only.append(s_ring.convert(g))
             certs.append(ring.convert(rep[-1]))
     return BSIdeal(
@@ -248,14 +247,13 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
 
 def rationality_report(B: BSIdeal) -> dict:
     """Which generators lie in Q[s], with exact root data per factor."""
-    r = B.instance.registry
+    s_ring = PolyRing(QQ, B.instance.registry.s, GRevLex())
     out = {"generators": [], "rational_element_found": False}
     for g in B.generators:
-        entry = {"poly": str(g), "rational": None, "factors": []}
-        entry["rational"] = _is_rational_poly(g, r.a)
-        if entry["rational"]:
+        gq = over_QQ(g, s_ring)
+        entry = {"poly": str(g), "rational": gq is not None, "factors": []}
+        if gq is not None:
             out["rational_element_found"] = True
-            gq = PolyRing(QQ, r.s, GRevLex()).convert(g)
             fac = factor(gq)
             all_neg = True
             for piece, mult, certified in fac.factors:
@@ -285,13 +283,10 @@ def rationality_report(B: BSIdeal) -> dict:
     return out
 
 
-def _is_rational_poly(g: Poly, a_names) -> bool:
-    """True when every coefficient is a plain rational (no parameter part)."""
-    fld = g.ring.field
-    if fld == QQ:
-        a_idx = [g.ring.index(nm) for nm in a_names if nm in g.ring._index]
-        return all(all(exp[i] == 0 for i in a_idx) for exp in g._terms)
-    rational = getattr(fld, "is_rational_elem", None)
-    if rational is None:
-        return False
-    return all(rational(c) for c in g._terms.values())
+def over_QQ(g: Poly, ring: PolyRing) -> Poly | None:
+    """g moved into ring over Q, or None when a coefficient is not
+    rational: it involves a parameter, or is a non-rational residue."""
+    try:
+        return ring.convert(g)
+    except (ValueError, MixedRingError):
+        return None

@@ -1,10 +1,15 @@
-"""Command line front end: job parsing, dispatch, certified JSON reports.
+"""Command line front end: jobs, dispatch, certified JSON reports.
+
+This module knows jobs and reports only; how names become rings and
+points is :mod:`genbs.instance`'s.  A job is a ``JobSpec``, the one
+home of every default: flags and ``--job`` files both fill it by one
+path, and an absent flag leaves its field alone.
 
 Reports are deterministic: identical jobs produce byte-identical output
 (sorted keys, no timestamps, stable orderings from the engines).  Exit
 codes: 0 success with all verifications passing, 2 a verification
-failed, 3 budget exhausted, 4 invalid input or mathematical
-precondition violation.
+failed, 3 budget exhausted, 4 invalid input (a command-line usage error
+included) or mathematical precondition violation.
 
 Each certificate is replayed once, by the library function that builds
 it: ``bs_ideal`` (hence ``bs_poly``, which returns its one generator),
@@ -24,19 +29,15 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 from .annbs import ann_fs, bs_ideal, bs_poly, rationality_report
 from .errors import DecompositionUnsupported, GenbsError, TimeoutBudget, UnitIdealError
 from .factor import factor
-from .fsmodule import AnsatzBounds, _multi_indices, ansatz_bs, check_identity
+from .fsmodule import AnsatzBounds, ansatz_bs, check_identity
 from .groebner import buchberger
-from .instance import ProblemInstance, make_instance
-from .orders import GRevLex
+from .instance import ProblemInstance, family_ring, generic_family
 from .parametric import generic_bs, specialize_check
 from .parser import parse_op, parse_poly
-from .poly import PolyRing, QQ
 from .primes import PrimeIdealQ, certify_prime, the_zero_prime
 from .stratify import stratify
 from .variables import VarRegistry
@@ -88,40 +89,6 @@ def _cert(text: str) -> dict:
     return {"value": text, "sha256": _hash(text)}
 
 
-def generic_family(n: int, p: int, d: int, registry: VarRegistry | None = None):
-    """The fully generic degree <= d family with m = p C(n+d, d) parameters.
-
-    Parameter a_j_alpha multiplies x^alpha inside f_j; names serialize the
-    multi-index so they round-trip through the parser.
-    """
-    if n < 1 or p < 1 or d < 0:
-        raise GenbsError("generic_family needs n, p >= 1 and d >= 0")
-    x_names = tuple("x%d" % (i + 1) for i in range(n))
-    alphas = _multi_indices(n, d)
-    a_names = []
-    for j in range(1, p + 1):
-        for alpha in alphas:
-            a_names.append("a_%d_%s" % (j, "_".join(str(e) for e in alpha)))
-    a_names = tuple(a_names)
-    assert len(a_names) == p * comb(n + d, d)
-    if registry is None:
-        registry = VarRegistry.create(x_names, p, a_names)
-    ring = PolyRing(QQ, registry.a + registry.x, GRevLex())
-    fs = []
-    k = 0
-    for j in range(1, p + 1):
-        fj = ring.zero()
-        for alpha in alphas:
-            exp = [0] * ring.nvars
-            exp[ring.index(a_names[k])] = 1
-            for i, e in enumerate(alpha):
-                exp[ring.index(x_names[i])] = e
-            fj = fj + ring.monomial(tuple(exp))
-            k += 1
-        fs.append(fj)
-    return ProblemInstance(registry, tuple(fs), (1,) * p)
-
-
 # -- job assembly ---------------------------------------------------------------
 
 
@@ -130,14 +97,11 @@ def _build_instance(spec: JobSpec) -> ProblemInstance:
         raise GenbsError("no family members given (use --f)")
     if not spec.vars:
         raise GenbsError("no variables given (use --vars)")
-    p = len(spec.f)
-    registry = VarRegistry.create(tuple(spec.vars), p, tuple(spec.params))
-    ring = PolyRing(QQ, registry.a + registry.x, GRevLex())
-    fs = [parse_poly(text, ring) for text in spec.f]
-    v = spec.v if spec.v is not None else (1,) * p
-    if len(v) != p:
-        raise GenbsError("v has length %d but there are %d family members" % (len(v), p))
-    return make_instance(spec.vars, fs, v=v, a_names=spec.params)
+    registry = VarRegistry.create(spec.vars, len(spec.f), spec.params)
+    ring = family_ring(registry)
+    f = tuple(parse_poly(text, ring) for text in spec.f)
+    v = spec.v if spec.v is not None else (1,) * len(f)
+    return ProblemInstance(registry, f, v)
 
 
 def _build_budget(spec: JobSpec):
@@ -237,13 +201,14 @@ def _cmd_generic_bs(spec: JobSpec) -> dict:
     inst = _build_instance(spec)
     budget = _build_budget(spec)
     Q = _prime_from_spec(spec, inst)
+    points = _parse_points(spec, inst)
     g = generic_bs(inst, Q, budget=budget, degree_budget=spec.budget_degree)
     spot = [
         {
             "point": {k: str(v) for k, v in sorted(values.items())},
             "verified": specialize_check(g, values),
         }
-        for values in _parse_points(spec, inst)
+        for values in points
     ]
     out = {
         "Q": [str(b) for b in Q.basis],
@@ -264,33 +229,14 @@ def _cmd_generic_bs(spec: JobSpec) -> dict:
 
 
 def _parse_points(spec: JobSpec, inst: ProblemInstance):
-    # accepts "1,-1" positionally or "a=1,b=-1" by name
-    r = inst.registry
+    """Each --point, "1,-1" in parameter order or "a=1,b=-1" by name."""
     out = []
     for text in spec.points:
-        parts = [t.strip() for t in text.split(",") if t.strip()]
-        try:
-            if any("=" in t for t in parts):
-                point = {}
-                for t in parts:
-                    nm, _, val = t.partition("=")
-                    nm = nm.strip()
-                    if nm not in r.a:
-                        raise GenbsError("unknown parameter %r in point %r" % (nm, text))
-                    point[nm] = Fraction(val.strip())
-                if len(point) != r.m:
-                    raise GenbsError(
-                        "point %r names %d parameters, expected %d" % (text, len(point), r.m)
-                    )
-            else:
-                if len(parts) != r.m:
-                    raise GenbsError(
-                        "point %r has %d coordinates, expected %d" % (text, len(parts), r.m)
-                    )
-                point = {nm: Fraction(val) for nm, val in zip(r.a, parts)}
-        except ValueError as exc:
-            raise GenbsError("bad coordinate in point %r: %s" % (text, exc)) from exc
-        out.append(point)
+        parts = _split_csv(text)
+        if any("=" in t for t in parts):
+            pairs = (t.partition("=") for t in parts)
+            parts = {nm.strip(): val.strip() for nm, _, val in pairs}
+        out.append(inst.point(parts))
     return out
 
 
@@ -413,28 +359,16 @@ def run_command(spec: JobSpec):
             raise GenbsError("unknown command %r" % spec.command)
         report = handler(spec)
         return report, (0 if report["verified"] else 2)
-    except TimeoutBudget as e:
-        report = {
-            "schema": SCHEMA,
-            "command": spec.command,
-            "budgets": spec.budgets_dict(),
-            "error": {"type": "TimeoutBudget", "message": str(e), "code": 3},
-            "partial": e.partial or {},
-            "verified": False,
-        }
-        return report, 3
     except GenbsError as e:
         report = {
             "schema": SCHEMA,
             "command": spec.command,
             "budgets": spec.budgets_dict(),
-            "error": {
-                "type": type(e).__name__,
-                "message": str(e),
-                "code": e.exit_code,
-            },
+            "error": {"type": type(e).__name__, "message": str(e), "code": e.exit_code},
             "verified": False,
         }
+        if isinstance(e, TimeoutBudget):
+            report["partial"] = e.partial
         return report, e.exit_code
 
 
@@ -476,89 +410,72 @@ def _split_csv(text):
 
 
 def build_argparser() -> argparse.ArgumentParser:
+    """Flags name JobSpec fields; an absent flag leaves the field's default."""
     ap = argparse.ArgumentParser(
         prog="genbs",
         description="Bernstein-Sato ideals with certificates: classical, "
         "parametric-generic, and stratified computations.",
+        argument_default=argparse.SUPPRESS,
     )
-    ap.add_argument("command", choices=sorted(_HANDLERS), nargs="?")
+    ap.add_argument("command", choices=sorted(_HANDLERS), nargs="?", default=None)
     ap.add_argument("--job", help="JobSpec JSON file (overrides other flags)")
-    ap.add_argument("--f", action="append", default=[], help="family member (repeatable)")
+    ap.add_argument("--f", action="append", help="family member (repeatable)")
     ap.add_argument("--v", help="shift vector, comma separated non-negative integers")
     ap.add_argument("--vars", help="x variable names, comma separated")
     ap.add_argument("--params", help="parameter names, comma separated")
-    ap.add_argument(
-        "--ideal", action="append", default=[], help="generator of Q (repeatable)"
-    )
+    ap.add_argument("--ideal", action="append", help="generator of Q (repeatable)")
     ap.add_argument("--b", help="candidate b polynomial (verify)")
     ap.add_argument("--op", help="candidate operator certificate (verify)")
     ap.add_argument(
-        "--point", action="append", default=[], help="parameter point (repeatable)"
+        "--point", action="append", dest="points", help="parameter point (repeatable)"
     )
     ap.add_argument("--n", type=int, help="number of x variables (family)")
     ap.add_argument("--p", type=int, help="number of family members (family)")
     ap.add_argument("--d", type=int, help="total degree bound (family)")
-    ap.add_argument("--budget-steps", type=int, dest="budget_steps")
-    ap.add_argument("--budget-degree", type=int, dest="budget_degree", default=8)
-    ap.add_argument("--budget-x", type=int, dest="budget_x", default=2)
-    ap.add_argument("--budget-dorder", type=int, dest="budget_dorder", default=2)
-    ap.add_argument("--budget-sdegree", type=int, dest="budget_sdegree", default=2)
-    ap.add_argument(
-        "--budget-samples", type=int, dest="budget_samples", default=20000
-    )
-    ap.add_argument("--out", help="write the report to this path")
+    for name in ("steps", "degree", "x", "dorder", "sdegree", "samples"):
+        ap.add_argument("--budget-" + name, type=int)
+    ap.add_argument("--out", default=None, help="write the report to this path")
     ap.add_argument("--format", choices=["json", "text"], default="json")
     return ap
 
 
 def job_from_args(args) -> JobSpec:
-    if args.job:
-        with open(args.job, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        allowed = set(JobSpec.__dataclass_fields__)
-        unknown = set(raw) - allowed
-        if unknown:
-            raise GenbsError("unknown JobSpec fields: %s" % ", ".join(sorted(unknown)))
-        for key in ("vars", "params", "f", "ideal", "points"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
-        if raw.get("v") is not None:
-            raw["v"] = tuple(int(x) for x in raw["v"])
-        if "command" not in raw:
-            raise GenbsError("JobSpec file must contain a command")
-        return JobSpec(**raw)
-    if not args.command:
+    """The JobSpec of the given flags, or of the --job file instead: one
+    path, where comma separated text and JSON lists both become tuples."""
+    fields = dict(vars(args))
+    for key in ("out", "format"):
+        fields.pop(key, None)
+    path = fields.pop("job", None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            fields = json.load(fh)
+    unknown = set(fields) - set(JobSpec.__dataclass_fields__)
+    if unknown:
+        raise GenbsError("unknown JobSpec fields: %s" % ", ".join(sorted(unknown)))
+    if not fields.get("command"):
         raise GenbsError("no command given")
-    return JobSpec(
-        command=args.command,
-        vars=_split_csv(args.vars) if args.vars else (),
-        params=_split_csv(args.params) if args.params else (),
-        f=tuple(args.f),
-        v=tuple(int(t) for t in _split_csv(args.v)) if args.v else None,
-        ideal=tuple(args.ideal),
-        b=args.b,
-        op=args.op,
-        points=tuple(args.point),
-        n=args.n,
-        p=args.p,
-        d=args.d,
-        budget_steps=args.budget_steps,
-        budget_degree=args.budget_degree,
-        budget_x=args.budget_x,
-        budget_dorder=args.budget_dorder,
-        budget_sdegree=args.budget_sdegree,
-        budget_samples=args.budget_samples,
-    )
+    for key in ("vars", "params", "v"):
+        if isinstance(fields.get(key), str):
+            fields[key] = _split_csv(fields[key])
+    for key in ("vars", "params", "f", "ideal", "points"):
+        if fields.get(key) is not None:
+            fields[key] = tuple(fields[key])
+    if fields.get("v") is not None:
+        fields["v"] = tuple(int(x) for x in fields["v"])
+    return JobSpec(**fields)
 
 
 def main(argv=None) -> int:
     ap = build_argparser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # argparse: --help exits 0, a usage error 2
+        return 4 if e.code else 0
     try:
         spec = job_from_args(args)
-    except GenbsError as e:
+    except (GenbsError, OSError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
-        return e.exit_code
+        return 4
     report, code = run_command(spec)
     text = serialize_report(report, args.format)
     if args.out:

@@ -13,6 +13,10 @@ class GenbsError(Exception):
     exit_code = 4
 
 
+class InvalidInput(GenbsError, ValueError):
+    """Malformed input: a bad name, shift vector or bound (still a ValueError)."""
+
+
 class MixedRingError(GenbsError):
     """Operands live in different rings."""
 

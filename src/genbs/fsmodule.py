@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyAnsatz, MixedRingError
+from .errors import EmptyAnsatz, InvalidInput, MixedRingError
 from .factor import exact_div
 from .groebner import normal_form
 from .instance import ProblemInstance
+from .orders import multi_indices
 from .poly import Poly
 from .weyl import WeylOp
 
@@ -45,7 +46,7 @@ class AnsatzBounds:
 
     def __post_init__(self):
         if min(self.x_degree, self.d_order, self.s_degree) < 0:
-            raise ValueError("bounds must be non-negative")
+            raise InvalidInput("bounds must be non-negative")
 
 
 class FsElement:
@@ -382,22 +383,6 @@ def _echelon_by_priority(vectors, priority):
     return out
 
 
-def _multi_indices(nvars, max_total):
-    """All exponent tuples with total degree <= max_total, ascending."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], max_total, nvars)
-    out.sort(key=lambda t: (sum(t), t))
-    return out
-
-
 def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     """Degree-bounded search for all (b, P) with act(P, f^(s+v)) = b f^s.
 
@@ -406,16 +391,16 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     Parameters are not supported here; specialize first.
     """
     if inst.registry.m != 0:
-        raise ValueError("the ansatz oracle works over Q; specialize parameters first")
+        raise InvalidInput("the ansatz oracle needs m = 0; specialize parameters first")
     n = inst.registry.n
     p = inst.registry.p
     ring = inst.fs_ring()
     wring = inst.weyl_ring()
     s_ring = inst.s_ring()
 
-    betas = _multi_indices(n, bounds.d_order)
-    alphas = _multi_indices(n, bounds.x_degree)
-    gammas = _multi_indices(p, bounds.s_degree)
+    betas = multi_indices(n, bounds.d_order)
+    alphas = multi_indices(n, bounds.x_degree)
+    gammas = multi_indices(p, bounds.s_degree)
 
     base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), inst.registry.x, betas))
 

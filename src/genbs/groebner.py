@@ -328,6 +328,11 @@ def is_unit_ideal(basis):
     return any(not b.is_zero() and mono_is_one(b.lead_exp()) for b in basis)
 
 
+def elimination_order(ring, front_names):
+    """Block order with front_names dominating, grevlex inside each block."""
+    return Block(ring.index(n) for n in front_names)
+
+
 def eliminate(generators, drop_names, budget=None):
     """Generators of the ideal's intersection with the subring without drop_names.
 
@@ -338,13 +343,12 @@ def eliminate(generators, drop_names, budget=None):
     if not generators:
         return []
     ring = generators[0].ring
-    front = tuple(sorted(ring.index(n) for n in drop_names))
-    elim_ring = ring.with_order(Block(front))
+    order = elimination_order(ring, drop_names)
+    elim_ring = ring.with_order(order)
     gb = buchberger([elim_ring.convert(g) for g in generators], budget=budget)
-    frontset = set(front)
     out = []
     for g in gb:
-        if all(all(exp[i] == 0 for i in frontset) for exp in g.monomials()):
+        if all(all(exp[i] == 0 for i in order.front) for exp in g.monomials()):
             out.append(ring.convert(g))
     return out
 

@@ -1,13 +1,17 @@
 """Problem instances: a family f = (f_1..f_p) with shift vector v.
 
-One instance type serves both readings of a family.  Over Q, the
-default ``field``, the coefficients live in Q[a_1..a_m] with the
-parameters as central variables (m = 0: plain rational coefficients).
-Over a residue field Frac(Q[a]/Q) the parameters are scalars of the
-field and the registry lists none: the family read at the generic point
-of V(Q).  The f_j live in the instance's ``x_ring``, and every derived
-ring (adding s, or the operator rings) is built here over ``field`` so
-every downstream module agrees on generator order.
+This module is the one place that knows how a family's names become
+rings and points.  One instance type serves both readings of a family.
+Over Q, the default ``field``, the coefficients live in Q[a_1..a_m] with
+the parameters as central variables (m = 0: plain rational
+coefficients).  Over a residue field Frac(Q[a]/Q) the parameters are
+scalars of the field and the registry lists none: the family read at
+the generic point of V(Q).  ``family_ring`` is the one builder of the
+members' ring field[a, x]; every derived ring (adding s, or the operator
+rings) is built here over ``field`` too, so every downstream module
+agrees on generator order.  ``ProblemInstance.point`` is the one place a
+parameter point is read, and ``generic_family`` builds the fully generic
+family of a degree.
 
 Generator order: parameters, x block, then
   - A_n[s] (``weyl_ring``): dx block, s block;
@@ -19,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroPolynomialError
-from .orders import GRevLex
+from .errors import GenbsError, InvalidInput, PointOutsideStratum, ZeroPolynomialError
+from .orders import GRevLex, multi_indices
 from .poly import Poly, PolyRing, QQ
 from .variables import VarRegistry
 from .weyl import WeylRing
+
+
+def family_ring(registry: VarRegistry, field=QQ) -> PolyRing:
+    """field[a, x], the ring of a family's members: parameters, then x."""
+    return PolyRing(field, registry.a + registry.x, GRevLex())
 
 
 @dataclass(frozen=True)
@@ -38,21 +47,21 @@ class ProblemInstance:
 
     def __post_init__(self):
         if len(self.f) != self.registry.p or len(self.v) != self.registry.p:
-            raise ValueError("need |f| = |v| = p")
+            raise InvalidInput("need |f| = |v| = p")
         if self.registry.p < 1 or self.registry.n < 1:
-            raise ValueError("need n >= 1 and p >= 1")
+            raise InvalidInput("need n >= 1 and p >= 1")
         if any(int(vj) != vj or vj < 0 for vj in self.v):
-            raise ValueError("v must consist of non-negative integers")
+            raise InvalidInput("v must consist of non-negative integers")
         for fj in self.f:
             if fj.is_zero():
                 raise ZeroPolynomialError("family members must be nonzero")
             if fj.ring != self.x_ring():
-                raise ValueError("family members must live in the canonical ring")
+                raise InvalidInput("family members must live in the canonical ring")
 
     # -- rings ----------------------------------------------------------------
 
     def x_ring(self) -> PolyRing:
-        return PolyRing(self.field, self.registry.a + self.registry.x, GRevLex())
+        return family_ring(self.registry, self.field)
 
     def param_ring(self) -> PolyRing:
         return PolyRing(QQ, self.registry.a, GRevLex())
@@ -108,24 +117,36 @@ class ProblemInstance:
         ring = self.fs_ring()
         return tuple(ring.convert(fj) for fj in self.f)
 
+    def point(self, values) -> dict:
+        """{name: Fraction} for every parameter, from a dict by name or a
+        sequence in parameter order; anything else raises
+        PointOutsideStratum."""
+        names = self.registry.a
+        if isinstance(values, dict):
+            if set(values) != set(names):
+                raise PointOutsideStratum(
+                    "point names %s, the parameters are %s"
+                    % (sorted(values), list(names))
+                )
+            values = [values[nm] for nm in names]
+        values = tuple(values)
+        if len(values) != len(names):
+            raise PointOutsideStratum(
+                "point has %d coordinates, expected %d" % (len(values), len(names))
+            )
+        try:
+            return {nm: Fraction(q) for nm, q in zip(names, values)}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            msg = "bad coordinate in point %s: %s" % (values, exc)
+            raise PointOutsideStratum(msg) from exc
+
     def specialize(self, point) -> "ProblemInstance":
         """Substitute rational values for all parameters; returns an m = 0 instance."""
-        r = self.registry
-        if isinstance(point, dict):
-            values = {name: Fraction(point[name]) for name in r.a}
-        else:
-            point = tuple(point)
-            if len(point) != r.m:
-                raise ValueError("parameter point has wrong length")
-            values = {name: Fraction(q) for name, q in zip(r.a, point)}
-        new_registry = VarRegistry(r.x, r.s, ())
-        target = PolyRing(QQ, r.x, GRevLex())
-        new_f = []
-        for fj in self.f:
-            sub = fj.subs(values)
-            new_f.append(target.convert(sub))
-        inst = ProblemInstance(new_registry, tuple(new_f), self.v)
-        return inst
+        values = self.point(point)
+        registry = VarRegistry(self.registry.x, self.registry.s)
+        target = family_ring(registry)
+        f = tuple(target.convert(fj.subs(values)) for fj in self.f)
+        return ProblemInstance(registry, f, self.v)
 
     def __str__(self):
         return "f=(%s), v=%s" % (
@@ -138,8 +159,35 @@ def make_instance(x_names, f_polys, v=None, a_names=()):
     """Build an instance from raw polynomials, converting into canonical rings."""
     p = len(f_polys)
     registry = VarRegistry.create(tuple(x_names), p, tuple(a_names))
-    ring = PolyRing(QQ, registry.a + registry.x, GRevLex())
+    ring = family_ring(registry)
     f = tuple(ring.convert(fj) for fj in f_polys)
     if v is None:
         v = (1,) * p
     return ProblemInstance(registry, f, tuple(int(x) for x in v))
+
+
+def generic_family(n: int, p: int, d: int) -> ProblemInstance:
+    """The fully generic degree <= d family with m = p C(n+d, d) parameters.
+
+    Parameter a_j_alpha multiplies x^alpha inside f_j; names serialize the
+    multi-index so they round-trip through the parser.
+    """
+    if n < 1 or p < 1 or d < 0:
+        raise GenbsError("generic_family needs n, p >= 1 and d >= 0")
+    alphas = multi_indices(n, d)
+    a_names = tuple(
+        "a_%d_%s" % (j, "_".join(map(str, alpha)))
+        for j in range(1, p + 1)
+        for alpha in alphas
+    )
+    registry = VarRegistry.create(("x%d" % (i + 1) for i in range(n)), p, a_names)
+    ring = family_ring(registry)
+    fs = []
+    for j in range(p):
+        terms = []
+        for k, alpha in enumerate(alphas):
+            exp = [0] * len(a_names) + list(alpha)
+            exp[j * len(alphas) + k] = 1
+            terms.append((exp, ring.field.one()))
+        fs.append(ring.from_terms(terms))
+    return ProblemInstance(registry, tuple(fs), (1,) * p)

@@ -150,3 +150,19 @@ def mono_lcm(a, b):
 
 def mono_is_one(a):
     return all(e == 0 for e in a)
+
+
+def multi_indices(nvars, max_total):
+    """All exponent tuples with total degree <= max_total, ascending."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e, slots - 1)
+
+    rec([], max_total, nvars)
+    out.sort(key=lambda t: (sum(t), t))
+    return out

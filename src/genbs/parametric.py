@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .annbs import BSIdeal, bs_ideal_ctx
+from .annbs import BSIdeal, bs_ideal_ctx, over_QQ
 from .errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
@@ -32,15 +32,14 @@ from .errors import (
 from .factor import exact_div, multi_gcd, squarefree_part
 from .fsmodule import (
     _echelon_by_priority,
-    _multi_indices,
     congruence_remainder,
     check_identity,
     nullspace,
     remainder_in_Q,
 )
-from .groebner import buchberger, normal_form
-from .instance import ProblemInstance
-from .orders import Block, GRevLex
+from .groebner import buchberger, elimination_order, normal_form
+from .instance import ProblemInstance, family_ring
+from .orders import GRevLex, multi_indices
 from .poly import Poly, PolyRing, QQ, RationalField
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
@@ -173,7 +172,8 @@ def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> ProblemInstance:
     """
     r = inst.registry
     F = ResidueField(Q)
-    base = PolyRing(F, r.x, GRevLex())
+    registry = VarRegistry(r.x, r.s)
+    base = family_ring(registry, F)
     new_f = []
     for fj in inst.f:
         groups = fj.coefficients_wrt(r.x)
@@ -188,7 +188,7 @@ def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> ProblemInstance:
                 "family member %s vanishes identically mod Q = %s" % (fj, Q)
             )
         new_f.append(base.from_terms(terms))
-    return ProblemInstance(VarRegistry(r.x, r.s), tuple(new_f), inst.v, field=F)
+    return ProblemInstance(registry, tuple(new_f), inst.v, field=F)
 
 
 # -- denominator clearing ------------------------------------------------------
@@ -267,17 +267,9 @@ def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
     )
 
 
-def _over_QQ(g: Poly, s_ring: PolyRing) -> Poly | None:
-    """g moved into s_ring over Q, None when a coefficient is not rational."""
-    try:
-        return s_ring.convert(g)
-    except ValueError:
-        return None
-
-
 def _strategy_rational_generator(B, s_ring):
     for g, P in zip(B.generators, B.certificates):
-        q = _over_QQ(g, s_ring)
+        q = over_QQ(g, s_ring)
         if q is not None and not q.is_zero():
             return RationalizeResult(b=q, U_residue=P, strategy="rational-generator")
     return None
@@ -307,22 +299,19 @@ def _univariate_part(B, s_ring, j):
     ring = B.instance.s_ring()
     gens = [ring.convert(g) for g in B.generators]
     sj = B.instance.registry.s[j]
-    others = tuple(i for i, nm in enumerate(ring.names) if nm != sj)
-    if others:
-        elim = ring.with_order(Block(others))
-    else:
-        elim = ring
+    order = elimination_order(ring, [nm for nm in ring.names if nm != sj])
+    elim = ring.with_order(order)
     egens = [elim.convert(g) for g in gens]
     basis, reps = buchberger(egens, cofactors=True)
     best = None
     for g, rep in zip(basis, reps):
-        if all(all(exp[i] == 0 for i in others) for exp in g._terms):
+        if all(all(exp[i] == 0 for i in order.front) for exp in g._terms):
             if best is None or g.total_degree() < best[0].total_degree():
                 best = (g, rep)
     if best is None:
         return None
     g, rep = best
-    bq = _over_QQ(g, s_ring)
+    bq = over_QQ(g, s_ring)
     if bq is None or bq.is_zero():
         return None
     wring = B.certificates[0].ring
@@ -356,7 +345,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
         room = degree_budget - g.total_degree()
         if room < 0:
             continue
-        for gamma in _multi_indices(len(s_names), room):
+        for gamma in multi_indices(len(s_names), room):
             exp = [0] * ring.nvars
             for j, nm in enumerate(s_names):
                 exp[ring.index(nm)] = gamma[j]
@@ -433,11 +422,10 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     )
     priority = [ncand + i for i in border] + list(range(ncand))
     reduced = _echelon_by_priority(kernel, priority)
-    ring_q = PolyRing(QQ, ring.names, GRevLex())
     best = None
     for vec in reduced:
         bterms = [(sexp, vec[ncand + i]) for i, sexp in enumerate(s_monomials)]
-        b = s_ring.convert(ring_q.from_terms(bterms))
+        b = s_ring.from_terms(bterms)
         if b.is_zero():
             continue
         if best is None or b.total_degree() < best[0].total_degree():
@@ -518,14 +506,7 @@ def specialize_check(g: GenericBS, point) -> bool:
     member of B^v(f(point, x)).
     """
     inst = g.instance
-    r = inst.registry
-    if isinstance(point, dict):
-        values = {nm: Fraction(point[nm]) for nm in r.a}
-    else:
-        point = tuple(point)
-        if len(point) != r.m:
-            raise PointOutsideStratum("parameter point has wrong length")
-        values = {nm: Fraction(q) for nm, q in zip(r.a, point)}
+    values = inst.point(point)
 
     for q in g.Q.basis:
         if not inst.param_ring().convert(q).subs(values).is_zero():

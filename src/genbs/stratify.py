@@ -97,7 +97,7 @@ class Stratification:
     strata: tuple
 
     def find(self, values: dict) -> Stratum:
-        values = {k: Fraction(v) for k, v in values.items()}
+        values = self.instance.point(values)
         for st in self.strata:
             if st.region.contains(values):
                 return st

@@ -10,12 +10,14 @@ induces a derivative name "d" + x used by the operator parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .errors import InvalidInput
 
 
 def s_names(p: int):
     if p < 0:
-        raise ValueError("p must be non-negative")
+        raise InvalidInput("p must be non-negative")
     if p == 1:
         return ("s",)
     return tuple("s%d" % (j + 1) for j in range(p))
@@ -33,16 +35,16 @@ class VarRegistry:
         for group in (self.x, self.s, self.a):
             for name in group:
                 if not name or not isinstance(name, str):
-                    raise ValueError("variable names must be non-empty strings")
+                    raise InvalidInput("variable names must be non-empty strings")
                 if name.startswith("_"):
-                    raise ValueError(
+                    raise InvalidInput(
                         "names starting with '_' are reserved: %r" % name
                     )
                 if not name.replace("_", "a").isalnum() or name[0].isdigit():
-                    raise ValueError("invalid variable name %r" % name)
+                    raise InvalidInput("invalid variable name %r" % name)
         everything = list(self.x) + list(self.s) + list(self.a) + list(self.d_names())
         if len(set(everything)) != len(everything):
-            raise ValueError(
+            raise InvalidInput(
                 "variable name collision among x/s/a/derivative names: %r"
                 % (everything,)
             )

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 from .errors import HomogeneityViolation, TimeoutBudget
 # _assert_homogeneous is held here too: perfbench/tracer.py counts the
-# S-pairs of left_buchberger through this name
+# S-pairs of left_buchberger through this name; elimination_order is
+# imported from here by the tests of the Weyl orders
 from .groebner import (
     _assert_homogeneous,
     _buchberger,
+    elimination_order,
     is_groebner as is_left_groebner,
     normal_form as left_normal_form,
     reduce_step as left_reduce_step,
     spoly as left_spoly,
 )
-from .orders import Block
 from .weyl import WeylOp, WeylRing
 
 
@@ -88,12 +89,6 @@ def subring_elements(basis, kill_names):
         if all(all(exp[i] == 0 for i in kill) for exp in g._terms):
             out.append(g)
     return out
-
-
-def elimination_order(ring, front_names):
-    """Block order with front_names dominating, grevlex inside each block."""
-    front = tuple(sorted(ring.index(n) for n in front_names))
-    return Block(front)
 
 
 # -- weight bookkeeping -------------------------------------------------------

@@ -367,6 +367,20 @@ def test_generic_bs_nonzero_prime():
         specialize_check(g, {"a": 2})
 
 
+def test_instance_point_by_name_or_order():
+    R = PolyRing(QQ, ("a", "b", "x"), GRevLex())
+    a, b, x = R.var("a"), R.var("b"), R.var("x")
+    inst = make_instance(("x",), [x * x + a * x + b], a_names=("a", "b"))
+    want = {"a": Fraction(1, 2), "b": Fraction(-3)}
+    assert inst.point({"b": -3, "a": "1/2"}) == want
+    assert inst.point(("1/2", "-3")) == want
+    assert all(type(q) is Fraction for q in inst.point((1, 2)).values())
+    unknown, missing = {"a": 1, "b": 2, "c": 3}, {"a": 1}
+    for bad in (unknown, missing, (1,), (1, 2, 3), {"a": "1/0", "b": 0}, ("1/0", 0)):
+        with pytest.raises(PointOutsideStratum):
+            inst.point(bad)
+
+
 def test_generic_bs_vanishing_raises():
     R = PolyRing(QQ, ("a", "x"), GRevLex())
     a, x = R.var("a"), R.var("x")

@@ -14,6 +14,7 @@ from genbs.cli import (
     build_argparser,
     generic_family,
     job_from_args,
+    main,
     run_command,
     serialize_report,
 )
@@ -305,6 +306,41 @@ def test_argparse_flags():
     report, code = run_command(spec)
     assert code == 0
     assert report["outputs"]["b"] == "s^2 + 2*s + 1"
+
+
+def test_argparse_flags_and_job_file_agree(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "bs", "vars": ["x"], "f": ["x^2"]}))
+    ap = build_argparser()
+    from_flags = job_from_args(ap.parse_args(["bs", "--vars", "x", "--f", "x^2"]))
+    from_file = job_from_args(ap.parse_args(["--job", str(path)]))
+    assert from_flags == from_file == JobSpec(command="bs", vars=("x",), f=("x^2",))
+    assert from_flags.budgets_dict() == from_file.budgets_dict()
+
+
+BAD_INPUTS = [
+    ["bs", "--vars", "x", "--f", "x", "--v", "-1"],
+    ["bs", "--vars", "x", "--f", "x", "--v", "a"],
+    ["bs", "--vars", "_x", "--f", "_x"],
+    ["bs", "--vars", "x,x", "--f", "x"],
+    ["bs", "--vars", "x,s", "--f", "x"],
+    ["bs", "--vars", "x", "--params", "x", "--f", "x"],
+    ["ansatz", "--vars", "x", "--f", "x", "--budget-x", "-1"],
+    ["bs", "--vars", "x", "--f", "x", "--budget-x", "abc"],
+    ["bs", "--no-such-flag"],
+    ["generic-bs", "--vars", "x", "--params", "a", "--f", "x+a", "--point", "a=1/0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_cli_bad_input_exits_4(argv, capsys):
+    assert main(argv) == 4
+
+
+def test_cli_bad_job_file_exits_4(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "bs", "vars": ["x"], "f": ["x"], "v": [-1]}))
+    assert main(["--job", str(path)]) == 4
 
 
 def test_text_rendering_stable():
