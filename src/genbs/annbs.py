@@ -25,8 +25,7 @@ from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
 from .factor import factor, rational_roots
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
-from .orders import GRevLex
-from .poly import Poly, PolyRing, QQ
+from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
 from .weyl_groebner import (
     GBBudget,
@@ -247,7 +246,7 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
 
 def rationality_report(B: BSIdeal) -> dict:
     """Which generators lie in Q[s], with exact root data per factor."""
-    s_ring = PolyRing(QQ, B.instance.registry.s, GRevLex())
+    s_ring = B.instance.rational_s_ring()
     out = {"generators": [], "rational_element_found": False}
     for g in B.generators:
         gq = over_QQ(g, s_ring)

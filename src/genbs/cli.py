@@ -31,7 +31,13 @@ import sys
 from dataclasses import dataclass
 
 from .annbs import ann_fs, bs_ideal, bs_poly, rationality_report
-from .errors import DecompositionUnsupported, GenbsError, TimeoutBudget, UnitIdealError
+from .errors import (
+    DecompositionUnsupported,
+    GenbsError,
+    InvalidInput,
+    TimeoutBudget,
+    UnitIdealError,
+)
 from .factor import factor
 from .fsmodule import AnsatzBounds, ansatz_bs, check_identity
 from .groebner import buchberger
@@ -69,6 +75,33 @@ class JobSpec:
     budget_dorder: int = 2
     budget_sdegree: int = 2
     budget_samples: int = 20000
+
+    def __post_init__(self):
+        """Flags and ``--job`` files meet this one check, so a bad value
+        exits 4 before any command runs: texts are strings; counts, shift
+        entries and budgets are integers (a bool is not one) and budgets
+        are non-negative; a field may be None only where that is its
+        default."""
+        checks = [
+            (name, x, str)
+            for name in ("vars", "params", "f", "ideal", "points")
+            for x in getattr(self, name)
+        ]
+        checks += [("v", x, int) for x in self.v or ()]
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if f.name in ("command", "b", "op"):
+                checks.append((f.name, value, str))
+            elif f.name in ("n", "p", "d") or f.name.startswith("budget_"):
+                checks.append((f.name, value, int))
+        for name, value, kind in checks:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "a string" if kind is str else "an integer"
+                raise InvalidInput("%s must be %s, got %r" % (name, what, value))
+            if name.startswith("budget_") and value < 0:
+                raise InvalidInput("%s must be non-negative, got %d" % (name, value))
 
     def budgets_dict(self) -> dict:
         return {
@@ -449,6 +482,8 @@ def job_from_args(args) -> JobSpec:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise InvalidInput("a job file holds one JSON object")
     unknown = set(fields) - set(JobSpec.__dataclass_fields__)
     if unknown:
         raise GenbsError("unknown JobSpec fields: %s" % ", ".join(sorted(unknown)))
@@ -457,11 +492,15 @@ def job_from_args(args) -> JobSpec:
     for key in ("vars", "params", "v"):
         if isinstance(fields.get(key), str):
             fields[key] = _split_csv(fields[key])
-    for key in ("vars", "params", "f", "ideal", "points"):
-        if fields.get(key) is not None:
-            fields[key] = tuple(fields[key])
+    for key in ("vars", "params", "f", "ideal", "points", "v"):
+        value = fields.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise InvalidInput("%s must be a list, got %r" % (key, value))
+        fields[key] = tuple(value)
     if fields.get("v") is not None:
-        fields["v"] = tuple(int(x) for x in fields["v"])
+        fields["v"] = tuple(int(x) if isinstance(x, str) else x for x in fields["v"])
     return JobSpec(**fields)
 
 

@@ -19,7 +19,10 @@ division runs once per action instead of after every term.
 
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
-Groebner pipeline and serves as the oracle for everything else.
+Groebner pipeline and serves as the oracle for everything else.  Its
+kernel, like that of the rational search in ``parametric.rationalize``,
+comes from ``b_kernel``: one Gauss-Jordan over sparse columns whose
+basis is already echelonized on b's coefficients.
 """
 
 from __future__ import annotations
@@ -323,64 +326,72 @@ def remainder_in_Q(r: FsElement, Q, inst: ProblemInstance) -> bool:
 # -- exact linear algebra over Q ---------------------------------------------
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of a rational matrix (rows of length ncols)."""
-    mat = [list(r) for r in rows]
+def b_kernel(columns, b_exps, s_ring):
+    """Kernel of a sparse rational matrix, echelonized on b.
+
+    ``columns`` holds one {row key: coefficient} map per unknown; the last
+    ``len(b_exps)`` unknowns are the coefficients of b at the s-monomials
+    ``b_exps`` of ``s_ring``.  Returns one (b, values) pair per vector of
+    the reduced echelon kernel basis for the priority "b's columns,
+    highest s-monomial first, then the other columns in order"; values
+    maps each other column where the vector is nonzero, in column order,
+    to its entry.  The vectors with b != 0 come first; each such b is
+    monic, and their leading s-monomials are pairwise distinct.
+
+    Gauss-Jordan runs once, pivoting in the reverse of that priority.
+    The vector of a free column c is 1 at c, 0 at every other free
+    column, and elsewhere nonzero only at columns pivoted before c, which
+    come after c in the priority: it leads with 1 at c, and the vectors
+    listed by leading column are that unique reduced basis.
+    """
+    first_b = len(columns) - len(b_exps)
+    b_order = sorted(range(len(b_exps)), key=lambda i: s_ring.order.key(b_exps[i]))
+    rows = {}
+    for col, entries in enumerate(columns):
+        for key, c in entries.items():
+            if c:
+                rows.setdefault(key, {})[col] = c
+    live = list(rows.values())
     pivots = {}
-    rank = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    free = []
+    for col in list(range(first_b - 1, -1, -1)) + [first_b + i for i in b_order]:
+        at = next((i for i, row in enumerate(live) if col in row), None)
+        if at is None:
+            free.append(col)
             continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = Fraction(1) / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        pivots[c] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            v[c] = -mat[pr][fc]
-        basis.append(v)
-    return basis
-
-
-def _echelon_by_priority(vectors, priority):
-    """Row-reduce full vectors, pivoting along the given column priority."""
-    work = [list(v) for v in vectors]
+        row = live.pop(at)
+        inv = Fraction(1) / row[col]
+        pivot = {c: x * inv for c, x in row.items()}
+        for other in live + list(pivots.values()):
+            factor = other.get(col)
+            if factor:
+                for c, x in pivot.items():
+                    y = other.get(c, 0) - factor * x
+                    if y:
+                        other[c] = y
+                    else:
+                        del other[c]
+        pivots[col] = pivot
+    vectors = {c: {c: Fraction(1)} for c in free}
+    for col, pivot in pivots.items():
+        for c, x in pivot.items():
+            if c != col:
+                vectors[c][col] = -x
     out = []
-    for col in priority:
-        pivot_vec = None
-        for v in work:
-            if v[col] != 0:
-                pivot_vec = v
-                break
-        if pivot_vec is None:
-            continue
-        work.remove(pivot_vec)
-        inv = Fraction(1) / pivot_vec[col]
-        pivot_vec = [x * inv for x in pivot_vec]
-        work = [
-            [x - v[col] * y for x, y in zip(v, pivot_vec)] if v[col] != 0 else v
-            for v in work
-        ]
-        out = [
-            [x - v[col] * y for x, y in zip(v, pivot_vec)] if v[col] != 0 else v
-            for v in out
-        ]
-        out.append(pivot_vec)
+    for c in reversed(free):
+        v = vectors[c]
+        b_terms = [(b_exps[j - first_b], x) for j, x in v.items() if j >= first_b]
+        values = {j: v[j] for j in sorted(v) if j < first_b}
+        out.append((s_ring.from_terms(b_terms), values))
     return out
+
+
+def _exp(ring, names, powers):
+    """ring's exponent with the named variables at the given powers."""
+    exp = [0] * ring.nvars
+    for name, e in zip(names, powers):
+        exp[ring.index(name)] = e
+    return tuple(exp)
 
 
 def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
@@ -392,92 +403,41 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     """
     if inst.registry.m != 0:
         raise InvalidInput("the ansatz oracle needs m = 0; specialize parameters first")
-    n = inst.registry.n
-    p = inst.registry.p
+    r = inst.registry
     ring = inst.fs_ring()
     wring = inst.weyl_ring()
     s_ring = inst.s_ring()
 
-    betas = multi_indices(n, bounds.d_order)
-    alphas = multi_indices(n, bounds.x_degree)
-    gammas = multi_indices(p, bounds.s_degree)
-
-    base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), inst.registry.x, betas))
-
+    betas = multi_indices(r.n, bounds.d_order)
+    alphas = multi_indices(r.n, bounds.x_degree)
+    gammas = multi_indices(r.p, bounds.s_degree)
+    base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), r.x, betas))
     symbol = FsElement.symbol(inst)
 
-    # columns: first the P unknowns (beta, alpha, gamma), then the b unknowns
-    p_cols = [(beta, alpha, gamma) for beta in betas for alpha in alphas for gamma in gammas]
-    b_cols = list(gammas)
-    ncols = len(p_cols) + len(b_cols)
-
+    # unknowns: P's coefficients at x^alpha s^gamma d^beta, then b's at s^gamma
     elements = []
-    for beta, alpha, gamma in p_cols:
-        exp = [0] * ring.nvars
-        for i, name in enumerate(inst.registry.x):
-            exp[ring.index(name)] = alpha[i]
-        for j, name in enumerate(inst.registry.s):
-            exp[ring.index(name)] = gamma[j]
-        mono = ring.monomial(tuple(exp))
+    p_exps = []
+    w_names = r.x + r.d_names() + r.s
+    for beta in betas:
         e = base_by_beta[beta]
-        elements.append(FsElement(inst, e.numerator * mono, e.k))
-    for gamma in b_cols:
-        exp = [0] * ring.nvars
-        for j, name in enumerate(inst.registry.s):
-            exp[ring.index(name)] = gamma[j]
-        mono = ring.monomial(tuple(exp))
-        elements.append(FsElement(inst, -(symbol.numerator * mono), symbol.k))
+        for alpha in alphas:
+            for gamma in gammas:
+                mono = ring.monomial(_exp(ring, r.x + r.s, alpha + gamma))
+                elements.append((e.numerator * mono, e.k))
+                p_exps.append(_exp(wring, w_names, alpha + beta + gamma))
+    for gamma in gammas:
+        mono = ring.monomial(_exp(ring, r.s, gamma))
+        elements.append((-(symbol.numerator * mono), symbol.k))
+    numerators, _ = _common_denominator(inst, elements)
 
-    numerators, _ = _common_denominator(inst, [(e.numerator, e.k) for e in elements])
-
-    monomials = sorted({exp for num in numerators for exp in num._terms})
-    rows = []
-    for exp in monomials:
-        rows.append([num._terms.get(exp, Fraction(0)) for num in numerators])
-
-    kernel = nullspace(rows, ncols)
+    kernel = b_kernel([num._terms for num in numerators], gammas, s_ring)
     if not kernel:
         raise EmptyAnsatz("no (b, P) within bounds %s" % (bounds,))
-
-    # pivot on b coordinates, highest s-monomial first, so leading b terms
-    # are echelonized; solutions never reached by a b pivot have b = 0
-    border = sorted(
-        range(len(b_cols)),
-        key=lambda i: s_ring.order.key(b_cols[i]),
-        reverse=True,
-    )
-    priority = [len(p_cols) + i for i in border] + list(range(len(p_cols)))
-    reduced = _echelon_by_priority(kernel, priority)
-
-    results = []
-    for v in reduced:
-        bterms = {}
-        for i, gamma in enumerate(b_cols):
-            c = v[len(p_cols) + i]
-            if c != 0:
-                bterms[gamma] = c
-        if not bterms:
-            continue
-        b = s_ring.from_terms(list(bterms.items()))
-        pterms = {}
-        for col, (beta, alpha, gamma) in enumerate(p_cols):
-            c = v[col]
-            if c == 0:
-                continue
-            exp = [0] * wring.nvars
-            for i, name in enumerate(inst.registry.x):
-                exp[wring.index(name)] = alpha[i]
-                exp[wring.index("d" + name)] = beta[i]
-            for j, name in enumerate(inst.registry.s):
-                exp[wring.index(name)] = gamma[j]
-            key = tuple(exp)
-            pterms[key] = pterms.get(key, Fraction(0)) + c
-        P = WeylOp(wring, {e: c for e, c in pterms.items() if c != 0})
-        lc = b.lead_coeff()
-        b = b.monic()
-        P = P.scale(Fraction(1) / lc)
-        results.append((b, P))
-
+    results = [
+        (b, WeylOp(wring, {p_exps[col]: c for col, c in coeffs.items()}))
+        for b, coeffs in kernel
+        if not b.is_zero()
+    ]
     if not results:
         raise EmptyAnsatz("only b = 0 solutions within bounds %s" % (bounds,))
     results.sort(key=lambda t: (t[0].total_degree(), str(t[0])))

@@ -70,6 +70,11 @@ class ProblemInstance:
         """Ring of Bernstein-Sato ideal members: field[a, s]."""
         return PolyRing(self.field, self.registry.a + self.registry.s, GRevLex())
 
+    def rational_s_ring(self) -> PolyRing:
+        """Q[s], where a rational member of the ideal is read, whatever
+        the field."""
+        return PolyRing(QQ, self.registry.s, GRevLex())
+
     def fs_ring(self) -> PolyRing:
         """Numerator ring for f^s module elements: field[a, x, s]."""
         return PolyRing(

@@ -31,16 +31,16 @@ from .errors import (
 )
 from .factor import exact_div, multi_gcd, squarefree_part
 from .fsmodule import (
-    _echelon_by_priority,
-    congruence_remainder,
+    _exp,
+    b_kernel,
     check_identity,
-    nullspace,
+    congruence_remainder,
     remainder_in_Q,
 )
 from .groebner import buchberger, elimination_order, normal_form
 from .instance import ProblemInstance, family_ring
-from .orders import GRevLex, multi_indices
-from .poly import Poly, PolyRing, QQ, RationalField
+from .orders import multi_indices
+from .poly import Poly, PolyRing, RationalField
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing
@@ -203,6 +203,15 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
     return (a * exact_div(b, g)).monic()
 
 
+def _den_lcm(param_ring: PolyRing, coeffs) -> Poly:
+    """Monic lcm of the denominators of residue-field coefficients, folded
+    in the order given."""
+    h = param_ring.one()
+    for c in coeffs:
+        h = _poly_lcm(h, param_ring.convert(c.den))
+    return h
+
+
 def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
     """Clear coefficient denominators: h A = A' over Q[a].
 
@@ -216,9 +225,7 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
         denlcm = lcm(*(c.denominator for c in A._terms.values()))
         return param_ring.const(denlcm), target.convert(A * denlcm)
 
-    h = param_ring.one()
-    for c in A._terms.values():
-        h = _poly_lcm(h, param_ring.convert(c.den))
+    h = _den_lcm(param_ring, A._terms.values())
     terms = []
     for exp, c in A._terms.items():
         cof = exact_div(h, param_ring.convert(c.den)) * param_ring.convert(c.num)
@@ -251,7 +258,7 @@ def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
     F = B.instance.field
     if not B.generators:
         raise NonRationalCertificate("the computed ideal has no generators")
-    s_ring = PolyRing(QQ, B.instance.registry.s, GRevLex())
+    s_ring = B.instance.rational_s_ring()
 
     found = _strategy_rational_generator(B, s_ring)
     if found is not None:
@@ -346,10 +353,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
         if room < 0:
             continue
         for gamma in multi_indices(len(s_names), room):
-            exp = [0] * ring.nvars
-            for j, nm in enumerate(s_names):
-                exp[ring.index(nm)] = gamma[j]
-            mono = ring.monomial(tuple(exp))
+            mono = ring.monomial(_exp(ring, s_names, gamma))
             cert = wring.convert(mono) * P
             add_candidate(mono * g, cert)
     for i, (gi, Pi) in enumerate(zip(gens, B.certificates)):
@@ -364,82 +368,30 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     if not candidates:
         return None
 
-    # clear denominators per candidate, collect Q-linear equations
-    cleared = []
+    # unknowns: a rational weight per denominator-cleared candidate, then
+    # b's coefficients; one equation per (s-monomial, a-monomial)
+    certs = []
+    columns = []
     for poly, cert in candidates:
-        den = param.one()
-        for c in poly._terms.values():
-            den = _poly_lcm(den, param.convert(c.den))
-        scaled = poly.scale(F.make(den))
-        cert2 = cert.scale(F.make(den))
-        cleared.append((scaled, cert2))
-
-    s_monomials = sorted(
-        {exp for poly, _ in cleared for exp in poly._terms},
-        key=s_ring.order.key,
-    )
-    a_monomials = set()
-    coeff_table = []
-    for poly, _ in cleared:
-        row = {}
-        for exp, c in poly._terms.items():
-            npoly = F.nf(param.convert(c.num))
-            row[exp] = npoly
-            for aexp in npoly._terms:
-                a_monomials.add(aexp)
-        coeff_table.append(row)
-    a_monomials.add((0,) * param.nvars)
-    a_monomials = sorted(a_monomials)
-
-    ncand = len(cleared)
-    nb = len(s_monomials)
-    ncols = ncand + nb
-    rows = []
-    unit_a = (0,) * param.nvars
-    for si, sexp in enumerate(s_monomials):
-        for aexp in a_monomials:
-            row = [Fraction(0)] * ncols
-            nontrivial = False
-            for k in range(ncand):
-                npoly = coeff_table[k].get(sexp)
-                if npoly is None:
-                    continue
-                c = npoly._terms.get(aexp)
-                if c:
-                    row[k] = c
-                    nontrivial = True
-            if aexp == unit_a:
-                row[ncand + si] = Fraction(-1)
-                nontrivial = True
-            if nontrivial:
-                rows.append(row)
-
-    kernel = nullspace(rows, ncols)
-    if not kernel:
+        den = F.make(_den_lcm(param, poly._terms.values()))
+        certs.append(cert.scale(den))
+        columns.append(
+            {
+                (sexp, aexp): q
+                for sexp, c in poly.scale(den)._terms.items()
+                for aexp, q in c.num._terms.items()
+            }
+        )
+    b_exps = sorted({sexp for col in columns for sexp, _ in col})
+    unit = (0,) * param.nvars
+    columns += [{(sexp, unit): Fraction(-1)} for sexp in b_exps]
+    solutions = [t for t in b_kernel(columns, b_exps, s_ring) if not t[0].is_zero()]
+    if not solutions:
         return None
-    border = sorted(
-        range(nb), key=lambda i: s_ring.order.key(s_monomials[i]), reverse=True
-    )
-    priority = [ncand + i for i in border] + list(range(ncand))
-    reduced = _echelon_by_priority(kernel, priority)
-    best = None
-    for vec in reduced:
-        bterms = [(sexp, vec[ncand + i]) for i, sexp in enumerate(s_monomials)]
-        b = s_ring.from_terms(bterms)
-        if b.is_zero():
-            continue
-        if best is None or b.total_degree() < best[0].total_degree():
-            best = (b, vec)
-    if best is None:
-        return None
-    b, vec = best
+    b, weights = min(solutions, key=lambda t: t[0].total_degree())
     U = wring.zero()
-    for k in range(ncand):
-        if vec[k]:
-            U = U + cleared[k][1].scale(F.from_rational(vec[k]))
-    lc = b.lead_coeff()
-    b = b.monic()
-    U = U.scale(F.from_rational(Fraction(1) / lc))
+    for k, q in weights.items():
+        U = U + certs[k].scale(F.from_rational(q))
     return RationalizeResult(b=b, U_residue=U, strategy="linear-combination")
 
 

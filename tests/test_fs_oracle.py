@@ -14,6 +14,7 @@ from genbs.fsmodule import (
     _f_lifted,
     act,
     ansatz_bs,
+    b_kernel,
     check_identity,
     congruence_remainder,
     remainder_in_Q,
@@ -309,3 +310,102 @@ def test_ansatz_differentiates_once_per_multi_index(inst_xy, diff_calls):
     assert (str(pairs[0][0]), str(pairs[0][1])) == ("s^2 + 2*s + 1", "dx*dy")
     # the five nonzero beta with |beta| <= 2
     assert len(diff_calls) == 5
+
+
+def _nullspace(rows, ncols):
+    """Reference kernel basis: Gauss-Jordan in natural column order, one
+    vector per free column."""
+    mat = [list(r) for r in rows]
+    pivots = {}
+    rank = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(rank, len(mat)):
+            if mat[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        mat[rank], mat[pr] = mat[pr], mat[rank]
+        inv = Fraction(1) / mat[rank][c]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        pivots[c] = rank
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for c, pr in pivots.items():
+            v[c] = -mat[pr][fc]
+        basis.append(v)
+    return basis
+
+
+def _echelon_by_priority(vectors, priority):
+    """Reference second pass: row-reduce full vectors, pivoting along the
+    given column priority."""
+    work = [list(v) for v in vectors]
+    out = []
+    for col in priority:
+        pivot_vec = None
+        for v in work:
+            if v[col] != 0:
+                pivot_vec = v
+                break
+        if pivot_vec is None:
+            continue
+        work.remove(pivot_vec)
+        inv = Fraction(1) / pivot_vec[col]
+        pivot_vec = [x * inv for x in pivot_vec]
+        work = [
+            [x - v[col] * y for x, y in zip(v, pivot_vec)] if v[col] != 0 else v
+            for v in work
+        ]
+        out = [
+            [x - v[col] * y for x, y in zip(v, pivot_vec)] if v[col] != 0 else v
+            for v in out
+        ]
+        out.append(pivot_vec)
+    return out
+
+
+S2 = PolyRing(QQ, ("s1", "s2"), GRevLex())
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    nrows=st.integers(0, 6),
+    nother=st.integers(0, 5),
+    b_exps=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4, unique=True
+    ),
+    data=st.data(),
+)
+def test_b_kernel_matches_two_pass_reference(nrows, nother, b_exps, data):
+    ncols = nother + len(b_exps)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    )
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="rows")
+    columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)]
+    kernel = b_kernel(columns, b_exps, S2)
+
+    key = S2.order.key
+    by_lead = sorted(range(len(b_exps)), key=lambda i: key(b_exps[i]), reverse=True)
+    priority = [nother + i for i in by_lead] + list(range(nother))
+    reference = _echelon_by_priority(_nullspace(rows, ncols), priority)
+    got = [
+        [values.get(j, Fraction(0)) for j in range(nother)]
+        + [b.coeff(e) for e in b_exps]
+        for b, values in kernel
+    ]
+    assert got == reference
+    for b, _ in kernel:
+        assert b.is_zero() or b.lead_coeff() == 1

@@ -329,6 +329,9 @@ BAD_INPUTS = [
     ["bs", "--vars", "x", "--f", "x", "--budget-x", "abc"],
     ["bs", "--no-such-flag"],
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x+a", "--point", "a=1/0"],
+    ["bs", "--vars", "x", "--f", "x", "--budget-steps", "-3"],
+    ["stratify", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-samples", "-1"],
+    ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-degree", "-1"],
 ]
 
 
@@ -338,9 +341,31 @@ def test_cli_bad_input_exits_4(argv, capsys):
 
 
 def test_cli_bad_job_file_exits_4(tmp_path, capsys):
+    bs = {"command": "bs", "vars": ["x"], "f": ["x"]}
+    family = {"command": "family", "n": 1, "p": 1, "d": 1}
+    bad = [
+        dict(bs, v=[-1]),
+        dict(bs, v=[1.5]),
+        dict(bs, v=1),
+        dict(bs, budget_steps=True),
+        dict(bs, budget_steps="5"),
+        dict(bs, budget_steps=-3),
+        dict(bs, budget_degree=None),
+        dict(family, n="2"),
+        dict(family, d=1.0),
+        dict(bs, f=[1]),
+        dict(bs, f="x"),
+        dict(bs, command="verify", b=5, op="dx"),
+        dict(bs, command="generic-bs", params=["a"], points=[1]),
+        ["bs"],
+        [],
+    ]
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"command": "bs", "vars": ["x"], "f": ["x"], "v": [-1]}))
-    assert main(["--job", str(path)]) == 4
+    for doc in bad:
+        path.write_text(json.dumps(doc))
+        assert main(["--job", str(path)]) == 4, doc
+    path.write_text(json.dumps(family))
+    assert main(["--job", str(path)]) == 0
 
 
 def test_text_rendering_stable():
