@@ -43,7 +43,7 @@ from .fsmodule import (
     check_identity,
     congruence_remainder,
 )
-from .groebner import buchberger, eliminate, ideal_dim, normal_form
+from .groebner import buchberger, ideal_dim, normal_form
 from .instance import ProblemInstance, generic_family, make_instance
 from .orders import Block, GRevLex, Lex, TermOrder, Weighted
 from .parametric import (
@@ -72,8 +72,8 @@ from .weyl import WeylOp, WeylRing, commutator
 from .weyl_groebner import (
     GBBudget,
     LeftIdealW,
+    eliminate,
     left_buchberger,
-    left_normal_form,
     weight_vector,
 )
 
@@ -138,7 +138,6 @@ __all__ = [
     "generic_family",
     "ideal_dim",
     "left_buchberger",
-    "left_normal_form",
     "main",
     "make_instance",
     "malgrange_ideal",

@@ -38,7 +38,7 @@ from .errors import (
     TimeoutBudget,
     UnitIdealError,
 )
-from .factor import factor
+from .factor import Factorization, factor
 from .fsmodule import AnsatzBounds, ansatz_bs, check_identity
 from .groebner import buchberger
 from .instance import ProblemInstance, family_ring, generic_family
@@ -174,8 +174,7 @@ def _instance_doc(inst: ProblemInstance) -> dict:
     }
 
 
-def _factor_doc(g) -> dict:
-    fac = factor(g)
+def _factor_doc(fac: Factorization) -> dict:
     return {
         "unit": str(fac.unit),
         "factors": [
@@ -201,7 +200,7 @@ def _cmd_bs(spec: JobSpec) -> dict:
         res = bs_poly(inst, budget=budget)
         out = {
             "b": str(res.b),
-            "b_factored": _factor_doc(res.b),
+            "b_factored": _factor_doc(res.factorization),
             "generators": [str(g) for g in res.ideal.generators],
             "rationality": rationality_report(res.ideal),
         }
@@ -249,7 +248,7 @@ def _cmd_generic_bs(spec: JobSpec) -> dict:
         "h": str(g.h),
         "h_radical": str(g.h_radical),
         "b": str(g.b),
-        "b_factored": _factor_doc(g.b),
+        "b_factored": _factor_doc(factor(g.b)),
         "strategy": g.strategy,
         "specialize_checks": spot,
     }
@@ -294,7 +293,7 @@ def _cmd_stratify(spec: JobSpec) -> dict:
         }
         if st.b is not None:
             doc["b"] = str(st.b)
-            doc["b_factored"] = _factor_doc(st.b)
+            doc["b_factored"] = _factor_doc(factor(st.b))
         if st.sample is not None:
             doc["sample"] = {k: str(v) for k, v in sorted(st.sample.items())}
         doc["witnesses"] = [

@@ -211,8 +211,9 @@ def rational_roots(f: Poly, var: int):
     if a0 == 0:
         raise ValueError("trailing coefficient is zero; remove the monomial part first")
     roots = []
+    qs = _divisors(an)
     for p in _divisors(a0):
-        for q in _divisors(an):
+        for q in qs:
             if gcd(p, q) != 1:
                 continue
             for sign in (1, -1):

@@ -36,10 +36,12 @@ identical.
 
 Optional weight vectors are carried through a run purely as homogeneity
 assertions: the primary comparison is always the global order, never a
-signed weight.  When cofactors are asked for, the basis is returned
-together with an expression of every basis element as an explicit left
-combination of the input generators, which is what certificate
-extraction downstream relies on.
+signed weight.  When input generators are tracked, the basis is
+returned together with each element's left cofactors against those
+generators, which is what certificate extraction downstream relies on.
+Only the tracked components are carried, and a normal form builds its
+quotients only when something is tracked: the b-function needs the one
+cofactor of f^v, not a full matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import itertools
 
 from .errors import HomogeneityViolation, MissingBasisError, MixedRingError
 from .orders import (
-    Block,
     mono_div,
     mono_divides,
     mono_is_one,
@@ -165,23 +166,29 @@ def _update_pairs(pairs, basis, t, push):
         push(*pair)
 
 
-def _buchberger(generators, cofactors, budget, weight_vectors):
+def _buchberger(generators, track, budget, weight_vectors):
     """Reduced (left) Groebner basis: the loop behind both public entry points.
 
-    Every appended element and every S-polynomial is asserted homogeneous
-    for each of ``weight_vectors``; the budget ticks once per S-pair that
+    ``track`` holds positions in ``generators``; when it is non-empty
+    the result is (basis, reps) with reps[k][t] the cofactor of
+    generators[track[t]] in basis[k].  Quotients are built only then.
+    Each component of a rep is updated on its own, so tracking fewer
+    generators leaves the tracked components as they were.  Every
+    appended element and every S-polynomial is asserted homogeneous for
+    each of ``weight_vectors``; the budget ticks once per S-pair that
     survives the criteria.
     """
+    track = tuple(track)
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return ([], []) if cofactors else []
+        return ([], []) if track else []
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise MixedRingError("generators live in different rings")
 
     basis = []
-    reps = []  # reps[k][i] = cofactor of generators[i] in basis[k]
+    reps = []
     # heap of (order key of the lcm, creation index, i, j, lcm): normal selection
     pairs = []
     key = ring.order.key
@@ -190,29 +197,27 @@ def _buchberger(generators, cofactors, budget, weight_vectors):
     def push(i, j, lcm):
         heapq.heappush(pairs, (key(lcm), next(serial), i, j, lcm))
 
-    def add(poly, rep, where):
-        _assert_homogeneous(poly, weight_vectors, where)
-        basis.append(poly)
-        if cofactors:
-            reps.append(rep)
+    def add(f, rep_of_f, where):
+        """Append the monic normal form of f unless it is zero.
+
+        ``rep_of_f()`` gives the cofactors of f; it runs only when
+        something is tracked and the normal form is non-zero.
+        """
+        nf, q = _normal_form(f, basis, track)
+        if nf.is_zero():
+            return
+        c = ring.field.inv(nf.lead_coeff())
+        nf = nf.scale(c)
+        _assert_homogeneous(nf, weight_vectors, where)
+        if track:
+            reps.append([r.scale(c) for r in _sub_combination(rep_of_f(), q, reps)])
+        basis.append(nf)
         _update_pairs(pairs, basis, len(basis) - 1, push)
 
     for idx, g in enumerate(generators):
-        if g.is_zero():
-            continue
-        rep = None
-        nf, q = normal_form(g, basis, with_cofactors=True)
-        if cofactors:
-            rep = [ring.zero()] * len(generators)
-            rep[idx] = ring.one()
-            rep = _sub_combination(rep, q, reps)
-        if nf.is_zero():
-            continue
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        add(nf, rep, "input reduction")
+        if not g.is_zero():
+            unit = [ring.one() if t == idx else ring.zero() for t in track]
+            add(g, lambda: unit, "input reduction")
 
     while pairs:
         if budget is not None:
@@ -220,37 +225,33 @@ def _buchberger(generators, cofactors, budget, weight_vectors):
         _, _, i, j, _ = heapq.heappop(pairs)
         s = spoly(basis[i], basis[j])
         _assert_homogeneous(s, weight_vectors, "S-pair formation")
-        nf, q = normal_form(s, basis, with_cofactors=True)
-        if nf.is_zero():
-            continue
-        rep = None
-        if cofactors:
-            rep = _spoly_rep(basis, reps, i, j, ring)
-            rep = _sub_combination(rep, q, reps)
-        c = ring.field.inv(nf.lead_coeff())
-        nf = nf.scale(c)
-        if cofactors:
-            rep = [r.scale(c) for r in rep]
-        add(nf, rep, "S-pair reduction")
+        add(s, lambda: _spoly_rep(basis, reps, i, j, ring), "S-pair reduction")
 
-    return _reduce_basis(basis, reps, ring, cofactors, weight_vectors)
+    return _reduce_basis(basis, reps, ring, track, weight_vectors)
 
 
-def buchberger(generators, cofactors=False, budget=None):
+def buchberger(generators, track=(), budget=None):
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Parameters
     ----------
     generators : list of Poly, all in one ring (zeros allowed, dropped).
-    cofactors : bool
-        When true, return (basis, reps) where reps[k] expresses basis[k]
-        as a list of polynomial cofactors against the input generators.
+    track : positions in ``generators``
+        When non-empty, return (basis, reps) where reps[k][t] is the
+        cofactor of generators[track[t]] in basis[k].
     budget : optional object with a ``tick()`` method, called once per
         S-pair that survives the criteria; it may raise to abort long runs.
 
     Returns the reduced basis (monic, sorted descending by lead monomial).
     """
-    return _buchberger(generators, cofactors, budget, ())
+    return _buchberger(generators, track, budget, ())
+
+
+def _normal_form(f, basis, track):
+    """(normal form, quotients), the quotients only when something is tracked."""
+    if track:
+        return normal_form(f, basis, with_cofactors=True)
+    return normal_form(f, basis), None
 
 
 def _spoly_rep(basis, reps, i, j, ring):
@@ -272,7 +273,7 @@ def _sub_combination(rep, q, reps):
     return out
 
 
-def _reduce_basis(basis, reps, ring, cofactors, weight_vectors):
+def _reduce_basis(basis, reps, ring, track, weight_vectors):
     # minimalize: drop elements whose lead is divisible by another lead
     order = sorted(range(len(basis)), key=lambda k: ring.order.key(basis[k].lead_exp()))
     keep = []
@@ -282,20 +283,19 @@ def _reduce_basis(basis, reps, ring, cofactors, weight_vectors):
             continue
         keep.append(k)
     minimal = [basis[k] for k in keep]
-    minreps = [reps[k] for k in keep] if cofactors else None
+    minreps = [reps[k] for k in keep] if track else None
 
     # interreduce tails
     reduced = []
     redreps = []
     for pos in range(len(minimal)):
         others = minimal[:pos] + minimal[pos + 1 :]
-        nf, q = normal_form(minimal[pos], others, with_cofactors=True)
+        nf, q = _normal_form(minimal[pos], others, track)
         _assert_homogeneous(nf, weight_vectors, "interreduction")
-        if cofactors:
-            rep = _sub_combination(minreps[pos], q, minreps[:pos] + minreps[pos + 1 :])
         c = ring.field.inv(nf.lead_coeff())
         reduced.append(nf.scale(c))
-        if cofactors:
+        if track:
+            rep = _sub_combination(minreps[pos], q, minreps[:pos] + minreps[pos + 1 :])
             redreps.append([r.scale(c) for r in rep])
 
     idx = sorted(
@@ -304,7 +304,7 @@ def _reduce_basis(basis, reps, ring, cofactors, weight_vectors):
         reverse=True,
     )
     final = [reduced[k] for k in idx]
-    if cofactors:
+    if track:
         return final, [redreps[k] for k in idx]
     return final
 
@@ -326,31 +326,6 @@ def ideal_contains(basis, f):
 
 def is_unit_ideal(basis):
     return any(not b.is_zero() and mono_is_one(b.lead_exp()) for b in basis)
-
-
-def elimination_order(ring, front_names):
-    """Block order with front_names dominating, grevlex inside each block."""
-    return Block(ring.index(n) for n in front_names)
-
-
-def eliminate(generators, drop_names, budget=None):
-    """Generators of the ideal's intersection with the subring without drop_names.
-
-    Uses a block elimination order with the dropped variables in front,
-    then selects the basis elements free of them.  The returned
-    polynomials stay in the original ring.
-    """
-    if not generators:
-        return []
-    ring = generators[0].ring
-    order = elimination_order(ring, drop_names)
-    elim_ring = ring.with_order(order)
-    gb = buchberger([elim_ring.convert(g) for g in generators], budget=budget)
-    out = []
-    for g in gb:
-        if all(all(exp[i] == 0 for i in order.front) for exp in g.monomials()):
-            out.append(ring.convert(g))
-    return out
 
 
 def ideal_dim(basis, ring=None):

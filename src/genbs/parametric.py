@@ -37,13 +37,14 @@ from .fsmodule import (
     congruence_remainder,
     remainder_in_Q,
 )
-from .groebner import buchberger, elimination_order, normal_form
+from .groebner import normal_form
 from .instance import ProblemInstance, family_ring
 from .orders import multi_indices
 from .poly import Poly, PolyRing, RationalField
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing
+from .weyl_groebner import eliminate
 
 
 class ResidueElem:
@@ -306,15 +307,11 @@ def _univariate_part(B, s_ring, j):
     ring = B.instance.s_ring()
     gens = [ring.convert(g) for g in B.generators]
     sj = B.instance.registry.s[j]
-    order = elimination_order(ring, [nm for nm in ring.names if nm != sj])
-    elim = ring.with_order(order)
-    egens = [elim.convert(g) for g in gens]
-    basis, reps = buchberger(egens, cofactors=True)
-    best = None
-    for g, rep in zip(basis, reps):
-        if all(all(exp[i] == 0 for i in order.front) for exp in g._terms):
-            if best is None or g.total_degree() < best[0].total_degree():
-                best = (g, rep)
+    members, reps = eliminate(
+        gens, [nm for nm in ring.names if nm != sj], track=range(len(gens))
+    )
+    # the first member of least degree
+    best = min(zip(members, reps), key=lambda m: m[0].total_degree(), default=None)
     if best is None:
         return None
     g, rep = best

@@ -1,10 +1,10 @@
 """Left Groebner bases in Weyl rings: budget, elimination and weights.
 
 The engine itself is :mod:`genbs.groebner`, shared with commutative
-rings; its routines serve here under their left-ideal names.  This
-module adds the step budget shared by every Groebner loop,
-``left_buchberger`` with its weight-vector assertions, elimination in
-block orders, and the weight bookkeeping of the Malgrange construction.
+rings.  This module adds the step budget shared by every Groebner loop,
+``left_buchberger`` with its weight-vector assertions, ``eliminate``
+(the one intersection of a left ideal with a subring), and the weight
+bookkeeping of the Malgrange construction.
 """
 
 from __future__ import annotations
@@ -12,18 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HomogeneityViolation, TimeoutBudget
-# _assert_homogeneous is held here too: perfbench/tracer.py counts the
-# S-pairs of left_buchberger through this name; elimination_order is
-# imported from here by the tests of the Weyl orders
+# perfbench/tracer.py wraps these names here: it counts the S-pairs of
+# left_buchberger through _assert_homogeneous and its reduction steps
+# through left_reduce_step
 from .groebner import (
     _assert_homogeneous,
     _buchberger,
-    elimination_order,
-    is_groebner as is_left_groebner,
-    normal_form as left_normal_form,
     reduce_step as left_reduce_step,
-    spoly as left_spoly,
 )
+from .orders import Block
 from .weyl import WeylOp, WeylRing
 
 
@@ -60,35 +57,54 @@ class LeftIdealW:
     generators: list
 
 
-def left_buchberger(generators, cofactors=False, budget=None, weight_vectors=()):
+def left_buchberger(generators, track=(), budget=None, weight_vectors=()):
     """Reduced left Groebner basis of the left ideal of ``generators``.
 
-    With ``cofactors``, also return reps expressing each basis element as
-    a left combination of the input generators.  ``weight_vectors`` is a
-    list of integer vectors; every intermediate element is asserted to be
-    homogeneous with respect to each (the Malgrange construction's
-    gradings survive the run, and this check certifies it).
+    With ``track`` (positions in ``generators``), also return reps with
+    reps[k][t] the left cofactor of generators[track[t]] in basis[k].
+    ``weight_vectors`` is a list of integer vectors; every intermediate
+    element is asserted to be homogeneous with respect to each (the
+    Malgrange construction's gradings survive the run, and this check
+    certifies it).
     """
-    return _buchberger(generators, cofactors, budget, weight_vectors)
+    return _buchberger(generators, track, budget, weight_vectors)
 
 
-def subring_elements(basis, kill_names):
-    """Basis elements free of kill_names.
+def elimination_order(ring, front_names):
+    """Block order with front_names dominating, grevlex inside each block."""
+    return Block(ring.index(n) for n in front_names)
 
-    When the basis was computed under a block order with kill_names in
-    the front block, these generate the intersection of the left ideal
-    with the subalgebra on the remaining generators (which must be
-    closed under the ring relations, true for all blocks used here).
+
+def eliminate(generators, drop_names, track=(), budget=None, weight_vectors=()):
+    """The left ideal's intersection with the subring free of ``drop_names``.
+
+    The reduced left basis is computed in a block order with
+    ``drop_names`` in front (the elimination step of Oaku's b-function
+    algorithm, in the left Weyl setting of Levandovskyy's thesis); its
+    members free of them generate the intersection with the subalgebra
+    on the remaining generators, which must be closed under the ring
+    relations, as every block used here is.  The members come back in
+    the generators' ring, in the basis order.  With ``track`` (positions
+    in ``generators``), the result is (members, reps) with reps[k][t]
+    the left cofactor of generators[track[t]] in members[k].
+    ``weight_vectors`` are asserted as in ``left_buchberger``.
     """
-    if not basis:
-        return []
-    ring = basis[0].ring
-    kill = {ring.index(n) for n in kill_names}
-    out = []
-    for g in basis:
-        if all(all(exp[i] == 0 for i in kill) for exp in g._terms):
-            out.append(g)
-    return out
+    if not generators:
+        return ([], []) if track else []
+    ring = generators[0].ring
+    order = elimination_order(ring, drop_names)
+    elim = ring.with_order(order)
+    result = left_buchberger(
+        [elim.convert(g) for g in generators], track, budget, weight_vectors
+    )
+    basis, reps = result if track else (result, None)
+    members, member_reps = [], []
+    for k, g in enumerate(basis):
+        if all(exp[i] == 0 for exp in g._terms for i in order.front):
+            members.append(ring.convert(g))
+            if track:
+                member_reps.append([ring.convert(r) for r in reps[k]])
+    return (members, member_reps) if track else members
 
 
 # -- weight bookkeeping -------------------------------------------------------

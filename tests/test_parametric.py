@@ -159,8 +159,6 @@ def _fake_bs(inst, generators, certs=None):
         instance=inst,
         generators=tuple(generators),
         certificates=certs,
-        ann_basis=(),
-        elimination_basis=(),
     )
 
 
@@ -227,7 +225,7 @@ def test_buchberger_cofactors_residue_field():
     s, t = R.var("s"), R.var("t")
     aa, a1 = R.const(F2.make(A)), R.const(F2.make(A + 1))
     gens = [s**3 - aa * t**2, a1 * s * t - t**2]
-    basis, reps = buchberger(gens, cofactors=True)
+    basis, reps = buchberger(gens, track=(0, 1))
     assert [str(g) for g in basis] == [
         "t^4 + (-7*a - 10)*t^3",
         "s^3 - a*t^2",

@@ -4,23 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from genbs.annbs import bs_ideal_ctx, malgrange_ideal
+from genbs.annbs import ann_fs_ctx, malgrange_ideal
 from genbs.errors import HomogeneityViolation, TimeoutBudget
+from genbs.groebner import is_groebner, normal_form, spoly
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
 from genbs.poly import QQ, PolyRing
-from genbs.weyl import WeylOp, WeylRing
+from genbs.weyl import WeylRing
 from genbs.weyl_groebner import (
     GBBudget,
     balance_pairs,
+    eliminate,
     elimination_order,
-    is_left_groebner,
     is_weight_homogeneous,
     left_buchberger,
-    left_normal_form,
-    left_spoly,
-    subring_elements,
     weight0_extract,
     weight_vector,
 )
@@ -45,13 +44,13 @@ def shifted_op(rng, ring, max_terms=2, max_exp=2):
         c = Fraction(rng.randrange(-3, 4))
         if c:
             acc[tuple(exp)] = acc.get(tuple(exp), 0) + c
-    return WeylOp(ring, {e: c for e, c in acc.items() if c})
+    return ring.from_terms(acc.items())
 
 
 def test_left_normal_form_exact():
     basis = [X * DX - S, X**2]
     f = X**2 * DX**2 + X * DX + S
-    nf, cof = left_normal_form(f, basis, with_cofactors=True)
+    nf, cof = normal_form(f, basis, with_cofactors=True)
     rebuilt = nf
     for q, b in zip(cof, basis):
         rebuilt = rebuilt + q * b
@@ -61,19 +60,19 @@ def test_left_normal_form_exact():
 def test_left_buchberger_idempotent_and_groebner():
     gens = [X * DX - S, X**3]
     basis = left_buchberger(gens)
-    assert is_left_groebner(basis)
+    assert is_groebner(basis)
     again = left_buchberger(basis)
     assert [str(g) for g in again] == [str(g) for g in basis]
     # every S-pair of the basis reduces to zero
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = left_spoly(basis[i], basis[j])
-            assert left_normal_form(s, basis).is_zero()
+            s = spoly(basis[i], basis[j])
+            assert normal_form(s, basis).is_zero()
 
 
 def test_left_buchberger_cofactors():
     gens = [X * DX - S, X**2]
-    basis, reps = left_buchberger(gens, cofactors=True)
+    basis, reps = left_buchberger(gens, track=(0, 1))
     for g, rep in zip(basis, reps):
         rebuilt = W.zero()
         for q, f in zip(rep, gens):
@@ -108,12 +107,12 @@ def test_left_buchberger_random_spoly_property():
                 continue
             try:
                 basis, reps = left_buchberger(
-                    gens, cofactors=True, budget=GBBudget(max_steps=200)
+                    gens, track=range(len(gens)), budget=GBBudget(max_steps=200)
                 )
             except TimeoutBudget:
                 continue
-            # is_left_groebner reduces every S-pair, with no criterion
-            assert is_left_groebner(basis), name
+            # is_groebner reduces every S-pair, with no criterion
+            assert is_groebner(basis), name
             for g, rep in zip(basis, reps):
                 rebuilt = ring.zero()
                 for q, f in zip(rep, gens):
@@ -121,6 +120,44 @@ def test_left_buchberger_random_spoly_property():
                 assert rebuilt == g, name
             checked += 1
         assert checked >= 15, name
+
+
+# Rings for the tracking property: Weyl and commutative, graded and
+# block orders.
+R3 = PolyRing(QQ, ("x", "y", "z"), GRevLex())
+TRACK_RINGS = {
+    **CRITERIA_RINGS,
+    "commutative": R3,
+    "commutative_block": R3.with_order(elimination_order(R3, ("x",))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TRACK_RINGS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_tracking_one_generator_gives_that_component(name, seed, n, data):
+    # track=(i,) carries the i-th component of the full cofactor vector,
+    # term for term, and leaves the basis as it was
+    ring = TRACK_RINGS[name]
+    rng = random.Random(seed)
+    gens = [shifted_op(rng, ring) for _ in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    try:
+        basis, reps = left_buchberger(
+            gens, track=range(n), budget=GBBudget(max_steps=200)
+        )
+    except TimeoutBudget:
+        return
+    one_basis, one_reps = left_buchberger(gens, track=(i,))
+    assert [str(g) for g in one_basis] == [str(g) for g in basis]
+    assert [[str(r) for r in rep] for rep in one_reps] == [
+        [str(rep[i])] for rep in reps
+    ]
+    assert [str(g) for g in left_buchberger(gens)] == [str(g) for g in basis]
 
 
 def test_pipeline_bases_pass_the_all_pairs_check():
@@ -132,21 +169,28 @@ def test_pipeline_bases_pass_the_all_pairs_check():
     E = ideal.ring.with_order(
         elimination_order(ideal.ring, cusp.aux("u") + cusp.aux("y"))
     )
-    malgrange = left_buchberger([WeylOp(E, g._terms) for g in ideal.generators])
-    assert is_left_groebner(malgrange)
-    # the s-elimination basis of the pair (x^3, y^4)
+    malgrange = left_buchberger([E.convert(g) for g in ideal.generators])
+    assert is_groebner(malgrange)
+    # the s-elimination basis of the pair (x^3, y^4), in the x, dx order
     pair = make_instance(("x", "y"), [x**3, y**4])
-    assert is_left_groebner(bs_ideal_ctx(pair).elimination_basis)
+    ann = ann_fs_ctx(pair)
+    gens = list(ann.generators) + [ann.ring.convert(pair.f_power_v())]
+    E = ann.ring.with_order(
+        elimination_order(ann.ring, pair.registry.x + pair.registry.d_names())
+    )
+    assert is_groebner(left_buchberger([E.convert(g) for g in gens]))
 
 
 def test_elimination_and_subring():
     # eliminate dx from <x dx - s, x^2 dx>: the intersection with Q[x, s]
-    E = W.with_order(elimination_order(W, ("dx",)))
-    gens = [WeylOp(E, dict(g._terms)) for g in [X * DX - S, X**2 * DX]]
-    basis = left_buchberger(gens)
-    sub = subring_elements(basis, kill_names=("dx",))
-    assert all(g.degree_in("dx") == 0 for g in sub)
-    assert any(not g.is_zero() for g in sub)
+    gens = [X * DX - S, X**2 * DX]
+    members, reps = eliminate(gens, ("dx",), track=(0, 1))
+    assert [str(g) for g in eliminate(gens, ("dx",))] == [str(g) for g in members]
+    assert members and all(g.ring is W for g in members)
+    assert all(g.degree_in("dx") == 0 and not g.is_zero() for g in members)
+    # each member is the left combination its cofactors say
+    for g, rep in zip(members, reps):
+        assert sum((q * f for q, f in zip(rep, gens)), W.zero()) == g
 
 
 def test_weight_vector_and_homogeneity():
