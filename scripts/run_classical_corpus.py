@@ -36,7 +36,7 @@ def main():
         ok = check_identity(res.b, res.certificate, inst)
         pairs = ansatz_bs(inst, bounds)
         agree = any(b == res.b for b, _ in pairs)
-        rep = rationality_report(res.ideal)
+        rep = rationality_report(res.ideal, res.factorization)
         print("f = %-9s  b = %-28s  cert ok: %s  ansatz agrees: %s  rational: %s  (%.2fs)"
               % (label, str(res.factorization), ok, agree,
                  rep["rational_element_found"], time.time() - t0))

@@ -22,22 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
-from .factor import Factorization, factor, rational_roots
+from .factor import Factorization, factor
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
 from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
-# both GBs run through left_buchberger inside eliminate; the name is held
-# here too, where tests/test_trace_hooks.py checks that the tracer's
-# wrapper is put back
-from .weyl_groebner import (  # noqa: F401
-    GBBudget,
-    LeftIdealW,
-    eliminate,
-    left_buchberger,
-    weight0_extract,
-    weight_vector,
-)
+from .weyl_groebner import GBBudget, LeftIdealW, eliminate, weight0_extract, weight_vector
 
 
 @dataclass
@@ -237,8 +227,16 @@ def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinP
     )
 
 
-def rationality_report(B: BSIdeal) -> dict:
-    """Which generators lie in Q[s], with exact root data per factor."""
+def rationality_report(B: BSIdeal, factorization: Factorization | None = None) -> dict:
+    """Which generators lie in Q[s], with exact root data per factor.
+
+    The roots are those ``factor`` splits off (:meth:`Factorization.roots`).
+    ``factorization`` is that of B's one generator when the caller holds
+    it already, as ``bs_poly`` does for p = 1; otherwise each rational
+    generator is factored here.
+    """
+    if factorization is not None and len(B.generators) != 1:
+        raise ValueError("a factorization is given for one generator only")
     s_ring = B.instance.rational_s_ring()
     out = {"generators": [], "rational_element_found": False}
     for g in B.generators:
@@ -246,31 +244,22 @@ def rationality_report(B: BSIdeal) -> dict:
         entry = {"poly": str(g), "rational": gq is not None, "factors": []}
         if gq is not None:
             out["rational_element_found"] = True
-            fac = factor(gq)
-            all_neg = True
-            for piece, mult, certified in fac.factors:
+            fac = factor(gq) if factorization is None else factorization
+            roots = fac.roots()
+            for (piece, mult, certified), rs in zip(fac.factors, roots):
                 rec = {
                     "factor": str(piece),
                     "multiplicity": mult,
                     "irreducible_certified": bool(certified),
-                    "roots": [],
+                    "roots": [str(r) for r in rs],
                 }
                 used = piece.variables()
                 if len(used) == 1:
-                    var = used[0]
-                    rec["variable"] = piece.ring.names[var]
-                    try:
-                        roots = rational_roots(piece, var)
-                    except ValueError:
-                        roots = []
-                    rec["roots"] = [str(r) for r in roots]
-                    deg = piece.degree_in(var)
-                    if deg != len(roots) or any(r >= 0 for r in roots):
-                        all_neg = False
-                else:
-                    all_neg = False
+                    rec["variable"] = piece.ring.names[used[0]]
                 entry["factors"].append(rec)
-            entry["all_roots_negative_rational"] = all_neg
+            # only a linear factor lists a root, so each factor needs one
+            negative = all(rs and rs[0] < 0 for rs in roots)
+            entry["all_roots_negative_rational"] = negative
         out["generators"].append(entry)
     return out
 

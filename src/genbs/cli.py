@@ -202,7 +202,7 @@ def _cmd_bs(spec: JobSpec) -> dict:
             "b": str(res.b),
             "b_factored": _factor_doc(res.factorization),
             "generators": [str(g) for g in res.ideal.generators],
-            "rationality": rationality_report(res.ideal),
+            "rationality": rationality_report(res.ideal, res.factorization),
         }
         certs = {"P": _cert(str(res.certificate))}
         return _report(spec, inst, out, certs, True, budget)
@@ -511,16 +511,17 @@ def main(argv=None) -> int:
         return 4 if e.code else 0
     try:
         spec = job_from_args(args)
+        # opened before the job runs, so an unwritable path fails at once
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except (GenbsError, OSError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 4
-    report, code = run_command(spec)
-    text = serialize_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        report, code = run_command(spec)
+        out.write(serialize_report(report, args.format))
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return code
 
 

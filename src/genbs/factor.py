@@ -6,6 +6,8 @@ are monomials, univariate polynomials of degree at most three with no
 rational root, linear factors from rational roots, and multivariate
 polynomials of degree one in some variable with coprime coefficients.
 Anything else is returned whole with the flag off, never guessed at.
+Every nonzero rational root of a univariate piece is split off, so
+:meth:`Factorization.roots` reads each factor's roots off its shape.
 """
 
 from __future__ import annotations
@@ -248,6 +250,29 @@ class Factorization:
     def all_certified(self) -> bool:
         return all(flag for _, _, flag in self.factors)
 
+    def splits(self) -> bool:
+        """Several distinct factors, or one with multiplicity above one."""
+        return len(self.factors) > 1 or any(k > 1 for _, k, _ in self.factors)
+
+    def is_irreducible(self) -> bool:
+        """One factor, of multiplicity one, certified irreducible."""
+        return len(self.factors) == 1 and self.factors[0][1] == 1 and self.factors[0][2]
+
+    def roots(self) -> list:
+        """The rational roots of each factor, a list aligned with ``factors``.
+
+        A linear factor v - r with r != 0 has the one root r; every other
+        factor lists none.  Each univariate piece but a monomial v (root
+        0, listed as none) passes _factor_univar_squarefree, where
+        rational_roots finds every nonzero rational root and each is split
+        off as v - r, so no nonlinear univariate factor has one."""
+        out = []
+        for p, _, _ in self.factors:
+            r = -p.const_value()
+            linear = p.total_degree() == 1 and len(p.variables()) == 1
+            out.append([r] if linear and r else [])
+        return out
+
     def __str__(self):
         parts = [] if self.unit == 1 else [str(self.unit)]
         for p, k, flag in self.factors:
@@ -319,10 +344,10 @@ def _factor_squarefree(w: Poly):
         out.extend(_factor_squarefree(cont.monic()))
         coeffs = [exact_div(c, cont) for c in coeffs]
         w = _from_coeffs(ring, i, coeffs).monic()
-    if _certified_multivar_irreducible(w):
-        out.append((w, True))
-    else:
-        out.append((w, False))
+        if len(w.variables()) == 1:
+            # the content held every other variable: split the roots off
+            return out + _factor_univar_squarefree(w, i)
+    out.append((w, _certified_multivar_irreducible(w)))
     return out
 
 
@@ -337,26 +362,11 @@ def _certified_multivar_irreducible(w: Poly) -> bool:
 
 
 def _factor_univar_squarefree(w: Poly, var: int):
-    ring = w.ring
-    out = []
-    for r in rational_roots(w, var):
-        out.append((ring.var(var) - ring.const(r), True))
+    v = w.ring.var(var)
+    out = [(v - w.ring.const(r), True) for r in rational_roots(w, var)]
     for lin, _ in out:
         w = exact_div(w, lin)
-    w = w.monic()
-    if w.is_constant():
-        return out
-    if w.degree_in(var) <= 3:
+    if not w.is_constant():
         # quadratics and cubics without rational roots are irreducible
-        out.append((w, True))
-    else:
-        out.append((w, False))
+        out.append((w.monic(), w.degree_in(var) <= 3))
     return out
-
-
-def is_certified_irreducible(f: Poly) -> bool:
-    """True when the conservative factorization certifies f irreducible."""
-    if f.is_zero() or f.is_constant():
-        return False
-    fac = factor(f)
-    return len(fac.factors) == 1 and fac.factors[0][1] == 1 and fac.factors[0][2]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DecompositionUnsupported, UnitIdealError, VerificationFailed
-from .factor import factor, is_certified_irreducible
+from .factor import factor
 from .groebner import buchberger, ideal_dim, is_unit_ideal, normal_form
 
 
@@ -42,7 +42,7 @@ class PrimeIdealQ:
         return "<%s>" % ", ".join(str(b) for b in self.basis)
 
 
-def certify_prime(basis, ring):
+def certify_prime(basis, ring, factorization=None):
     """Return a primality certificate string, or None when undecided.
 
     Criteria, each sound on its own:
@@ -50,29 +50,17 @@ def certify_prime(basis, ring):
     - all basis elements of total degree one: the quotient is a
       polynomial ring in fewer variables;
     - a single basis element certified irreducible: principal ideals
-      generated by irreducibles are prime in a UFD.
+      generated by irreducibles are prime in a UFD.  ``factorization``
+      is that element's, when the caller has factored it already.
     """
     if not basis:
         return "zero ideal of a polynomial ring over a field"
     if all(b.total_degree() <= 1 for b in basis):
         return "generated by polynomials of degree one"
-    if len(basis) == 1 and is_certified_irreducible(basis[0]):
-        return "principal, generator certified irreducible"
-    return None
-
-
-def _split_factors(basis):
-    """First basis element that factors; returns its distinct factors or None.
-
-    A 'split' is any factorization discovery: several distinct factors,
-    or a single factor appearing with multiplicity above one (replacing
-    the generator by its reduction).
-    """
-    for g in basis:
-        fac = factor(g)
-        polys = [p for p, _, _ in fac.factors]
-        if len(polys) >= 2 or (len(polys) == 1 and fac.factors[0][1] > 1):
-            return polys
+    if len(basis) == 1:
+        fac = factor(basis[0]) if factorization is None else factorization
+        if fac.is_irreducible():
+            return "principal, generator certified irreducible"
     return None
 
 
@@ -105,16 +93,22 @@ def minimal_primes(generators, ring, budget=None):
                 raise UnitIdealError("the input ideal is the unit ideal")
             continue
         first = False
-        polys = _split_factors(gb)
-        if polys is not None:
-            for p in polys:
+        # factor up to the first element that splits: its factors then
+        # replace it, a repeated factor by its reduction
+        fac = None
+        for g in gb:
+            fac = factor(g)
+            if fac.splits():
+                break
+        if fac is not None and fac.splits():
+            for p, _, _ in fac.factors:
                 if normal_form(p, gb).is_zero():
                     raise VerificationFailed(
                         "factor of a reduced basis element lies in the ideal"
                     )
                 work.append(tuple(gb) + (p,))
             continue
-        cert = certify_prime(gb, ring)
+        cert = certify_prime(gb, ring, fac if len(gb) == 1 else None)
         if cert is None:
             raise DecompositionUnsupported(
                 "cannot certify primality of <%s>"

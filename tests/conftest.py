@@ -1,5 +1,8 @@
 """Shared rings and instances for the test suite."""
 
+import importlib
+import sys
+
 import pytest
 
 from genbs.instance import make_instance
@@ -51,3 +54,20 @@ def inst_pair(Rxy):
 def inst_x2a(Rax):
     a, x = Rax.var("a"), Rax.var("x")
     return make_instance(("x",), [x * x + a], v=(1,), a_names=("a",))
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Arguments of every ``genbs.factor.factor`` call, whichever genbs
+    module the caller reached it through."""
+    original = importlib.import_module("genbs.factor").factor
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("genbs.") and getattr(mod, "factor", None) is original:
+            monkeypatch.setattr(mod, "factor", counting)
+    return calls

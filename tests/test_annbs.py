@@ -1,12 +1,21 @@
 """Annihilator and Bernstein-Sato pipeline: the classical corpus, certified."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genbs.annbs
-from genbs.annbs import ann_fs, bs_ideal, bs_poly, malgrange_ideal, rationality_report
+from genbs.annbs import (
+    BSIdeal,
+    ann_fs,
+    bs_ideal,
+    bs_poly,
+    malgrange_ideal,
+    rationality_report,
+)
 from genbs.errors import VerificationFailed
 from genbs.fsmodule import FsElement, act, check_identity
 from genbs.groebner import buchberger, ideal_contains
@@ -133,6 +142,56 @@ def test_rationality_report():
     roots = [r for f in gen["factors"] for r in f.get("roots", [])]
     assert all(Fraction(r) < 0 for r in roots)
     assert gen.get("all_roots_negative_rational")
+
+
+INST_XY = make_instance(("x", "y"), [PolyRing(QQ, ("x",), GRevLex()).var("x")] * 2)
+S2 = INST_XY.s_ring()
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# (kind, variable, constants): a linear s_k - r (r = 0 included), an
+# irreducible quadratic (s_k - r)^2 + c with c > 0, or s1 + r*s2 + c with
+# r != 0, a factor in both variables
+planted_factor = st.one_of(
+    st.tuples(st.just("linear"), st.sampled_from(["s1", "s2"]), st.tuples(small)),
+    st.tuples(
+        st.just("quadratic"), st.sampled_from(["s1", "s2"]), st.tuples(small, small.filter(lambda c: c > 0))
+    ),
+    st.tuples(st.just("mixed"), st.just("s1"), st.tuples(small.filter(bool), small)),
+)
+
+
+def _planted_poly(kind, name, consts):
+    v = S2.var(name)
+    if kind == "linear":
+        return v - S2.const(consts[0])
+    if kind == "quadratic":
+        return (v - S2.const(consts[0])) ** 2 + S2.const(consts[1])
+    return v + S2.const(consts[0]) * S2.var("s2") + S2.const(consts[1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(planted_factor, min_size=1, max_size=5), small.filter(bool))
+def test_rationality_report_roots_match_planted_factors(planted, unit):
+    g = S2.const(unit)
+    for kind, name, consts in planted:
+        g = g * _planted_poly(kind, name, consts)
+    B = BSIdeal(instance=INST_XY, generators=[g], certificates=[None])
+    (entry,) = rationality_report(B)["generators"]
+    listed = Counter()
+    for rec in entry["factors"]:
+        for r in rec["roots"]:
+            listed[rec["variable"], Fraction(r)] += rec["multiplicity"]
+    expected = Counter(
+        (name, consts[0]) for kind, name, consts in planted if kind == "linear" and consts[0]
+    )
+    negative = all(kind == "linear" and consts[0] < 0 for kind, _, consts in planted)
+    assert entry["all_roots_negative_rational"] == negative
+    if all(kind != "mixed" for kind, _, _ in planted):
+        assert listed == expected
+    else:
+        # factor does not split a piece in both variables, and an s1 factor
+        # of the same multiplicity stays inside it: no listed root is made up
+        assert not listed - expected
+        assert all(name == "s1" for name, _ in expected - listed)
 
 
 def test_ann_fs_kills_symbol_for_corpus():

@@ -12,7 +12,6 @@ from genbs.factor import (
     exact_div,
     divides,
     factor,
-    is_certified_irreducible,
     multi_gcd,
     rational_roots,
     squarefree_decomposition,
@@ -148,14 +147,31 @@ def test_factor_shapes():
     assert rebuilt == (X**2 * Y + X**2 * Y**2).monic()
 
 
+def test_factor_splits_univariate_primitive_part():
+    # the content along s1 holds the s2 factor; the primitive part left is
+    # univariate in s1 and has its rational roots split off too
+    S2 = PolyRing(QQ, ("s1", "s2"), GRevLex())
+    s1, s2 = S2.var("s1"), S2.var("s2")
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    f = (s1 + 1) * (s1 + 2 * third) * (s1 + third) * (s2 + quarter) * (s2 + 1)
+    fac = factor(f)
+    assert sorted(str(p) for p, _, _ in fac.factors) == [
+        "s1 + 1", "s1 + 1/3", "s1 + 2/3", "s2 + 1", "s2 + 1/4"
+    ]
+    assert fac.all_certified() and fac.splits()
+    roots = sorted(r for rs in fac.roots() for r in rs)
+    assert roots == [-1, -1, -2 * third, -third, -quarter]
+    assert fac.expand(S2) == f
+
+
 def test_certified_irreducible():
-    assert is_certified_irreducible(X + Y)
-    assert is_certified_irreducible(X * Y + 1)
+    assert factor(X + Y).is_irreducible()
+    assert factor(X * Y + 1).is_irreducible()
     # discriminant-style: degree one in one variable, coprime coefficients
     disc = A * A - 4 * B * C
-    assert is_certified_irreducible(disc)
-    assert not is_certified_irreducible(X * Y)
-    assert not is_certified_irreducible(R.one())
+    assert factor(disc).is_irreducible()
+    assert not factor(X * Y).is_irreducible()
+    assert not factor(R.one()).is_irreducible()
 
 
 def test_minimal_primes_splits():
@@ -185,6 +201,13 @@ def test_minimal_primes_irreducible_quadric():
     ps = minimal_primes([A * A - 2 * B * C - B], A3)
     assert len(ps) == 1
     assert ps[0].certificate == "principal, generator certified irreducible"
+
+
+def test_minimal_primes_factors_each_element_once(factor_calls):
+    # the split test and the primality certificate share one factorization
+    ps = minimal_primes([A * A - 2], A3)
+    assert [p.certificate for p in ps] == ["principal, generator certified irreducible"]
+    assert [str(f) for f in factor_calls] == ["a^2 - 2"]
 
 
 def test_minimal_primes_containment_pruning():

@@ -340,6 +340,20 @@ def test_cli_bad_input_exits_4(argv, capsys):
     assert main(argv) == 4
 
 
+def test_cli_unwritable_out_exits_4(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["bs", "--vars", "x", "--f", "x^2", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_bs_factors_b_once(factor_calls):
+    # the rationality report reads the factorization bs_poly made
+    report, code = run_command(JobSpec(command="bs", vars=("x", "y"), f=("y^2-x^3",)))
+    assert code == 0, report
+    assert [str(f) for f in factor_calls] == [report["outputs"]["b"]]
+
+
 def test_cli_bad_job_file_exits_4(tmp_path, capsys):
     bs = {"command": "bs", "vars": ["x"], "f": ["x"]}
     family = {"command": "family", "n": 1, "p": 1, "d": 1}

@@ -8,7 +8,7 @@ those names shows up here as a ``missing`` entry or a zero counter.
 import sys
 from pathlib import Path
 
-import genbs.annbs
+import genbs.weyl_groebner
 from genbs.cli import JobSpec, run_command
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -19,7 +19,7 @@ finally:
 
 
 def test_tracer_hooks_resolve_count_and_restore():
-    original = genbs.annbs.left_buchberger
+    original = genbs.weyl_groebner.left_buchberger
     tracer = Tracer()
     tracer.install()
     try:
@@ -32,4 +32,4 @@ def test_tracer_hooks_resolve_count_and_restore():
         assert layers["weyl_groebner.reduce_steps"] > 0
     finally:
         tracer.uninstall()
-    assert genbs.annbs.left_buchberger is original
+    assert genbs.weyl_groebner.left_buchberger is original
