@@ -345,7 +345,7 @@ def b_kernel(columns, b_exps, s_ring):
     listed by leading column are that unique reduced basis.
     """
     first_b = len(columns) - len(b_exps)
-    b_order = sorted(range(len(b_exps)), key=lambda i: s_ring.order.key(b_exps[i]))
+    b_order = sorted(range(len(b_exps)), key=lambda i: s_ring.order.cached_key(b_exps[i]))
     rows = {}
     for col, entries in enumerate(columns):
         for key, c in entries.items():

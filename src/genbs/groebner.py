@@ -191,7 +191,7 @@ def _buchberger(generators, track, budget, weight_vectors):
     reps = []
     # heap of (order key of the lcm, creation index, i, j, lcm): normal selection
     pairs = []
-    key = ring.order.key
+    key = ring.order.cached_key
     serial = itertools.count()
 
     def push(i, j, lcm):
@@ -275,7 +275,8 @@ def _sub_combination(rep, q, reps):
 
 def _reduce_basis(basis, reps, ring, track, weight_vectors):
     # minimalize: drop elements whose lead is divisible by another lead
-    order = sorted(range(len(basis)), key=lambda k: ring.order.key(basis[k].lead_exp()))
+    key = ring.order.cached_key
+    order = sorted(range(len(basis)), key=lambda k: key(basis[k].lead_exp()))
     keep = []
     for k in order:
         lt = basis[k].lead_exp()
@@ -300,7 +301,7 @@ def _reduce_basis(basis, reps, ring, track, weight_vectors):
 
     idx = sorted(
         range(len(reduced)),
-        key=lambda k: ring.order.key(reduced[k].lead_exp()),
+        key=lambda k: key(reduced[k].lead_exp()),
         reverse=True,
     )
     final = [reduced[k] for k in idx]

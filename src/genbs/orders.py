@@ -3,7 +3,10 @@
 Monomials are plain tuples of non-negative integers.  Every order is
 realized through a ``key`` function mapping an exponent vector to a tuple
 that compares the right way under Python's lexicographic tuple comparison,
-so ``max(terms, key=order.key)`` picks the leading monomial.
+so ``max(terms, key=order.key)`` picks the leading monomial.  Each order
+keeps the keys it has computed: ``order.cached_key`` is the ``__getitem__``
+of a dict that fills a miss through ``order.key``, and every hot reader
+(leading terms, sorted terms, the S-pair heap) goes through it.
 
 All orders here are admissible: total, multiplicative (u < v implies
 uw < vw) and well-founded with the constant monomial as minimum.  The
@@ -13,11 +16,33 @@ suite rather than proven per instance.
 
 from __future__ import annotations
 
-from operator import add, neg
+import weakref
+from operator import add, ge, neg, sub
+
+
+class _KeyCache(dict):
+    """exp -> order key; a miss is computed by the order's ``key``.
+
+    It holds its order only weakly, so an order and its cache form no
+    reference cycle and both are freed by refcount with the last ring
+    that uses the order.
+    """
+
+    __slots__ = ("_order",)
+
+    def __init__(self, order):
+        self._order = weakref.ref(order)
+
+    def __missing__(self, exp):
+        k = self[exp] = self._order().key(exp)
+        return k
 
 
 class TermOrder:
     """Base class; subclasses define ``key`` and a stable description."""
+
+    def __init__(self):
+        self.cached_key = _KeyCache(self).__getitem__
 
     def key(self, exp):
         raise NotImplementedError
@@ -26,7 +51,7 @@ class TermOrder:
         raise NotImplementedError
 
     def greater(self, a, b):
-        return self.key(a) > self.key(b)
+        return self.cached_key(a) > self.cached_key(b)
 
     def __eq__(self, other):
         return self is other or (
@@ -71,6 +96,7 @@ class Block(TermOrder):
     """
 
     def __init__(self, front, front_order=None, back_order=None):
+        super().__init__()
         self.front = tuple(sorted(front))
         self._front_set = frozenset(self.front)
         self.front_order = front_order or GRevLex()
@@ -96,7 +122,7 @@ class Block(TermOrder):
 
     def key(self, exp):
         fr, bk = self.split(exp)
-        return (self.front_order.key(fr), self.back_order.key(bk))
+        return (self.front_order.cached_key(fr), self.back_order.cached_key(bk))
 
     def describe(self):
         return self._describe
@@ -112,6 +138,7 @@ class Weighted(TermOrder):
     def __init__(self, weights, tiebreak=None):
         if any(w < 0 for w in weights):
             raise ValueError("weighted orders require non-negative weights")
+        super().__init__()
         self.weights = tuple(weights)
         self.tiebreak = tiebreak or GRevLex()
 
@@ -132,16 +159,13 @@ def mono_mul(a, b):
 
 def mono_div(a, b):
     """Return a/b as an exponent vector, or None if b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    if all(map(ge, a, b)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_divides(b, a):
-    return all(y <= x for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def mono_lcm(a, b):

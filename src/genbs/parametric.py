@@ -120,27 +120,54 @@ class ResidueField:
         den = e.den.const_value()
         return Fraction(num) / Fraction(den)
 
+    def _rational(self, e):
+        """The value of e when it is a constant over the constant 1, the form
+        ``make`` gives every rational element; None otherwise."""
+        num, den = e.num._terms, e.den._terms
+        z = self.ring._zero_exp
+        if len(den) != 1 or den.get(z) != 1 or len(num) > 1:
+            return None
+        return num.get(z) if num else 0
+
+    # on two rational operands the result is computed in Fraction; it is
+    # the element make would return
+
     def add(self, a, b):
-        return self.make(a.num * b.den + b.num * a.den, a.den * b.den)
+        p, q = self._rational(a), self._rational(b)
+        if p is None or q is None:
+            return self.make(a.num * b.den + b.num * a.den, a.den * b.den)
+        return self.from_rational(p + q)
 
     def sub(self, a, b):
-        return self.make(a.num * b.den - b.num * a.den, a.den * b.den)
+        p, q = self._rational(a), self._rational(b)
+        if p is None or q is None:
+            return self.make(a.num * b.den - b.num * a.den, a.den * b.den)
+        return self.from_rational(p - q)
 
     def neg(self, a):
         return ResidueElem(-a.num, a.den)
 
     def mul(self, a, b):
-        return self.make(a.num * b.num, a.den * b.den)
+        p, q = self._rational(a), self._rational(b)
+        if p is None or q is None:
+            return self.make(a.num * b.num, a.den * b.den)
+        return self.from_rational(p * q)
 
     def div(self, a, b):
         if b.num.is_zero():
             raise DivisionByZeroModQ("division by zero in the residue field")
-        return self.make(a.num * b.den, a.den * b.num)
+        p, q = self._rational(a), self._rational(b)
+        if p is None or q is None:
+            return self.make(a.num * b.den, a.den * b.num)
+        return self.from_rational(p / q)
 
     def inv(self, a):
         if a.num.is_zero():
             raise DivisionByZeroModQ("cannot invert an element of Q")
-        return self.make(a.den, a.num)
+        p = self._rational(a)
+        if p is None:
+            return self.make(a.den, a.num)
+        return self.from_rational(1 / p)
 
     def eq(self, a, b):
         return self.nf(a.num * b.den - b.num * a.den).is_zero()

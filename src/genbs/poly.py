@@ -118,10 +118,9 @@ class Poly:
         leading term comes from :meth:`lead_exp` without one.
         """
         if self._sorted is None:
-            key = self.ring.order.key
-            self._sorted = sorted(
-                self._terms.items(), key=lambda t: key(t[0]), reverse=True
-            )
+            terms = self._terms
+            order = sorted(terms, key=self.ring.order.cached_key, reverse=True)
+            self._sorted = [(exp, terms[exp]) for exp in order]
         return self._sorted
 
     def monomials(self):
@@ -131,7 +130,7 @@ class Poly:
         if self._lead is None:
             if not self._terms:
                 raise ZeroPolynomialError("zero polynomial has no leading term")
-            self._lead = max(self._terms, key=self.ring.order.key)
+            self._lead = max(self._terms, key=self.ring.order.cached_key)
         return self._lead
 
     def lead_coeff(self):

@@ -14,6 +14,7 @@ from genbs.orders import (
     mono_lcm,
     mono_mul,
 )
+from genbs.poly import PolyRing, QQ
 
 NVARS = 4
 exps = st.tuples(*([st.integers(min_value=0, max_value=6)] * NVARS))
@@ -90,3 +91,44 @@ def test_randomized_order_axioms_bulk():
                 assert order.greater(e1, e2) != order.greater(e2, e1)
             if order.greater(e1, e2):
                 assert order.greater(mono_mul(e1, m), mono_mul(e2, m))
+
+
+def _exp_sets(n):
+    return st.sets(st.tuples(*([st.integers(min_value=0, max_value=4)] * n)), max_size=12)
+
+
+@given(st.data())
+def test_cached_keys_agree_with_key(data):
+    """Leads and sorted terms read through the key cache equal ``max`` and
+    ``sorted`` by the order's own ``key``, on cold and on warm caches."""
+    front = data.draw(st.sets(st.integers(0, NVARS - 1), min_size=1, max_size=NVARS - 1))
+    weights = data.draw(st.tuples(*([st.integers(min_value=0, max_value=3)] * NVARS)))
+    # the last Block reads exponents of two lengths, as when one order
+    # serves rings of different sizes
+    cases = [(o, (NVARS,)) for o in (Lex(), GRevLex(), Block(front), Weighted(weights))]
+    cases.append((Block((1,)), (3, 5)))
+    for order, lengths in cases:
+        for n in lengths:
+            ring = PolyRing(QQ, ["v%d" % i for i in range(n)], order)
+            for _ in range(2):
+                exps = data.draw(_exp_sets(n))
+                p = ring.from_terms((e, 1) for e in exps)
+                assert p.monomials() == sorted(exps, key=order.key, reverse=True)
+                if exps:
+                    assert p.lead_exp() == max(exps, key=order.key)
+                for e in exps:
+                    assert order.cached_key(e) == order.key(e)
+
+
+def test_key_cache_computes_each_key_once():
+    calls = []
+
+    class Counted(GRevLex):
+        def key(self, exp):
+            calls.append(exp)
+            return super().key(exp)
+
+    order = Counted()
+    for _ in range(3):
+        assert order.cached_key((1, 2)) == GRevLex().key((1, 2))
+    assert calls == [(1, 2)]

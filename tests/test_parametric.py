@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genbs.annbs import BSIdeal
 from genbs.errors import (
@@ -101,6 +102,60 @@ def test_residue_invert_zero_raises():
         F.inv(F.make(A))
     with pytest.raises(DivisionByZeroModQ):
         F.make(PARAM.one(), A)
+
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+OPS = {
+    "add": lambda F, a, b: F.make(a.num * b.den + b.num * a.den, a.den * b.den),
+    "sub": lambda F, a, b: F.make(a.num * b.den - b.num * a.den, a.den * b.den),
+    "mul": lambda F, a, b: F.make(a.num * b.num, a.den * b.den),
+    "div": lambda F, a, b: F.make(a.num * b.den, a.den * b.num),
+}
+
+
+def _same_elem(x, y):
+    return x.num._terms == y.num._terms and x.den._terms == y.den._terms
+
+
+@given(RATIONALS, RATIONALS)
+def test_residue_rational_ops_equal_make(p, q):
+    """On rational operands add/sub/mul/div/inv skip ``make`` and still give
+    the element it gives.  Mod <a^2 - 2> the element a^2*q is rational too;
+    over the zero prime it is not, and both sides go through ``make``."""
+    for F in (F2, ResidueField(the_zero_prime(PARAM))):
+        operands = [F.from_rational(p), F.make(PARAM.const(q)), F.make(A * A * q)]
+        operands.append(F.sub(operands[0], operands[0]))  # a zero result
+        for a in operands:
+            for b in operands:
+                for name, via_make in OPS.items():
+                    if name == "div" and F.is_zero(b):
+                        with pytest.raises(DivisionByZeroModQ):
+                            F.div(a, b)
+                        continue
+                    assert _same_elem(getattr(F, name)(a, b), via_make(F, a, b))
+            if F.is_zero(a):
+                with pytest.raises(DivisionByZeroModQ):
+                    F.inv(a)
+            else:
+                assert _same_elem(F.inv(a), F.make(a.den, a.num))
+
+
+def test_residue_non_rational_operand_goes_through_make(monkeypatch):
+    F = ResidueField(Q_SQRT2)
+    calls = []
+    make = F.make
+    monkeypatch.setattr(F, "make", lambda *args: calls.append(args) or make(*args))
+    half, root = F.from_rational(Fraction(1, 2)), make(A + 1)
+    F.mul(half, F.add(half, half))
+    assert calls == []
+    for op in (F.add, F.sub, F.mul, F.div):
+        calls.clear()
+        op(half, root)
+        op(root, half)
+        assert len(calls) == 2
+    calls.clear()
+    assert F.eq(F.mul(F.inv(root), root), F.one())
+    assert len(calls) == 2
 
 
 def test_residue_context_vanishing_family():

@@ -1,9 +1,12 @@
 """Left Groebner engine: reduction exactness, S-pairs, weights, extraction."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
+import genbs.weyl_groebner
 from hypothesis import given, settings, strategies as st
 
 from genbs.annbs import ann_fs_ctx, malgrange_ideal
@@ -191,6 +194,28 @@ def test_elimination_and_subring():
     # each member is the left combination its cofactors say
     for g, rep in zip(members, reps):
         assert sum((q * f for q, f in zip(rep, gens)), W.zero()) == g
+
+
+def test_elimination_order_dies_with_its_ring(monkeypatch):
+    """An order's key cache closes no reference cycle: with the cyclic
+    collector off, the Block order of an ``eliminate`` run is freed by
+    refcount, its cache with it, once the run's ring is dropped."""
+    refs = []
+
+    def recorded(ring, front_names):
+        order = elimination_order(ring, front_names)
+        refs.append(weakref.ref(order))
+        return order
+
+    monkeypatch.setattr(genbs.weyl_groebner, "elimination_order", recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        members, reps = eliminate([X * DX - S, X**2 * DX], ("dx",), track=(0, 1))
+        assert members and len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_weight_vector_and_homogeneity():
