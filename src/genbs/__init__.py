@@ -69,13 +69,7 @@ from .stratify import (
 )
 from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing, commutator
-from .weyl_groebner import (
-    GBBudget,
-    LeftIdealW,
-    eliminate,
-    left_buchberger,
-    weight_vector,
-)
+from .weyl_groebner import GBBudget, LeftIdealW, eliminate, left_buchberger
 
 __version__ = "0.1.0"
 
@@ -157,5 +151,4 @@ __all__ = [
     "squarefree_part",
     "stratify",
     "the_zero_prime",
-    "weight_vector",
 ]

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
+from .errors import HomogeneityViolation, MixedRingError, VerificationFailed, ZeroPolynomialError
 from .factor import Factorization, factor
 from .fsmodule import FsElement, act, check_identity
 from .instance import ProblemInstance
 from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
-from .weyl_groebner import GBBudget, LeftIdealW, eliminate, weight0_extract, weight_vector
+from .weyl_groebner import GBBudget, LeftIdealW, eliminate
 
 
 @dataclass
@@ -72,59 +72,84 @@ def malgrange_ideal(inst: ProblemInstance) -> LeftIdealW:
     return LeftIdealW(ring=ring, generators=gens)
 
 
-def _malgrange_weights(ring, inst):
-    """The +1/-1 grading on t, u versus dt, y, one aggregate vector."""
-    assignment = {}
-    for nm in inst.aux("t"):
-        assignment[nm] = 1
-    for nm in inst.aux("u"):
-        assignment[nm] = 1
-    for nm in inst.aux("dt"):
-        assignment[nm] = -1
-    for nm in inst.aux("y"):
-        assignment[nm] = -1
-    return weight_vector(ring, assignment)
-
-
 def ann_fs_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
-    """Generators of Ann f^s in A_n(R)[s], not yet verified."""
+    """Generators of Ann f^s in A_n(R)[s], not yet verified.
+
+    The Malgrange generators are homogeneous for the weight +1 on each t
+    and u, -1 on each dt and y, and 0 elsewhere, so every element of the
+    elimination basis is too: the engine asserts it on each one.  The
+    basis members free of u and y are balanced per (t, dt) pair (see
+    ``_balance``) and rewritten in s (see ``_theta_substitute``).  They
+    cover the weight-zero part of the ideal: a weight-zero member reduces
+    to zero against left multiples of the members, and those multiples
+    are reachable from the balanced members by weight-zero monomials.
+    """
     ideal = malgrange_ideal(inst)
     ring = ideal.ring
+    w = [0] * ring.nvars
+    for prefix, sign in (("t", 1), ("u", 1), ("dt", -1), ("y", -1)):
+        for nm in inst.aux(prefix):
+            w[ring.index(nm)] = sign
     kept = eliminate(
         ideal.generators,
         inst.aux("u") + inst.aux("y"),
         budget=budget,
-        weight_vectors=(_malgrange_weights(ring, inst),),
+        weight_vectors=(w,),
     )
-    balanced = weight0_extract(
-        kept,
-        ring,
-        inst.aux("t"),
-        inst.aux("dt"),
-        u_names=inst.aux("u"),
-        y_names=inst.aux("y"),
-    )
+    pairs = list(zip(map(ring.index, inst.aux("t")), map(ring.index, inst.aux("dt"))))
     target = inst.weyl_ring()
-    out = [_theta_substitute(g, ring, target, inst) for g in balanced]
-    out = [g for g in out if not g.is_zero()]
+    out = []
+    for g in kept:
+        g = _theta_substitute(_balance(g, pairs), pairs, target, inst)
+        if not g.is_zero():
+            out.append(g)
     return LeftIdealW(ring=target, generators=out)
 
 
-def _theta_substitute(op: WeylOp, source: WeylRing, target: WeylRing, inst: ProblemInstance):
+def _balance(g: WeylOp, pairs):
+    """Left-multiply g so every (t, dt) pair has net degree zero.
+
+    An element whose degree t_j - dt_j is d_j > 0 is left-multiplied by
+    dt_j^d_j, one with d_j < 0 by t_j^-d_j; the product lies in the left
+    ideal.  Each pair's degree must be one number on all of g
+    (HomogeneityViolation otherwise): for p >= 2 the aggregate weight
+    that the engine asserts does not imply it.
+    """
+    ring = g.ring
+    mults = [0] * ring.nvars
+    for ti, di in pairs:
+        degs = {exp[ti] - exp[di] for exp in g._terms}
+        if len(degs) > 1:
+            raise HomogeneityViolation(
+                "element is not homogeneous in a t/dt pair degree: %s" % g
+            )
+        d = degs.pop()
+        if d > 0:
+            mults[di] += d
+        elif d < 0:
+            mults[ti] += -d
+    if not any(mults):
+        return g
+    return ring.monomial(tuple(mults)) * g
+
+
+def _theta_substitute(op: WeylOp, pairs, target: WeylRing, inst: ProblemInstance):
     """Rewrite matched t^c dt^c blocks as falling factorials in -s_j - 1.
 
-    Uses t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) and t_j dt_j = -s_j - 1;
+    ``pairs`` holds the (t_j, dt_j) indices of op's ring.  Uses
+    t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) and t_j dt_j = -s_j - 1;
     the substituted symbol is central on the remaining generators, so the
-    rewrite respects products.
+    rewrite respects products.  A term whose t_j and dt_j powers differ
+    raises VerificationFailed: this is the one check that balancing
+    matched them.
     """
-    t_idx = [source.index(nm) for nm in inst.aux("t")]
-    dt_idx = [source.index(nm) for nm in inst.aux("dt")]
-    tset = set(t_idx) | set(dt_idx)
+    source = op.ring
+    tset = {i for pair in pairs for i in pair}
     s_ops = [target.gen(nm) for nm in inst.registry.s]
     out = target.zero()
     for exp, c in op._terms.items():
         sub = target.one()
-        for j, (ti, di) in enumerate(zip(t_idx, dt_idx)):
+        for j, (ti, di) in enumerate(pairs):
             cj = exp[ti]
             if exp[di] != cj:
                 raise VerificationFailed("unmatched t/dt powers reached substitution")

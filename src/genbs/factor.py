@@ -17,8 +17,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import VerificationFailed, ZeroPolynomialError
+from .groebner import normal_form
 from .orders import mono_div
-from .poly import Poly, QQ, univar_gcd
+from .poly import Poly, QQ
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
@@ -103,7 +104,10 @@ def multi_gcd(f: Poly, g: Poly) -> Poly:
         return f.ring.one()
     used = sorted(set(f.variables()) | set(g.variables()))
     if len(used) == 1:
-        return univar_gcd(f, g)
+        # Euclid: over a field, a univariate remainder is a normal form
+        while not g.is_zero():
+            f, g = g, normal_form(f, [g])
+        return f.monic()
     i = used[0]
     ring = f.ring
 
@@ -329,26 +333,21 @@ def _merge(factors):
 
 
 def _factor_squarefree(w: Poly):
-    """Split a squarefree monic polynomial; yields (piece, certified) pairs."""
+    """Split a squarefree monic polynomial; yields (piece, certified) pairs.
+
+    The first variable along which w has a nonconstant content splits w
+    into that content and its cofactor, and both are split again; a
+    piece primitive along every variable is kept whole."""
     if w.is_constant():
         return []
     used = w.variables()
     if len(used) == 1:
         return _factor_univar_squarefree(w, used[0])
-    ring = w.ring
-    i = used[0]
-    coeffs = _univar_coeffs(w, i)
-    cont = _content(coeffs)
-    out = []
-    if not cont.is_constant():
-        out.extend(_factor_squarefree(cont.monic()))
-        coeffs = [exact_div(c, cont) for c in coeffs]
-        w = _from_coeffs(ring, i, coeffs).monic()
-        if len(w.variables()) == 1:
-            # the content held every other variable: split the roots off
-            return out + _factor_univar_squarefree(w, i)
-    out.append((w, _certified_multivar_irreducible(w)))
-    return out
+    for i in used:
+        cont = _content(_univar_coeffs(w, i))  # monic, so the cofactor is too
+        if not cont.is_constant():
+            return _factor_squarefree(cont) + _factor_squarefree(exact_div(w, cont))
+    return [(w, _certified_multivar_irreducible(w))]
 
 
 def _certified_multivar_irreducible(w: Poly) -> bool:

@@ -83,10 +83,12 @@ class ResidueField:
             raise DivisionByZeroModQ("denominator lies in Q")
         if num.is_zero():
             return ResidueElem(self.ring.zero(), self.ring.one())
-        g = multi_gcd(num, den)
-        if not g.is_constant():
-            num = self.nf(exact_div(num, g))
-            den = self.nf(exact_div(den, g))
+        # a constant side shares no factor with the other
+        if not (num.is_constant() or den.is_constant()):
+            g = multi_gcd(num, den)
+            if not g.is_constant():
+                num = self.nf(exact_div(num, g))
+                den = self.nf(exact_div(den, g))
         lc = den.lead_coeff()
         if lc != 1:
             inv = Fraction(1) / lc

@@ -327,17 +327,6 @@ class Poly:
             groups.setdefault(key, {})[rest] = c
         return {k: type(self)(self.ring, t) for k, t in sorted(groups.items())}
 
-    def coeff_of_power(self, var, k):
-        """Coefficient of var**k, as a polynomial in the other variables."""
-        i = self.ring.index(var) if isinstance(var, str) else var
-        out = {}
-        for exp, c in self._terms.items():
-            if exp[i] == k:
-                new = list(exp)
-                new[i] = 0
-                out[tuple(new)] = c
-        return type(self)(self.ring, out)
-
     # -- equality / printing -------------------------------------------------
 
     def __eq__(self, other):
@@ -539,47 +528,3 @@ class PolyRing:
             self.order.describe(),
         )
 
-
-# -- field-generic univariate helpers ---------------------------------------
-
-
-def _univar_index(p: Poly):
-    used = p.variables()
-    if len(used) > 1:
-        raise ValueError("polynomial is not univariate")
-    return used[0] if used else None
-
-
-def univar_divmod(a: Poly, b: Poly, var=None):
-    """Exact field-coefficient division with remainder in one variable."""
-    _check_same_ring(a, b)
-    if b.is_zero():
-        raise ZeroDivisionError("univariate division by zero")
-    i = var if var is not None else _univar_index(b)
-    if i is None:  # b is a nonzero constant
-        return a.scale(a.ring.field.inv(b.const_value())), a.ring.zero()
-    f = a.ring.field
-    q = a.ring.zero()
-    r = a
-    db = b.degree_in(i)
-    lcb = b.coeff_of_power(i, db).const_value()
-    while not r.is_zero() and r.degree_in(i) >= db:
-        dr = r.degree_in(i)
-        lcr = r.coeff_of_power(i, dr)
-        if not lcr.is_constant():
-            raise ValueError("not univariate in the chosen variable")
-        c = f.div(lcr.const_value(), lcb)
-        exp = [0] * a.ring.nvars
-        exp[i] = dr - db
-        t = a.ring.monomial(tuple(exp), c)
-        q = q + t
-        r = r - t * b
-    return q, r
-
-
-def univar_gcd(a: Poly, b: Poly):
-    """Monic gcd of univariate polynomials over the ring's field."""
-    while not b.is_zero():
-        _, r = univar_divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a

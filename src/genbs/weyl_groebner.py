@@ -1,17 +1,18 @@
-"""Left Groebner bases in Weyl rings: budget, elimination and weights.
+"""Left Groebner bases in Weyl rings: budget and elimination.
 
 The engine itself is :mod:`genbs.groebner`, shared with commutative
 rings.  This module adds the step budget shared by every Groebner loop,
-``left_buchberger`` with its weight-vector assertions, ``eliminate``
-(the one intersection of a left ideal with a subring), and the weight
-bookkeeping of the Malgrange construction.
+``left_buchberger`` with its weight-vector assertions, and ``eliminate``
+(the one intersection of a left ideal with a subring).  The Malgrange
+construction that grades, balances and rewrites its result lives in
+:mod:`genbs.annbs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HomogeneityViolation, TimeoutBudget
+from .errors import TimeoutBudget
 # perfbench/tracer.py wraps these names here: it counts the S-pairs of
 # left_buchberger through _assert_homogeneous and its reduction steps
 # through left_reduce_step
@@ -21,7 +22,7 @@ from .groebner import (
     reduce_step as left_reduce_step,
 )
 from .orders import Block
-from .weyl import WeylOp, WeylRing
+from .weyl import WeylRing
 
 
 @dataclass
@@ -106,89 +107,3 @@ def eliminate(generators, drop_names, track=(), budget=None, weight_vectors=()):
                 member_reps.append([ring.convert(r) for r in reps[k]])
     return (members, member_reps) if track else members
 
-
-# -- weight bookkeeping -------------------------------------------------------
-
-
-def weight_vector(ring, assignment):
-    """Integer weight vector over ring generators from a name->weight map."""
-    w = [0] * ring.nvars
-    for name, value in assignment.items():
-        w[ring.index(name)] = int(value)
-    return w
-
-
-def is_weight_homogeneous(op: WeylOp, w) -> bool:
-    return len({sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms}) <= 1
-
-
-def weight0_extract(basis, ring, t_names, dt_names, u_names=(), y_names=()):
-    """Weight-zero members of a basis, balanced to matched t/dt powers.
-
-    The weight is +1 on each t and u, -1 on each dt and y, 0 elsewhere.
-    Every element must be weight-homogeneous (HomogeneityViolation
-    otherwise).  Elements are first balanced per pair: an element whose
-    j-th (t, dt) exponent difference is d_j is left-multiplied by dt^d_j
-    (d_j > 0) or t^(-d_j) (d_j < 0), which lies in the left ideal and
-    has matched powers by construction.  Elements still involving u or y
-    are skipped.  The returned list covers the degree-zero part of the
-    ideal: any degree-zero member reduces to zero against left
-    multiples of basis elements, and those multiples are reachable from
-    the balanced elements by degree-zero monomials.
-
-    The matched-powers property (each monomial has equal t_j and dt_j
-    exponents for every j) is asserted on every returned element.
-    """
-    w = weight_vector(
-        ring,
-        {
-            **{n: 1 for n in t_names},
-            **{n: -1 for n in dt_names},
-            **{n: 1 for n in u_names},
-            **{n: -1 for n in y_names},
-        },
-    )
-    skip = [ring.index(n) for n in list(u_names) + list(y_names)]
-    t_idx = [ring.index(n) for n in t_names]
-    dt_idx = [ring.index(n) for n in dt_names]
-    out = []
-    for g in basis:
-        if not is_weight_homogeneous(g, w):
-            raise HomogeneityViolation(
-                "basis element not homogeneous for the t/u-weight: %s" % g
-            )
-        if any(g.degree_in(i) > 0 for i in skip):
-            continue
-        balanced = balance_pairs(g, t_idx, dt_idx)
-        for exp in balanced._terms:
-            for ti, di in zip(t_idx, dt_idx):
-                if exp[ti] != exp[di]:
-                    raise HomogeneityViolation(
-                        "unbalanced t/dt powers survive balancing: %s" % balanced
-                    )
-        out.append(balanced)
-    return out
-
-
-def balance_pairs(g: WeylOp, t_idx, dt_idx):
-    """Left-multiply g so every (t, dt) pair has net degree zero.
-
-    Requires g homogeneous in each pair's degree t - dt (checked);
-    this holds for ideals generated by pair-homogeneous elements.
-    """
-    ring = g.ring
-    mults = [0] * ring.nvars
-    for ti, di in zip(t_idx, dt_idx):
-        degs = {exp[ti] - exp[di] for exp in g._terms}
-        if len(degs) > 1:
-            raise HomogeneityViolation(
-                "element is not homogeneous in a t/dt pair degree: %s" % g
-            )
-        d = degs.pop()
-        if d > 0:
-            mults[di] += d
-        elif d < 0:
-            mults[ti] += -d
-    if not any(mults):
-        return g
-    return ring.monomial(tuple(mults)) * g

@@ -164,6 +164,21 @@ def test_factor_splits_univariate_primitive_part():
     assert fac.expand(S2) == f
 
 
+def test_factor_takes_content_along_every_variable():
+    # s1 + 1 is the content along s2 only, not along s1: it is split off
+    # and certified, and the piece in both variables stays whole
+    S2 = PolyRing(QQ, ("s1", "s2"), GRevLex())
+    s1, s2 = S2.var("s1"), S2.var("s2")
+    f = (s1 + 1) * (s1 + s2 + 1) * (s1 + s2 + 2)
+    fac = factor(f)
+    assert (s1 + 1, 1, True) in fac.factors
+    assert [str(p) for p, _, _ in fac.factors] == [
+        "s1 + 1", "s1^2 + 2*s1*s2 + s2^2 + 3*s1 + 3*s2 + 2"
+    ]
+    assert fac.roots() == [[-1], []]
+    assert fac.expand(S2) == f
+
+
 def test_certified_irreducible():
     assert factor(X + Y).is_irreducible()
     assert factor(X * Y + 1).is_irreducible()

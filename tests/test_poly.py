@@ -12,16 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genbs.errors import MixedRingError
-from genbs.groebner import buchberger
+from genbs.factor import exact_div, multi_gcd
+from genbs.groebner import buchberger, normal_form
 from genbs.orders import Block, GRevLex, Lex
 from genbs.parametric import ResidueField
-from genbs.poly import (
-    Poly,
-    PolyRing,
-    QQ,
-    univar_divmod,
-    univar_gcd,
-)
+from genbs.poly import Poly, PolyRing, QQ
 from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.weyl import WeylRing
 
@@ -249,11 +244,14 @@ def test_univar_divmod_gcd():
     s = S.var("s")
     a = (s + 1) * (s + 2) * (s + 3)
     b = (s + 1) * (s + 4)
-    q, r = univar_divmod(a, b)
-    assert q * b + r == a
+    # the univariate remainder multi_gcd's Euclid takes is a normal form
+    r = normal_form(a, [b])
     assert r.total_degree() < b.total_degree()
-    g = univar_gcd(a, b)
+    assert exact_div(a - r, b) * b + r == a
+    g = multi_gcd(a, b)
     assert g == s + 1
+    assert multi_gcd(b, a) == g
+    assert multi_gcd(a.scale(3), b) == g
 
 
 @given(poly_strategy())

@@ -1,4 +1,4 @@
-"""The README's examples run as documented."""
+"""The README's examples run as documented, on the names genbs exports."""
 
 import re
 import shlex
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import genbs
 from genbs.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -37,3 +38,10 @@ def test_cli_line(line, capsys):
     expected = int(documented.group(1)) if documented else 0
     assert main(shlex.split(command)[1:]) == expected
     assert capsys.readouterr().out
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from genbs import *", namespace)
+    assert len(set(genbs.__all__)) == len(genbs.__all__)
+    assert all(namespace[name] is getattr(genbs, name) for name in genbs.__all__)

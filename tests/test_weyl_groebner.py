@@ -9,23 +9,15 @@ import pytest
 import genbs.weyl_groebner
 from hypothesis import given, settings, strategies as st
 
-from genbs.annbs import ann_fs_ctx, malgrange_ideal
+import genbs.annbs
+from genbs.annbs import _balance, _theta_substitute, ann_fs_ctx, malgrange_ideal
 from genbs.errors import HomogeneityViolation, TimeoutBudget
-from genbs.groebner import is_groebner, normal_form, spoly
+from genbs.groebner import _assert_homogeneous, is_groebner, normal_form, spoly
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
 from genbs.poly import QQ, PolyRing
 from genbs.weyl import WeylRing
-from genbs.weyl_groebner import (
-    GBBudget,
-    balance_pairs,
-    eliminate,
-    elimination_order,
-    is_weight_homogeneous,
-    left_buchberger,
-    weight0_extract,
-    weight_vector,
-)
+from genbs.weyl_groebner import GBBudget, eliminate, elimination_order, left_buchberger
 
 W = WeylRing(QQ, ("x", "dx", "s"), ((0, 1),))
 X, DX, S = (W.gen(n) for n in W.names)
@@ -218,13 +210,27 @@ def test_elimination_order_dies_with_its_ring(monkeypatch):
         gc.enable()
 
 
-def test_weight_vector_and_homogeneity():
-    WT = WeylRing(QQ, ("t", "u", "dt", "y"), ((0, 2),))
-    w = weight_vector(WT, {"t": 1, "dt": -1, "u": 1, "y": -1})
-    t, u, dt, y = (WT.gen(n) for n in WT.names)
-    assert is_weight_homogeneous(t * dt, w)
-    assert is_weight_homogeneous(u * y - 1, w)
-    assert not is_weight_homogeneous(t + WT.one(), w)
+def test_weight_vector_and_homogeneity(monkeypatch):
+    """ann_fs_ctx grades the Malgrange ring +1 on t, u and -1 on dt, y,
+    and the engine's assertion holds that grading."""
+    R = PolyRing(QQ, ("x", "y"), GRevLex())
+    cusp = make_instance(("x", "y"), [R.var("y") ** 2 - R.var("x") ** 3])
+    seen = []
+
+    def recorded(generators, drop_names, **kw):
+        seen.append(kw["weight_vectors"])
+        return eliminate(generators, drop_names, **kw)
+
+    monkeypatch.setattr(genbs.annbs, "eliminate", recorded)
+    ann_fs_ctx(cusp)
+    (w,) = seen[0]
+    WT = cusp.malgrange_ring()
+    assert w == [{"_t1": 1, "_u1": 1, "_dt1": -1, "_y1": -1}.get(n, 0) for n in WT.names]
+    t, u, dt, y = (WT.gen(n) for n in ("_t1", "_u1", "_dt1", "_y1"))
+    for g in malgrange_ideal(cusp).generators + [t * dt, u * y - 1]:
+        _assert_homogeneous(g, (w,), "test")
+    with pytest.raises(HomogeneityViolation):
+        _assert_homogeneous(t + WT.one(), (w,), "test")
 
 
 def test_balance_pairs():
@@ -232,33 +238,36 @@ def test_balance_pairs():
     x, t, dx, dt = (WT.gen(n) for n in WT.names)
     # degree +1 in the (t, dt) pair: balancing left-multiplies by dt
     g = t * x
-    balanced = balance_pairs(g, t_idx=(1,), dt_idx=(3,))
+    balanced = _balance(g, [(1, 3)])
     assert balanced == dt * (t * x)
     for exp in balanced._terms:
         assert exp[1] == exp[3]
     # degree -1: balancing multiplies by t
     g2 = dt * x
-    balanced2 = balance_pairs(g2, t_idx=(1,), dt_idx=(3,))
+    balanced2 = _balance(g2, [(1, 3)])
     for exp in balanced2._terms:
         assert exp[1] == exp[3]
     # mixed degrees inside one element are rejected
     with pytest.raises(HomogeneityViolation):
-        balance_pairs(t + x, t_idx=(1,), dt_idx=(3,))
+        _balance(t + x, [(1, 3)])
 
 
 def test_weight0_extract_matched():
-    WT = WeylRing(QQ, ("x", "t", "u", "dx", "dt", "y"), ((0, 3), (1, 4)))
+    R = PolyRing(QQ, ("x",), GRevLex())
+    inst = make_instance(("x",), [R.var("x")])
+    WT = inst.malgrange_ring()
     x, t, u, dx, dt, y = (WT.gen(n) for n in WT.names)
-    ops = [t * dt + 1, t * x, u * y - 1]
-    out = weight0_extract(
-        ops, WT, t_names=("t",), dt_names=("dt",), u_names=("u",), y_names=("y",)
-    )
-    # the u, y element is dropped; the others come back pair-balanced
-    assert len(out) == 2
-    for g in out:
-        assert g.degree_in("u") == 0 and g.degree_in("y") == 0
-        for exp in g._terms:
-            assert exp[1] == exp[4]
+    assert WT.pairs == ((0, 3), (1, 4))
+    # eliminate returns the members free of u and y, and no other
+    members = eliminate([t * dt + 1, t * x, u * y - 1], inst.aux("u") + inst.aux("y"))
+    assert [str(g) for g in members] == ["x*_t1", "_t1*_dt1 + 1"]
+    # balancing matches the t/dt powers; t dt = -s - 1, dt t = -s
+    pairs = [(1, 4)]
+    out = [
+        _theta_substitute(_balance(g, pairs), pairs, inst.weyl_ring(), inst)
+        for g in [t * dt + 1, t * x, dt * x]
+    ]
+    assert [str(g) for g in out] == ["-s", "-x*s", "-x*s - x"]
 
 
 def test_budget_ticks():
