@@ -26,7 +26,6 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero")
-    fld = f.ring.field
     q = {}
     r = f
     lg = g.lead_exp()
@@ -36,7 +35,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
         if m is None:
             raise ValueError("division is not exact")
         # leads of r strictly decrease, so every quotient term is new
-        c = q[m] = fld.div(r.lead_coeff(), lcg)
+        c = q[m] = r.lead_coeff() / lcg
         r = r.sub_mul_term(c, m, g)
     return Poly(f.ring, q)
 

@@ -68,11 +68,10 @@ def reduce_step(f: Poly, basis):
     """
     lt = f.lead_exp()
     lc = f.lead_coeff()
-    fld = f.ring.field
     for i, b in enumerate(basis):
         m = mono_div(lt, b.lead_exp())
         if m is not None:
-            c = fld.div(lc, b.lead_coeff())
+            c = lc / b.lead_coeff()
             return f.sub_mul_term(c, m, b), i, m, c
     return None
 
@@ -109,10 +108,9 @@ def normal_form(f: Poly, basis, with_cofactors=False):
 def spoly(f: Poly, g: Poly):
     """Left S-polynomial of f and g."""
     ring = f.ring
-    fld = ring.field
     l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    return (mf * f).sub_mul_term(fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp()), g)
+    mf = ring.monomial(mono_div(l, f.lead_exp()), 1 / f.lead_coeff())
+    return (mf * f).sub_mul_term(1 / g.lead_coeff(), mono_div(l, g.lead_exp()), g)
 
 
 def _assert_homogeneous(op, weight_vectors, where):
@@ -206,7 +204,7 @@ def _buchberger(generators, track, budget, weight_vectors):
         nf, q = _normal_form(f, basis, track)
         if nf.is_zero():
             return
-        c = ring.field.inv(nf.lead_coeff())
+        c = 1 / nf.lead_coeff()
         nf = nf.scale(c)
         _assert_homogeneous(nf, weight_vectors, where)
         if track:
@@ -255,11 +253,10 @@ def _normal_form(f, basis, track):
 
 
 def _spoly_rep(basis, reps, i, j, ring):
-    fld = ring.field
     f, g = basis[i], basis[j]
     l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), fld.inv(f.lead_coeff()))
-    cg, mg = fld.inv(g.lead_coeff()), mono_div(l, g.lead_exp())
+    mf = ring.monomial(mono_div(l, f.lead_exp()), 1 / f.lead_coeff())
+    cg, mg = 1 / g.lead_coeff(), mono_div(l, g.lead_exp())
     return [(mf * a).sub_mul_term(cg, mg, b) for a, b in zip(reps[i], reps[j])]
 
 
@@ -293,7 +290,7 @@ def _reduce_basis(basis, reps, ring, track, weight_vectors):
         others = minimal[:pos] + minimal[pos + 1 :]
         nf, q = _normal_form(minimal[pos], others, track)
         _assert_homogeneous(nf, weight_vectors, "interreduction")
-        c = ring.field.inv(nf.lead_coeff())
+        c = 1 / nf.lead_coeff()
         reduced.append(nf.scale(c))
         if track:
             rep = _sub_combination(minreps[pos], q, minreps[:pos] + minreps[pos + 1 :])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .annbs import BSIdeal, bs_ideal_ctx, over_QQ
 from .errors import (
@@ -40,28 +39,127 @@ from .fsmodule import (
 from .groebner import normal_form
 from .instance import ProblemInstance, family_ring
 from .orders import multi_indices
-from .poly import Poly, PolyRing, RationalField
+from .poly import Poly, PolyRing
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing
 from .weyl_groebner import eliminate
 
 
+def _lifted(op):
+    """``op`` on two elements as an operator and its reflection; an int or
+    Fraction operand is embedded by ``from_rational`` first."""
+
+    def forward(a, b):
+        b = a._cast(b)
+        return NotImplemented if b is None else op(a, b)
+
+    def reflected(b, a):
+        a = b._cast(a)
+        return NotImplemented if a is None else op(a, b)
+
+    return forward, reflected
+
+
 class ResidueElem:
-    """num/den with both parts normal forms mod Q, den monic and not in Q."""
+    """num/den with both parts normal forms mod Q, den monic and not in Q.
 
-    __slots__ = ("num", "den")
+    Elements compute with Python's operators.  On two rational operands
+    the result is computed in Fraction; it is the element ``make`` would
+    return.  ``==`` cross-multiplies, so elements are not hashable.
+    """
 
-    def __init__(self, num, den):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
+        self.field = field
         self.num = num
         self.den = den
+
+    def _cast(self, other):
+        if isinstance(other, ResidueElem):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_rational(other)
+        return None
+
+    def _rational(self):
+        """The value of self when it is a constant over the constant 1, the
+        form ``make`` gives every rational element; None otherwise."""
+        num, den = self.num._terms, self.den._terms
+        z = self.num.ring._zero_exp
+        if len(den) != 1 or den.get(z) != 1 or len(num) > 1:
+            return None
+        return num.get(z) if num else 0
+
+    def _add(a, b):
+        p, q = a._rational(), b._rational()
+        if p is None or q is None:
+            return a.field.make(a.num * b.den + b.num * a.den, a.den * b.den)
+        return a.field.from_rational(p + q)
+
+    def _sub(a, b):
+        p, q = a._rational(), b._rational()
+        if p is None or q is None:
+            return a.field.make(a.num * b.den - b.num * a.den, a.den * b.den)
+        return a.field.from_rational(p - q)
+
+    def _mul(a, b):
+        p, q = a._rational(), b._rational()
+        if p is None or q is None:
+            return a.field.make(a.num * b.num, a.den * b.den)
+        return a.field.from_rational(p * q)
+
+    def _div(a, b):
+        if not b:
+            raise DivisionByZeroModQ("division by zero in the residue field")
+        p, q = a._rational(), b._rational()
+        if p is None or q is None:
+            return a.field.make(a.num * b.den, a.den * b.num)
+        return a.field.from_rational(p / q)
+
+    __add__, __radd__ = _lifted(_add)
+    __sub__, __rsub__ = _lifted(_sub)
+    __mul__, __rmul__ = _lifted(_mul)
+    __truediv__ = _lifted(_div)[0]
+
+    def __rtruediv__(self, other):
+        """other / self; 1 / self is the inverse, one ``make`` and no product."""
+        if other != 1:
+            a = self._cast(other)
+            return NotImplemented if a is None else a / self
+        if not self:
+            raise DivisionByZeroModQ("cannot invert an element of Q")
+        p = self._rational()
+        if p is None:
+            return self.field.make(self.den, self.num)
+        return self.field.from_rational(1 / p)
+
+    def __neg__(self):
+        return ResidueElem(self.field, -self.num, self.den)
+
+    def __eq__(self, other):
+        b = self._cast(other)
+        if b is None:
+            return NotImplemented
+        return self.field.nf(self.num * b.den - b.num * self.den).is_zero()
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def __str__(self):
+        if self.den.is_constant() and self.den.const_value() == 1:
+            return str(self.num)
+        return "(%s)/(%s)" % (self.num, self.den)
 
     def __repr__(self):
         return "ResidueElem(%s / %s)" % (self.num, self.den)
 
 
 class ResidueField:
-    """Field operations for Frac(Q[a]/Q); elements are ResidueElem."""
+    """Frac(Q[a]/Q): it embeds Q and builds elements, which compute themselves."""
+
+    name = "Frac(Q[a]/Q)"
 
     def __init__(self, Q: PrimeIdealQ):
         self.Q = Q
@@ -82,7 +180,7 @@ class ResidueField:
         if den.is_zero():
             raise DivisionByZeroModQ("denominator lies in Q")
         if num.is_zero():
-            return ResidueElem(self.ring.zero(), self.ring.one())
+            return ResidueElem(self, self.ring.zero(), self.ring.one())
         # a constant side shares no factor with the other
         if not (num.is_constant() or den.is_constant()):
             g = multi_gcd(num, den)
@@ -94,23 +192,10 @@ class ResidueField:
             inv = Fraction(1) / lc
             den = den.scale(inv)
             num = num.scale(inv)
-        return ResidueElem(num, den)
-
-    # -- field protocol --------------------------------------------------------
-
-    name = "Frac(Q[a]/Q)"
-
-    def zero(self):
-        return ResidueElem(self.ring.zero(), self.ring.one())
-
-    def one(self):
-        return ResidueElem(self.ring.one(), self.ring.one())
+        return ResidueElem(self, num, den)
 
     def from_rational(self, q):
-        return ResidueElem(self.ring.const(Fraction(q)), self.ring.one())
-
-    def is_zero(self, e):
-        return e.num.is_zero()
+        return ResidueElem(self, self.ring.const(Fraction(q)), self.ring.one())
 
     def is_rational_elem(self, e) -> bool:
         return e.num.is_constant() and e.den.is_constant()
@@ -121,63 +206,6 @@ class ResidueField:
         num = e.num.const_value()
         den = e.den.const_value()
         return Fraction(num) / Fraction(den)
-
-    def _rational(self, e):
-        """The value of e when it is a constant over the constant 1, the form
-        ``make`` gives every rational element; None otherwise."""
-        num, den = e.num._terms, e.den._terms
-        z = self.ring._zero_exp
-        if len(den) != 1 or den.get(z) != 1 or len(num) > 1:
-            return None
-        return num.get(z) if num else 0
-
-    # on two rational operands the result is computed in Fraction; it is
-    # the element make would return
-
-    def add(self, a, b):
-        p, q = self._rational(a), self._rational(b)
-        if p is None or q is None:
-            return self.make(a.num * b.den + b.num * a.den, a.den * b.den)
-        return self.from_rational(p + q)
-
-    def sub(self, a, b):
-        p, q = self._rational(a), self._rational(b)
-        if p is None or q is None:
-            return self.make(a.num * b.den - b.num * a.den, a.den * b.den)
-        return self.from_rational(p - q)
-
-    def neg(self, a):
-        return ResidueElem(-a.num, a.den)
-
-    def mul(self, a, b):
-        p, q = self._rational(a), self._rational(b)
-        if p is None or q is None:
-            return self.make(a.num * b.num, a.den * b.den)
-        return self.from_rational(p * q)
-
-    def div(self, a, b):
-        if b.num.is_zero():
-            raise DivisionByZeroModQ("division by zero in the residue field")
-        p, q = self._rational(a), self._rational(b)
-        if p is None or q is None:
-            return self.make(a.num * b.den, a.den * b.num)
-        return self.from_rational(p / q)
-
-    def inv(self, a):
-        if a.num.is_zero():
-            raise DivisionByZeroModQ("cannot invert an element of Q")
-        p = self._rational(a)
-        if p is None:
-            return self.make(a.den, a.num)
-        return self.from_rational(1 / p)
-
-    def eq(self, a, b):
-        return self.nf(a.num * b.den - b.num * a.den).is_zero()
-
-    def to_str(self, e):
-        if e.den.is_constant() and e.den.const_value() == 1:
-            return str(e.num)
-        return "(%s)/(%s)" % (e.num, e.den)
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and self.Q.basis == other.Q.basis and (
@@ -245,16 +273,10 @@ def _den_lcm(param_ring: PolyRing, coeffs) -> Poly:
 def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
     """Clear coefficient denominators: h A = A' over Q[a].
 
-    For rational coefficients h is the integer least common denominator;
-    for residue coefficients h is the monic polynomial lcm of the stored
-    denominators, and parameter monomials fold into central exponents of
-    the target ring.
+    A has coefficients in a residue field; h is the monic polynomial lcm
+    of their stored denominators, and parameter monomials fold into
+    central exponents of the target ring.
     """
-    fld = A.ring.field
-    if isinstance(fld, RationalField):
-        denlcm = lcm(*(c.denominator for c in A._terms.values()))
-        return param_ring.const(denlcm), target.convert(A * denlcm)
-
     h = _den_lcm(param_ring, A._terms.values())
     terms = []
     for exp, c in A._terms.items():

@@ -1,11 +1,12 @@
 """Exact multivariate polynomials over a pluggable coefficient field.
 
-The two fields used in practice are the rationals (coefficients are
-``fractions.Fraction``) and the residue fields Frac(Q[a]/Q) defined in
-:mod:`genbs.parametric`.  Polynomials are immutable; a ring object carries
-the variable names, the coefficient field and the ambient term order, and
-all term bookkeeping is exact.  The Weyl algebra (:mod:`genbs.weyl`)
-subclasses both the polynomial and the ring and changes only the product.
+The fields used are the rationals (coefficients are ``fractions.Fraction``)
+and the residue fields Frac(Q[a]/Q) of :mod:`genbs.parametric`.  Their
+elements compute with Python's operators; a field object only embeds Q
+(``from_rational``) and names the field a ring is over.  Polynomials are
+immutable; a ring carries the variable names, the coefficient field and
+the term order.  The Weyl algebra (:mod:`genbs.weyl`) subclasses both
+the polynomial and the ring and changes only the product.
 """
 
 from __future__ import annotations
@@ -22,44 +23,11 @@ class RationalField:
 
     name = "QQ"
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
     def from_rational(self, q):
         return Fraction(q)
 
     def as_rational(self, a):
         return Fraction(a)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def inv(self, a):
-        return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def to_str(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -107,9 +75,7 @@ class Poly:
 
     def const_value(self):
         """Coefficient of the constant term (the whole value if constant)."""
-        if not self._terms:
-            return self.ring.field.zero()
-        return self._terms.get(self.ring._zero_exp, self.ring.field.zero())
+        return self._terms.get(self.ring._zero_exp, self.ring.field.from_rational(0))
 
     def terms(self):
         """Terms as (exponent, coefficient) pairs, descending in the ring order.
@@ -137,7 +103,7 @@ class Poly:
         return self._terms[self.lead_exp()]
 
     def coeff(self, exp):
-        return self._terms.get(tuple(exp), self.ring.field.zero())
+        return self._terms.get(tuple(exp), self.ring.field.from_rational(0))
 
     def total_degree(self):
         if not self._terms:
@@ -173,12 +139,11 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.ring.field
         out = dict(self._terms)
         for exp, c in other._terms.items():
             acc = out.get(exp)
-            c2 = c if acc is None else f.add(acc, c)
-            if f.is_zero(c2):
+            c2 = c if acc is None else acc + c
+            if not c2:
                 out.pop(exp, None)
             else:
                 out[exp] = c2
@@ -187,8 +152,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.ring.field
-        return type(self)(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
+        return type(self)(self.ring, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -202,15 +166,14 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             _check_same_ring(self, other)
-            f = self.ring.field
             out = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
                     e = mono_mul(e1, e2)
-                    c = f.mul(c1, c2)
+                    c = c1 * c2
                     acc = out.get(e)
-                    c3 = c if acc is None else f.add(acc, c)
-                    if f.is_zero(c3):
+                    c3 = c if acc is None else acc + c
+                    if not c3:
                         out.pop(e, None)
                     else:
                         out[e] = c3
@@ -228,30 +191,27 @@ class Poly:
         it in place of building the product as a polynomial.
         """
         _check_same_ring(self, g)
-        f = self.ring.field
-        return self._sub_terms({mono_mul(e, m): f.mul(c, v) for e, v in g._terms.items()})
+        return self._sub_terms({mono_mul(e, m): c * v for e, v in g._terms.items()})
 
     def _sub_terms(self, prod):
         """self minus the terms of ``prod``, a map exponent -> coefficient."""
-        f = self.ring.field
         out = dict(self._terms)
         for exp, t in prod.items():
             acc = out.get(exp)
             if acc is None:
-                out[exp] = f.neg(t)
+                out[exp] = -t
                 continue
-            acc = f.sub(acc, t)
-            if f.is_zero(acc):
+            acc = acc - t
+            if not acc:
                 del out[exp]
             else:
                 out[exp] = acc
         return type(self)(self.ring, out)
 
     def scale(self, c):
-        f = self.ring.field
-        if f.is_zero(c):
+        if not c:
             return self.ring.zero()
-        return type(self)(self.ring, {e: f.mul(c, v) for e, v in self._terms.items()})
+        return type(self)(self.ring, {e: c * v for e, v in self._terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -268,13 +228,12 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
+        return self.scale(1 / self.lead_coeff())
 
     # -- calculus / substitution -------------------------------------------
 
     def diff(self, var):
         i = self.ring.index(var) if isinstance(var, str) else var
-        f = self.ring.field
         out = {}
         for exp, c in self._terms.items():
             e = exp[i]
@@ -282,7 +241,7 @@ class Poly:
                 continue
             new = list(exp)
             new[i] = e - 1
-            out[tuple(new)] = f.mul(c, f.from_rational(Fraction(e)))
+            out[tuple(new)] = c * e
         return type(self)(self.ring, out)
 
     def subs(self, assignment):
@@ -299,12 +258,12 @@ class Poly:
                 e = new[i]
                 if e:
                     for _ in range(e):
-                        c = f.mul(c, val)
+                        c = c * val
                     new[i] = 0
             key = tuple(new)
             acc = out.get(key)
-            c2 = c if acc is None else f.add(acc, c)
-            if f.is_zero(c2):
+            c2 = c if acc is None else acc + c
+            if not c2:
                 out.pop(key, None)
             else:
                 out[key] = c2
@@ -338,11 +297,10 @@ class Poly:
             return False
         if set(self._terms) != set(other._terms):
             return False
-        f = self.ring.field
-        return all(f.eq(c, other._terms[e]) for e, c in self._terms.items())
+        return all(c == other._terms[e] for e, c in self._terms.items())
 
     def __hash__(self):
-        items = tuple(sorted((e, self.ring.field.to_str(c)) for e, c in self._terms.items()))
+        items = tuple(sorted((e, str(c)) for e, c in self._terms.items()))
         return hash((self.ring.names, items))
 
     def _mono_str(self, exp):
@@ -357,11 +315,10 @@ class Poly:
     def __str__(self):
         if not self._terms:
             return "0"
-        f = self.ring.field
         chunks = []
         for exp, c in self.terms():
             mono = self._mono_str(exp)
-            cs = f.to_str(c)
+            cs = str(c)
             # a compound coefficient, as over a residue field, is parenthesized
             neg = cs.startswith("-") and "+" not in cs[1:] and "- " not in cs
             if "+" in cs or " " in cs:
@@ -418,38 +375,35 @@ class PolyRing:
 
     def const(self, q):
         c = self.field.from_rational(Fraction(q)) if not self._is_coeff(q) else q
-        if self.field.is_zero(c):
+        if not c:
             return self._elem(self, {})
         return self._elem(self, {self._zero_exp: c})
 
     def _is_coeff(self, value):
-        if isinstance(value, (int, Fraction)):
-            return False
-        return True
+        return not isinstance(value, (int, Fraction))
 
     def var(self, name):
         i = self.index(name) if isinstance(name, str) else name
         exp = [0] * self.nvars
         exp[i] = 1
-        return self._elem(self, {tuple(exp): self.field.one()})
+        return self._elem(self, {tuple(exp): self.field.from_rational(1)})
 
     def monomial(self, exp, coeff=1):
         exp = tuple(exp)
         if len(exp) != self.nvars:
             raise ValueError("exponent length mismatch")
         c = coeff if self._is_coeff(coeff) else self.field.from_rational(Fraction(coeff))
-        if self.field.is_zero(c):
+        if not c:
             return self.zero()
         return self._elem(self, {exp: c})
 
     def from_terms(self, terms):
         out = {}
-        f = self.field
         for exp, c in terms:
             exp = tuple(exp)
             acc = out.get(exp)
-            c2 = c if acc is None else f.add(acc, c)
-            if f.is_zero(c2):
+            c2 = c if acc is None else acc + c
+            if not c2:
                 out.pop(exp, None)
             else:
                 out[exp] = c2

@@ -40,11 +40,10 @@ class WeylOp(Poly):
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
-        f = ring.field
         acc = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                _add_product_terms(f, acc, f.mul(c1, c2), _leibniz_terms(ring, e1, e2))
+                _add_product_terms(acc, c1 * c2, _leibniz_terms(ring, e1, e2))
         return WeylOp(ring, acc)
 
     def sub_mul_term(self, c, m, g):
@@ -58,10 +57,9 @@ class WeylOp(Poly):
         """
         g = self._coerce(g)
         ring = self.ring
-        f = ring.field
         prod = {}
         for e2, c2 in g._terms.items():
-            _add_product_terms(f, prod, f.mul(c, c2), _leibniz_terms(ring, m, e2))
+            _add_product_terms(prod, c * c2, _leibniz_terms(ring, m, e2))
         return self._sub_terms(prod)
 
 
@@ -91,20 +89,20 @@ class WeylRing(PolyRing):
         )
 
 
-def _add_product_terms(f, acc, c, terms):
+def _add_product_terms(acc, c, terms):
     """Add c*num at exp into ``acc`` for each (exp, num) of a Leibniz expansion.
 
     The multiply is skipped when num is 1, as it is for every term of a
     product without an active pair.
     """
     for exp, num in terms:
-        t = c if num == 1 else f.mul(c, f.from_rational(Fraction(num)))
+        t = c if num == 1 else c * num
         prev = acc.get(exp)
         if prev is None:
             acc[exp] = t
             continue
-        t = f.add(prev, t)
-        if f.is_zero(t):
+        t = prev + t
+        if not t:
             del acc[exp]
         else:
             acc[exp] = t

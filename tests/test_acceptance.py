@@ -329,12 +329,12 @@ def test_criterion_7_property_suites():
 
         for _ in range(1000):
             e1, e2, e3 = rand_elem(), rand_elem(), rand_elem()
-            assert F.eq(F.add(e1, e2), F.add(e2, e1))
-            assert F.eq(F.mul(F.mul(e1, e2), e3), F.mul(e1, F.mul(e2, e3)))
-            assert F.eq(F.mul(e1, F.add(e2, e3)), F.add(F.mul(e1, e2), F.mul(e1, e3)))
-            assert F.eq(F.add(e1, F.neg(e1)), F.zero())
-            if not F.is_zero(e1):
-                assert F.eq(F.mul(e1, F.inv(e1)), F.one())
+            assert e1 + e2 == e2 + e1
+            assert (e1 * e2) * e3 == e1 * (e2 * e3)
+            assert e1 * (e2 + e3) == e1 * e2 + e1 * e3
+            assert e1 + -e1 == F.from_rational(0)
+            if e1:
+                assert e1 * (1 / e1) == F.from_rational(1)
 
         # 7g: refine_partition disjointness and coverage on synthetic pieces
         S = PolyRing(QQ, ("s",), GRevLex())
