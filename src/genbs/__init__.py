@@ -45,7 +45,7 @@ from .fsmodule import (
 )
 from .groebner import buchberger, ideal_dim, normal_form
 from .instance import ProblemInstance, generic_family, make_instance
-from .orders import Block, GRevLex, Lex, TermOrder, Weighted
+from .orders import Block, GRevLex, Lex, TermOrder
 from .parametric import (
     GenericBS,
     ResidueField,
@@ -112,7 +112,6 @@ __all__ = [
     "UnitIdealError",
     "VarRegistry",
     "VerificationFailed",
-    "Weighted",
     "WeylOp",
     "WeylRing",
     "ZeroPolynomialError",

@@ -61,8 +61,8 @@ class TimeoutBudget(GenbsError):
         self.partial = dict(partial or {})
 
 
-class DivisionByZeroModQ(GenbsError):
-    """Attempt to invert a residue-field element whose numerator lies in Q."""
+class DivisionByZeroModQ(GenbsError, ZeroDivisionError):
+    """A residue-field denominator lies in Q (still a ZeroDivisionError)."""
 
 
 class FamilyVanishesModQ(GenbsError):

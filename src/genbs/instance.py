@@ -193,6 +193,6 @@ def generic_family(n: int, p: int, d: int) -> ProblemInstance:
         for k, alpha in enumerate(alphas):
             exp = [0] * len(a_names) + list(alpha)
             exp[j * len(alphas) + k] = 1
-            terms.append((exp, ring.field.from_rational(1)))
+            terms.append((exp, Fraction(1)))
         fs.append(ring.from_terms(terms))
     return ProblemInstance(registry, tuple(fs), (1,) * p)

@@ -88,25 +88,21 @@ class GRevLex(TermOrder):
 class Block(TermOrder):
     """Elimination order: the front block dominates, ties fall to the back.
 
-    ``front`` is a set of variable positions.  A monomial involving a front
-    variable is larger than any monomial free of them, which is what makes
-    basis elements free of the front block generate the subring
-    intersection.  The back positions depend only on the exponent length,
-    so they are computed once per length.
+    ``front`` is a set of variable positions; each block is ordered by
+    grevlex.  A monomial involving a front variable is larger than any
+    monomial free of them, which is what makes basis elements free of the
+    front block generate the subring intersection.  The back positions
+    depend only on the exponent length, so they are computed once per
+    length.
     """
 
-    def __init__(self, front, front_order=None, back_order=None):
+    def __init__(self, front):
         super().__init__()
         self.front = tuple(sorted(front))
         self._front_set = frozenset(self.front)
-        self.front_order = front_order or GRevLex()
-        self.back_order = back_order or GRevLex()
+        self._grevlex = GRevLex()
         self._back = {}
-        self._describe = "block(front=%s;%s;%s)" % (
-            ",".join(map(str, self.front)),
-            self.front_order.describe(),
-            self.back_order.describe(),
-        )
+        self._describe = "block(front=%s;grevlex;grevlex)" % ",".join(map(str, self.front))
 
     def _back_indices(self, n):
         back = self._back.get(n)
@@ -122,35 +118,11 @@ class Block(TermOrder):
 
     def key(self, exp):
         fr, bk = self.split(exp)
-        return (self.front_order.cached_key(fr), self.back_order.cached_key(bk))
+        key = self._grevlex.cached_key
+        return (key(fr), key(bk))
 
     def describe(self):
         return self._describe
-
-
-class Weighted(TermOrder):
-    """Weight vector first, ties broken by another admissible order.
-
-    Weights must be non-negative so the order stays well-founded; signed
-    weights are handled elsewhere as pure bookkeeping, never as an order.
-    """
-
-    def __init__(self, weights, tiebreak=None):
-        if any(w < 0 for w in weights):
-            raise ValueError("weighted orders require non-negative weights")
-        super().__init__()
-        self.weights = tuple(weights)
-        self.tiebreak = tiebreak or GRevLex()
-
-    def key(self, exp):
-        w = sum(a * b for a, b in zip(self.weights, exp))
-        return (w, self.tiebreak.key(exp))
-
-    def describe(self):
-        return "weighted(%s;%s)" % (
-            ",".join(map(str, self.weights)),
-            self.tiebreak.describe(),
-        )
 
 
 def mono_mul(a, b):

@@ -1,10 +1,12 @@
 """Residue fields Frac(Q[a]/Q) and generic Bernstein-Sato data over V(Q).
 
-An element of the residue field is a fraction of normal forms mod the
-prime Q, the denominator monic and not in Q.  Rationality of an element
-is decidable from the canonical form: if num/den equals r in the field
-then num - r*den is a normal form equal to 0, hence num = r*den as
-polynomials and gcd cancellation leaves two constants.
+An element of the residue field is a fraction num/den of normal forms
+mod the prime Q.  ``ResidueField.make`` reduces both parts mod Q and
+cancels their gcd.  A rational value always ends as two constants there:
+if num/den equals r in the field then num - r*den is a normal form equal
+to 0, hence num = r*den as polynomials.  So ``make`` returns a rational
+value, zero included, as a ``Fraction``, and a ``ResidueElem`` (den
+monic and not in Q) only for a value that is not rational.
 
 The generic package runs the Bernstein-Sato pipeline over the residue
 field, picks a rational b, clears denominators into (h, U) over Q[a]
@@ -48,7 +50,7 @@ from .weyl_groebner import eliminate
 
 def _lifted(op):
     """``op`` on two elements as an operator and its reflection; an int or
-    Fraction operand is embedded by ``from_rational`` first."""
+    Fraction operand is read as num/1."""
 
     def forward(a, b):
         b = a._cast(b)
@@ -64,9 +66,11 @@ def _lifted(op):
 class ResidueElem:
     """num/den with both parts normal forms mod Q, den monic and not in Q.
 
-    Elements compute with Python's operators.  On two rational operands
-    the result is computed in Fraction; it is the element ``make`` would
-    return.  ``==`` cross-multiplies, so elements are not hashable.
+    Only ``ResidueField.make`` builds one, and only for a value that is
+    not rational: a rational value, zero included, is a ``Fraction``.  So
+    an element is never zero.  Elements compute with Python's operators,
+    each one ``make`` of its formula.  ``==`` cross-multiplies, so
+    elements are not hashable.
     """
 
     __slots__ = ("field", "num", "den")
@@ -80,60 +84,25 @@ class ResidueElem:
         if isinstance(other, ResidueElem):
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
+            return ResidueElem(self.field, *_num_den(other, self.num.ring))
         return None
 
-    def _rational(self):
-        """The value of self when it is a constant over the constant 1, the
-        form ``make`` gives every rational element; None otherwise."""
-        num, den = self.num._terms, self.den._terms
-        z = self.num.ring._zero_exp
-        if len(den) != 1 or den.get(z) != 1 or len(num) > 1:
-            return None
-        return num.get(z) if num else 0
-
     def _add(a, b):
-        p, q = a._rational(), b._rational()
-        if p is None or q is None:
-            return a.field.make(a.num * b.den + b.num * a.den, a.den * b.den)
-        return a.field.from_rational(p + q)
+        return a.field.make(a.num * b.den + b.num * a.den, a.den * b.den)
 
     def _sub(a, b):
-        p, q = a._rational(), b._rational()
-        if p is None or q is None:
-            return a.field.make(a.num * b.den - b.num * a.den, a.den * b.den)
-        return a.field.from_rational(p - q)
+        return a.field.make(a.num * b.den - b.num * a.den, a.den * b.den)
 
     def _mul(a, b):
-        p, q = a._rational(), b._rational()
-        if p is None or q is None:
-            return a.field.make(a.num * b.num, a.den * b.den)
-        return a.field.from_rational(p * q)
+        return a.field.make(a.num * b.num, a.den * b.den)
 
     def _div(a, b):
-        if not b:
-            raise DivisionByZeroModQ("division by zero in the residue field")
-        p, q = a._rational(), b._rational()
-        if p is None or q is None:
-            return a.field.make(a.num * b.den, a.den * b.num)
-        return a.field.from_rational(p / q)
+        return a.field.make(a.num * b.den, a.den * b.num)
 
     __add__, __radd__ = _lifted(_add)
     __sub__, __rsub__ = _lifted(_sub)
     __mul__, __rmul__ = _lifted(_mul)
-    __truediv__ = _lifted(_div)[0]
-
-    def __rtruediv__(self, other):
-        """other / self; 1 / self is the inverse, one ``make`` and no product."""
-        if other != 1:
-            a = self._cast(other)
-            return NotImplemented if a is None else a / self
-        if not self:
-            raise DivisionByZeroModQ("cannot invert an element of Q")
-        p = self._rational()
-        if p is None:
-            return self.field.make(self.den, self.num)
-        return self.field.from_rational(1 / p)
+    __truediv__, __rtruediv__ = _lifted(_div)
 
     def __neg__(self):
         return ResidueElem(self.field, -self.num, self.den)
@@ -143,9 +112,6 @@ class ResidueElem:
         if b is None:
             return NotImplemented
         return self.field.nf(self.num * b.den - b.num * self.den).is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
 
     def __str__(self):
         if self.den.is_constant() and self.den.const_value() == 1:
@@ -157,7 +123,7 @@ class ResidueElem:
 
 
 class ResidueField:
-    """Frac(Q[a]/Q): it embeds Q and builds elements, which compute themselves."""
+    """Frac(Q[a]/Q): it builds elements, which compute themselves."""
 
     name = "Frac(Q[a]/Q)"
 
@@ -172,7 +138,9 @@ class ResidueField:
             return poly
         return normal_form(poly, self.basis)
 
-    def make(self, num: Poly, den: Poly | None = None) -> ResidueElem:
+    def make(self, num: Poly, den: Poly | None = None) -> ResidueElem | Fraction:
+        """num/den in canonical form: a Fraction when the value is rational,
+        else a ResidueElem.  Raises DivisionByZeroModQ when den lies in Q."""
         if den is None:
             den = self.ring.one()
         num = self.nf(num)
@@ -180,32 +148,21 @@ class ResidueField:
         if den.is_zero():
             raise DivisionByZeroModQ("denominator lies in Q")
         if num.is_zero():
-            return ResidueElem(self, self.ring.zero(), self.ring.one())
+            return Fraction(0)
         # a constant side shares no factor with the other
         if not (num.is_constant() or den.is_constant()):
             g = multi_gcd(num, den)
             if not g.is_constant():
                 num = self.nf(exact_div(num, g))
                 den = self.nf(exact_div(den, g))
+        if num.is_constant() and den.is_constant():
+            return num.const_value() / den.const_value()
         lc = den.lead_coeff()
         if lc != 1:
             inv = Fraction(1) / lc
             den = den.scale(inv)
             num = num.scale(inv)
         return ResidueElem(self, num, den)
-
-    def from_rational(self, q):
-        return ResidueElem(self, self.ring.const(Fraction(q)), self.ring.one())
-
-    def is_rational_elem(self, e) -> bool:
-        return e.num.is_constant() and e.den.is_constant()
-
-    def as_rational(self, e) -> Fraction:
-        if not self.is_rational_elem(e):
-            raise ValueError("element is not rational: %r" % e)
-        num = e.num.const_value()
-        den = e.den.const_value()
-        return Fraction(num) / Fraction(den)
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and self.Q.basis == other.Q.basis and (
@@ -239,7 +196,7 @@ def residue_context(inst: ProblemInstance, Q: PrimeIdealQ) -> ProblemInstance:
         for xexp, coeff in groups.items():
             apoly = inst.param_ring().convert(coeff)
             elem = F.make(apoly)
-            if not elem.num.is_zero():
+            if elem:
                 terms.append((xexp, elem))
         if not terms:
             raise FamilyVanishesModQ(
@@ -261,12 +218,19 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
     return (a * exact_div(b, g)).monic()
 
 
+def _num_den(c, ring: PolyRing):
+    """A residue-field coefficient as (num, den) over ring; a Fraction is c/1."""
+    if isinstance(c, ResidueElem):
+        return ring.convert(c.num), ring.convert(c.den)
+    return ring.const(c), ring.one()
+
+
 def _den_lcm(param_ring: PolyRing, coeffs) -> Poly:
     """Monic lcm of the denominators of residue-field coefficients, folded
     in the order given."""
     h = param_ring.one()
     for c in coeffs:
-        h = _poly_lcm(h, param_ring.convert(c.den))
+        h = _poly_lcm(h, _num_den(c, param_ring)[1])
     return h
 
 
@@ -280,7 +244,8 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
     h = _den_lcm(param_ring, A._terms.values())
     terms = []
     for exp, c in A._terms.items():
-        cof = exact_div(h, param_ring.convert(c.den)) * param_ring.convert(c.num)
+        num, den = _num_den(c, param_ring)
+        cof = exact_div(h, den) * num
         # the parameters are central, so this product only adds exponents
         term = target.convert(cof) * target.convert(A.ring.monomial(exp))
         terms.extend(term._terms.items())
@@ -387,10 +352,9 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     def add_candidate(poly, cert):
         if poly.is_zero() or poly.total_degree() > degree_budget:
             return
-        key = str(poly)
-        if key in seen:
+        if poly in seen:
             return
-        seen.add(key)
+        seen.add(poly)
         candidates.append((poly, cert))
 
     seen = set()
@@ -427,7 +391,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
             {
                 (sexp, aexp): q
                 for sexp, c in poly.scale(den)._terms.items()
-                for aexp, q in c.num._terms.items()
+                for aexp, q in _num_den(c, param)[0]._terms.items()
             }
         )
     b_exps = sorted({sexp for col in columns for sexp, _ in col})
@@ -439,7 +403,7 @@ def _strategy_linear_combination(B, F, s_ring, degree_budget):
     b, weights = min(solutions, key=lambda t: t[0].total_degree())
     U = wring.zero()
     for k, q in weights.items():
-        U = U + certs[k].scale(F.from_rational(q))
+        U = U + certs[k].scale(q)
     return RationalizeResult(b=b, U_residue=U, strategy="linear-combination")
 
 

@@ -1,9 +1,10 @@
 """Exact multivariate polynomials over a pluggable coefficient field.
 
-The fields used are the rationals (coefficients are ``fractions.Fraction``)
-and the residue fields Frac(Q[a]/Q) of :mod:`genbs.parametric`.  Their
-elements compute with Python's operators; a field object only embeds Q
-(``from_rational``) and names the field a ring is over.  Polynomials are
+The fields used are the rationals and the residue fields Frac(Q[a]/Q) of
+:mod:`genbs.parametric`.  A rational coefficient is a ``fractions.Fraction``
+in every field; a residue field adds ``ResidueElem`` for the values that
+are not rational.  Coefficients compute with Python's operators, and a
+field object only names the field a ring is over.  Polynomials are
 immutable; a ring carries the variable names, the coefficient field and
 the term order.  The Weyl algebra (:mod:`genbs.weyl`) subclasses both
 the polynomial and the ring and changes only the product.
@@ -22,12 +23,6 @@ class RationalField:
     """The field of rationals; elements are ``fractions.Fraction``."""
 
     name = "QQ"
-
-    def from_rational(self, q):
-        return Fraction(q)
-
-    def as_rational(self, a):
-        return Fraction(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -75,7 +70,7 @@ class Poly:
 
     def const_value(self):
         """Coefficient of the constant term (the whole value if constant)."""
-        return self._terms.get(self.ring._zero_exp, self.ring.field.from_rational(0))
+        return self._terms.get(self.ring._zero_exp, Fraction(0))
 
     def terms(self):
         """Terms as (exponent, coefficient) pairs, descending in the ring order.
@@ -103,7 +98,7 @@ class Poly:
         return self._terms[self.lead_exp()]
 
     def coeff(self, exp):
-        return self._terms.get(tuple(exp), self.ring.field.from_rational(0))
+        return self._terms.get(tuple(exp), Fraction(0))
 
     def total_degree(self):
         if not self._terms:
@@ -179,7 +174,7 @@ class Poly:
                         out[e] = c3
             return type(self)(self.ring, out)
         if isinstance(other, (int, Fraction)):
-            return self.scale(self.ring.field.from_rational(Fraction(other)))
+            return self.scale(Fraction(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -246,11 +241,10 @@ class Poly:
 
     def subs(self, assignment):
         """Substitute rational values for variables (by name or index)."""
-        f = self.ring.field
         idx = {}
         for k, v in assignment.items():
             i = self.ring.index(k) if isinstance(k, str) else k
-            idx[i] = f.from_rational(Fraction(v))
+            idx[i] = Fraction(v)
         out = {}
         for exp, c in self._terms.items():
             new = list(exp)
@@ -300,8 +294,8 @@ class Poly:
         return all(c == other._terms[e] for e, c in self._terms.items())
 
     def __hash__(self):
-        items = tuple(sorted((e, str(c)) for e, c in self._terms.items()))
-        return hash((self.ring.names, items))
+        # the support only: equal residue coefficients may differ in form
+        return hash((self.ring.names, frozenset(self._terms)))
 
     def _mono_str(self, exp):
         parts = []
@@ -374,7 +368,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, q):
-        c = self.field.from_rational(Fraction(q)) if not self._is_coeff(q) else q
+        c = Fraction(q) if not self._is_coeff(q) else q
         if not c:
             return self._elem(self, {})
         return self._elem(self, {self._zero_exp: c})
@@ -386,13 +380,13 @@ class PolyRing:
         i = self.index(name) if isinstance(name, str) else name
         exp = [0] * self.nvars
         exp[i] = 1
-        return self._elem(self, {tuple(exp): self.field.from_rational(1)})
+        return self._elem(self, {tuple(exp): Fraction(1)})
 
     def monomial(self, exp, coeff=1):
         exp = tuple(exp)
         if len(exp) != self.nvars:
             raise ValueError("exponent length mismatch")
-        c = coeff if self._is_coeff(coeff) else self.field.from_rational(Fraction(coeff))
+        c = coeff if self._is_coeff(coeff) else Fraction(coeff)
         if not c:
             return self.zero()
         return self._elem(self, {exp: c})
@@ -427,9 +421,9 @@ class PolyRing:
         - derivatives: an element of a ring without Weyl pairs must not
           occur in a generator this ring pairs as a derivative, since
           commuting variables carry no normal order.
-        - field: when the fields differ, each coefficient is carried as
-          its rational value; a residue coefficient that is not rational
-          raises ValueError.
+        - field: when the fields differ, a rational coefficient (a
+          ``Fraction`` in every field) passes through, and any other
+          coefficient raises ValueError.
 
         Terms are walked in their stored order.  With the same names and
         field, and no derivative to guard, the term map is shared.
@@ -437,9 +431,9 @@ class PolyRing:
         if poly.ring is self:
             return poly
         src = poly.ring
-        lift = src.field is not self.field and src.field != self.field
+        cross = src.field is not self.field and src.field != self.field
         guard = {d for _, d in self.pairs} if not src.pairs else ()
-        if src.names == self.names and not lift and not guard:
+        if src.names == self.names and not cross and not guard:
             return self._elem(self, poly._terms)
         pos = [self._index.get(n) for n in src.names]
         out = {}
@@ -458,8 +452,8 @@ class PolyRing:
                         "cannot embed a polynomial in a derivative generator"
                     )
                 new[j] = e
-            if lift:
-                c = self.field.from_rational(src.field.as_rational(c))
+            if cross and not isinstance(c, (int, Fraction)):
+                raise ValueError("coefficient %s is not rational" % c)
             out[tuple(new)] = c
         return self._elem(self, out)
 

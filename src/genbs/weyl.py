@@ -35,7 +35,7 @@ class WeylOp(Poly):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(self.ring.field.from_rational(Fraction(other)))
+            return self.scale(Fraction(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

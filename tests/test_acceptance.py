@@ -26,7 +26,7 @@ from genbs.fsmodule import (
 )
 from genbs.groebner import buchberger, ideal_contains, is_groebner, normal_form, spoly
 from genbs.instance import make_instance
-from genbs.orders import Block, GRevLex, Lex, Weighted, mono_mul
+from genbs.orders import Block, GRevLex, Lex, mono_mul
 from genbs.parametric import ResidueField, generic_bs, specialize_check
 from genbs.poly import Poly, PolyRing, QQ
 from genbs.primes import the_zero_prime
@@ -244,7 +244,7 @@ def test_criterion_7_property_suites():
     with criterion(7, "six randomized property suites, >= 1000 cases each", 300):
         # 7a: term order axioms
         rng = random.Random(211)
-        orders = [Lex(), GRevLex(), Block((0,)), Weighted((2, 0, 1))]
+        orders = [Lex(), GRevLex(), Block((0,)), Block((1, 2))]
         for _ in range(1200):
             e1 = tuple(rng.randrange(5) for _ in range(3))
             e2 = tuple(rng.randrange(5) for _ in range(3))
@@ -332,9 +332,9 @@ def test_criterion_7_property_suites():
             assert e1 + e2 == e2 + e1
             assert (e1 * e2) * e3 == e1 * (e2 * e3)
             assert e1 * (e2 + e3) == e1 * e2 + e1 * e3
-            assert e1 + -e1 == F.from_rational(0)
+            assert e1 + -e1 == 0
             if e1:
-                assert e1 * (1 / e1) == F.from_rational(1)
+                assert e1 * (1 / e1) == 1
 
         # 7g: refine_partition disjointness and coverage on synthetic pieces
         S = PolyRing(QQ, ("s",), GRevLex())

@@ -21,6 +21,7 @@ from genbs.instance import ProblemInstance, make_instance
 from genbs.orders import GRevLex
 from genbs.parametric import (
     RationalizeResult,
+    ResidueElem,
     ResidueField,
     generic_bs,
     op_scale_clear,
@@ -77,67 +78,126 @@ def test_residue_field_axioms_random():
         assert (e1 + e2) + e3 == e1 + (e2 + e3)
         assert (e1 * e2) * e3 == e1 * (e2 * e3)
         assert e1 * (e2 + e3) == e1 * e2 + e1 * e3
-        assert e1 + -e1 == F.from_rational(0)
+        assert e1 + -e1 == 0
         if e1:
-            assert e1 * (1 / e1) == F.from_rational(1)
+            assert e1 * (1 / e1) == 1
             assert e2 / e1 == e2 * (1 / e1)
 
 
 def test_residue_rationality_detection():
     F = F2
-    assert not F.is_rational_elem(F.make(A))
-    assert F.is_rational_elem(F.make(A * A))  # = 2 mod Q
-    assert F.as_rational(F.make(A * A)) == 2
+    assert isinstance(F.make(A), ResidueElem)
+    assert isinstance(F.make(A * A), Fraction)  # = 2 mod Q
+    assert F.make(A * A) == 2
     e = F.make(A + 2) / F.make(A + 1)
-    assert not F.is_rational_elem(e)
+    assert isinstance(e, ResidueElem)
     # 2a / a^3 = 1 since a^2 = 2
-    assert F.as_rational(F.make(2 * A) / F.make(A**3)) == 1
+    one = F.make(2 * A) / F.make(A**3)
+    assert isinstance(one, Fraction) and one == 1
     # equality through cross multiplication: 1/a = a/2
     assert 1 / F.make(A) == F.make(A) / F.make(PARAM.const(2))
 
 
 def test_residue_invert_zero_raises():
     F = ResidueField(_prime([A]))
-    with pytest.raises(DivisionByZeroModQ):
+    assert F.make(A) == 0 and isinstance(F.make(A), Fraction)
+    with pytest.raises(ZeroDivisionError):
         1 / F.make(A)
     with pytest.raises(DivisionByZeroModQ):
         F.make(PARAM.one(), A)
+    e = F2.make(A + 1)
+    for zero in (0, Fraction(0), F.make(A)):
+        with pytest.raises(ZeroDivisionError):
+            e / zero
+    assert issubclass(DivisionByZeroModQ, ZeroDivisionError)
 
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _parts(x):
+    """(num, den) of a coefficient over PARAM; a Fraction is x/1."""
+    if isinstance(x, ResidueElem):
+        return x.num, x.den
+    return PARAM.const(x), PARAM.one()
+
+
+def _via_make(combine):
+    def via_make(F, a, b):
+        (an, ad), (bn, bd) = _parts(a), _parts(b)
+        return F.make(*combine(an, ad, bn, bd))
+
+    return via_make
+
+
 OPS = {
-    "add": (operator.add, lambda F, a, b: F.make(a.num * b.den + b.num * a.den, a.den * b.den)),
-    "sub": (operator.sub, lambda F, a, b: F.make(a.num * b.den - b.num * a.den, a.den * b.den)),
-    "mul": (operator.mul, lambda F, a, b: F.make(a.num * b.num, a.den * b.den)),
-    "div": (operator.truediv, lambda F, a, b: F.make(a.num * b.den, a.den * b.num)),
+    "add": (operator.add, _via_make(lambda an, ad, bn, bd: (an * bd + bn * ad, ad * bd))),
+    "sub": (operator.sub, _via_make(lambda an, ad, bn, bd: (an * bd - bn * ad, ad * bd))),
+    "mul": (operator.mul, _via_make(lambda an, ad, bn, bd: (an * bn, ad * bd))),
+    "div": (operator.truediv, _via_make(lambda an, ad, bn, bd: (an * bd, ad * bn))),
 }
 
 
 def _same_elem(x, y):
+    if isinstance(x, Fraction) or isinstance(y, Fraction):
+        return type(x) is type(y) and x == y
     return x.num._terms == y.num._terms and x.den._terms == y.den._terms
 
 
 @given(RATIONALS, RATIONALS)
 def test_residue_rational_ops_equal_make(p, q):
-    """On rational operands add/sub/mul/div/inv skip ``make`` and still give
-    the element it gives.  Mod <a^2 - 2> the element a^2*q is rational too;
-    over the zero prime it is not, and both sides go through ``make``."""
+    """On two rational operands add/sub/mul/div/inv give the Python
+    Fraction; on a ResidueElem operand they give ``make`` of the formula.
+    Mod <a^2 - 2> the value a^2*q is rational too; over the zero prime
+    it is a ResidueElem unless q = 0."""
     for F in (F2, ResidueField(the_zero_prime(PARAM))):
-        operands = [F.from_rational(p), F.make(PARAM.const(q)), F.make(A * A * q)]
+        operands = [p, F.make(PARAM.const(q)), F.make(A * A * q)]
         operands.append(operands[0] - operands[0])  # a zero result
         for a in operands:
             for b in operands:
                 for name, (op, via_make) in OPS.items():
                     if name == "div" and not b:
-                        with pytest.raises(DivisionByZeroModQ):
+                        with pytest.raises(ZeroDivisionError):
                             a / b
                         continue
-                    assert _same_elem(op(a, b), via_make(F, a, b))
+                    got = op(a, b)
+                    if isinstance(a, Fraction) and isinstance(b, Fraction):
+                        assert type(got) is Fraction and got == op(Fraction(a), Fraction(b))
+                    assert _same_elem(got, via_make(F, a, b))
             if not a:
-                with pytest.raises(DivisionByZeroModQ):
+                with pytest.raises(ZeroDivisionError):
                     1 / a
             else:
-                assert _same_elem(1 / a, F.make(a.den, a.num))
+                num, den = _parts(a)
+                assert _same_elem(1 / a, F.make(den, num))
+
+
+SMALL_POLYS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-3, 3)), min_size=1, max_size=3
+).map(lambda terms: PARAM.from_terms(((e,), Fraction(c)) for e, c in terms if c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_POLYS, SMALL_POLYS, RATIONALS, st.booleans())
+def test_make_is_a_fraction_exactly_for_rational_values(den, k, r, near_rational):
+    """make(num, den) is a Fraction exactly when nf(num - r*den) = 0 for a
+    rational r.  Half the draws take num = r*den + k*(a^2 - 2), rational
+    mod <a^2 - 2> and, for k != 0, not over the zero prime."""
+    num = den * r + k * (A * A - 2) if near_rational else k
+    for F in (F2, ResidueField(the_zero_prime(PARAM))):
+        nd, nn = F.nf(den), F.nf(num)
+        if nd.is_zero():
+            continue
+        # nf is linear, so num/den is rational iff nn = r*nd, and then r
+        # is the ratio of the leading coefficients
+        ratio = 0 if nn.is_zero() else nn.lead_coeff() / nd.lead_coeff()
+        rational = F.nf(num - den * ratio).is_zero()
+        e = F.make(num, den)
+        assert isinstance(e, Fraction) == rational
+        if rational:
+            assert e == ratio
+        else:
+            assert isinstance(e, ResidueElem)
 
 
 def test_residue_non_rational_operand_goes_through_make(monkeypatch):
@@ -145,22 +205,20 @@ def test_residue_non_rational_operand_goes_through_make(monkeypatch):
     calls = []
     make = F.make
     monkeypatch.setattr(F, "make", lambda *args: calls.append(args) or make(*args))
-    half, root = F.from_rational(Fraction(1, 2)), make(A + 1)
-    half * (half + half)
-    assert calls == []
+    half, root = Fraction(1, 2), make(A + 1)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         calls.clear()
         op(half, root)
         op(root, half)
         assert len(calls) == 2
     calls.clear()
-    assert (1 / root) * root == F.from_rational(1)
+    assert (1 / root) * root == 1
     assert len(calls) == 2
 
 
 def test_residue_mixed_operands():
-    """An int or Fraction operand is embedded by from_rational: the result
-    is the element make gives for the same value, num and den alike."""
+    """An int or Fraction operand is read as num/1: the result is the
+    element make gives for the same value, num and den alike."""
     F = F2
     e = F.make(A + 1, A + 3)
     half = Fraction(1, 2)
@@ -171,8 +229,23 @@ def test_residue_mixed_operands():
     assert F.make(A * A) == Fraction(2)  # a^2 = 2 mod <a^2 - 2>
     assert Fraction(2) == F.make(A * A)
     assert not F.make(A * A) == 3
+    assert e != half and not half == e
     with pytest.raises(TypeError):
         hash(e)
+
+
+def test_poly_hash_agrees_with_eq_over_a_residue_field():
+    """Over <ab - 1> the constants a and 1/b are equal but print apart:
+    they hash alike and a set keeps one of them."""
+    R = PolyRing(QQ, ("a", "b"), GRevLex())
+    a, b = R.var("a"), R.var("b")
+    basis = buchberger([a * b - 1])
+    F = ResidueField(PrimeIdealQ(R, (a * b - 1,), tuple(basis), certify_prime(basis, R)))
+    RF = PolyRing(F, ("x",), GRevLex())
+    p1, p2 = RF.const(F.make(a)), RF.const(F.make(R.one(), b))
+    assert str(p1) != str(p2) and p1 == p2
+    assert hash(p1) == hash(p2)
+    assert len({p1, p2}) == 1
 
 
 def test_residue_context_vanishing_family():
