@@ -9,7 +9,13 @@ order; survivors are balanced to matched t/dt powers and rewritten
 through t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) with t_j dt_j = -s_j - 1,
 landing in A_n(R)[s].  Appending f^v = prod f_j^v_j and eliminating x, dx
 yields the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of
-the f^v generator is the certificate operator P with b f^s = P f^(s+v).
+the f^v generator is a certificate operator P with b f^s = P f^(s+v).
+
+P is defined only modulo Ann f^(s+v) = sigma_v(Ann f^s), where sigma_v
+maps s_j to s_j + v_j.  ``bs_ideal`` reports each P as its normal form
+modulo a reduced left Groebner basis of that ideal, so the certificate
+depends only on f, v, b and the term order, not on the path of the
+elimination; ``bs_ideal_ctx`` returns the raw cofactor.
 
 Every ring comes from the instance, over its coefficient field, so the
 same code serves instances over Q (parameters as central variables) and
@@ -20,14 +26,16 @@ field elements).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import HomogeneityViolation, MixedRingError, VerificationFailed, ZeroPolynomialError
 from .factor import Factorization, factor
 from .fsmodule import FsElement, act, check_identity
+from .groebner import normal_form
 from .instance import ProblemInstance
 from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
-from .weyl_groebner import GBBudget, LeftIdealW, eliminate
+from .weyl_groebner import GBBudget, LeftIdealW, eliminate, left_buchberger
 
 
 @dataclass
@@ -36,12 +44,14 @@ class BSIdeal:
 
     ``generators[i]`` lies in the instance's ``s_ring`` (parameters and
     s); ``certificates[i]`` is the operator P with
-    generators[i] * f^s = P f^(s+v).
+    generators[i] * f^s = P f^(s+v).  ``ann`` is the Ann f^s the
+    generators were eliminated from.
     """
 
     instance: ProblemInstance
     generators: list
     certificates: list
+    ann: LeftIdealW
 
     def is_zero(self):
         return not self.generators
@@ -177,7 +187,13 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
 
 
 def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
-    """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included."""
+    """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included.
+
+    Each certificate is the raw cofactor of f^v in the elimination basis,
+    so it depends on the path of that run; ``bs_ideal`` reduces it to a
+    normal form.  ``generic_bs`` reads these raw cofactors over a residue
+    field.
+    """
     ann = ann_fs_ctx(inst, budget=budget)
     ring = ann.ring
     fv = ring.convert(inst.f_power_v())
@@ -194,11 +210,19 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
         instance=inst,
         generators=[s_ring.convert(g) for g in members],
         certificates=[rep[0] for rep in reps],
+        ann=ann,
     )
 
 
 def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """Bernstein-Sato ideal over the plain coefficients, verified.
+
+    Each certificate P is reported as its normal form modulo the reduced
+    left Groebner basis of sigma_v(Ann f^s) = Ann f^(s+v), in the order
+    of ``inst.weyl_ring()``.  Two certificates of one b differ by a
+    member of that ideal, so the reported P depends only on f, v, b and
+    the order; the raw cofactor of ``bs_ideal_ctx`` depends on the
+    elimination's path.  That basis counts against ``budget``.
 
     Over Q the parameters are central variables, so every generator's
     identity b f^s = P f^(s+v) holds literally over Q[a]; each one is
@@ -206,12 +230,35 @@ def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     VerificationFailed.
     """
     B = bs_ideal_ctx(inst, budget=budget)
+    if B.certificates:
+        shifted = [_shift_s(g, inst) for g in B.ann.generators]
+        gb = left_buchberger(shifted, budget=budget)
+        B.certificates = [normal_form(P, gb) for P in B.certificates]
     for b, P in zip(B.generators, B.certificates):
         if not check_identity(b, P, inst):
             raise VerificationFailed(
                 "certificate fails the functional identity for %s" % b
             )
     return B
+
+
+def _shift_s(g: WeylOp, inst: ProblemInstance) -> WeylOp:
+    """sigma_v(g): every s_j replaced by s_j + v_j.
+
+    s is central, so sigma_v is a ring automorphism of A_n(R)[s], and it
+    maps Ann f^s onto Ann f^(s+v).  Each term's power of s_j is expanded
+    by the binomial theorem.
+    """
+    ring = g.ring
+    terms = list(g._terms.items())
+    for name, vj in zip(inst.registry.s, inst.v):
+        i = ring.index(name)
+        terms = [
+            (exp[:i] + (k,) + exp[i + 1 :], c * (comb(exp[i], k) * vj ** (exp[i] - k)))
+            for exp, c in terms
+            for k in range(exp[i] + 1)
+        ]
+    return ring.from_terms(terms)
 
 
 @dataclass

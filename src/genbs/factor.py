@@ -23,9 +23,18 @@ from .poly import Poly, QQ
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    """Quotient f/g when g divides f exactly; raises ValueError otherwise.
+
+    Under a monomial order the smallest term of q*g is the product of
+    the smallest terms of q and g, so a quotient exists only if the
+    smallest term of g divides that of f: that test rejects in one pass
+    over the terms, before any division step.
+    """
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero")
+    key = f.ring.order.cached_key
+    if f._terms and mono_div(min(f._terms, key=key), min(g._terms, key=key)) is None:
+        raise ValueError("division is not exact")
     q = {}
     r = f
     lg = g.lead_exp()

@@ -48,17 +48,25 @@ from .weyl import WeylOp, WeylRing
 from .weyl_groebner import eliminate
 
 
-def _lifted(op):
-    """``op`` on two elements as an operator and its reflection; an int or
-    Fraction operand is read as num/1."""
+def _lifted(op, scalar_op, scalar_rop):
+    """``op`` on two elements as an operator and its reflection.
+
+    An int or Fraction operand q takes its own path, which scales the
+    element's num or den by q: ``scalar_op(a, q)`` is a op q and
+    ``scalar_rop(a, q)`` is q op a.
+    """
 
     def forward(a, b):
-        b = a._cast(b)
-        return NotImplemented if b is None else op(a, b)
+        if isinstance(b, ResidueElem):
+            return op(a, b)
+        if isinstance(b, (int, Fraction)):
+            return scalar_op(a, b)
+        return NotImplemented
 
-    def reflected(b, a):
-        a = b._cast(a)
-        return NotImplemented if a is None else op(a, b)
+    def reflected(a, q):
+        if isinstance(q, (int, Fraction)):
+            return scalar_rop(a, q)
+        return NotImplemented
 
     return forward, reflected
 
@@ -68,9 +76,9 @@ class ResidueElem:
 
     Only ``ResidueField.make`` builds one, and only for a value that is
     not rational: a rational value, zero included, is a ``Fraction``.  So
-    an element is never zero.  Elements compute with Python's operators,
-    each one ``make`` of its formula.  ``==`` cross-multiplies, so
-    elements are not hashable.
+    an element is never zero, and equals no int or Fraction.  Elements
+    compute with Python's operators, each one ``make`` of its formula.
+    ``==`` cross-multiplies, so elements are not hashable.
     """
 
     __slots__ = ("field", "num", "den")
@@ -80,38 +88,50 @@ class ResidueElem:
         self.num = num
         self.den = den
 
-    def _cast(self, other):
-        if isinstance(other, ResidueElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ResidueElem(self.field, *_num_den(other, self.num.ring))
-        return None
-
     def _add(a, b):
         return a.field.make(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    def _add_q(a, q):
+        return a.field.make(a.num + a.den.scale(q), a.den)
 
     def _sub(a, b):
         return a.field.make(a.num * b.den - b.num * a.den, a.den * b.den)
 
+    def _sub_q(a, q):
+        return a.field.make(a.num - a.den.scale(q), a.den)
+
+    def _rsub_q(a, q):
+        return a.field.make(a.den.scale(q) - a.num, a.den)
+
     def _mul(a, b):
         return a.field.make(a.num * b.num, a.den * b.den)
+
+    def _mul_q(a, q):
+        return a.field.make(a.num.scale(q), a.den)
 
     def _div(a, b):
         return a.field.make(a.num * b.den, a.den * b.num)
 
-    __add__, __radd__ = _lifted(_add)
-    __sub__, __rsub__ = _lifted(_sub)
-    __mul__, __rmul__ = _lifted(_mul)
-    __truediv__, __rtruediv__ = _lifted(_div)
+    def _div_q(a, q):
+        return a.field.make(a.num, a.den.scale(q))
+
+    def _rdiv_q(a, q):
+        return a.field.make(a.den.scale(q), a.num)
+
+    __add__, __radd__ = _lifted(_add, _add_q, _add_q)
+    __sub__, __rsub__ = _lifted(_sub, _sub_q, _rsub_q)
+    __mul__, __rmul__ = _lifted(_mul, _mul_q, _mul_q)
+    __truediv__, __rtruediv__ = _lifted(_div, _div_q, _rdiv_q)
 
     def __neg__(self):
         return ResidueElem(self.field, -self.num, self.den)
 
     def __eq__(self, other):
-        b = self._cast(other)
-        if b is None:
+        if isinstance(other, (int, Fraction)):
+            return False
+        if not isinstance(other, ResidueElem):
             return NotImplemented
-        return self.field.nf(self.num * b.den - b.num * self.den).is_zero()
+        return self.field.nf(self.num * other.den - other.num * self.den).is_zero()
 
     def __str__(self):
         if self.den.is_constant() and self.den.const_value() == 1:

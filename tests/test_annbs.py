@@ -13,6 +13,7 @@ from genbs.annbs import (
     _theta_substitute,
     ann_fs,
     bs_ideal,
+    bs_ideal_ctx,
     bs_poly,
     malgrange_ideal,
     rationality_report,
@@ -20,10 +21,11 @@ from genbs.annbs import (
 from genbs.errors import EmptyAnsatz, VerificationFailed
 from genbs.factor import divides
 from genbs.fsmodule import AnsatzBounds, FsElement, act, ansatz_bs, check_identity
-from genbs.groebner import buchberger, ideal_contains
+from genbs.groebner import buchberger, ideal_contains, normal_form
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
 from genbs.poly import PolyRing, QQ
+from genbs.weyl_groebner import left_buchberger
 
 
 def test_malgrange_generators(inst_x):
@@ -226,7 +228,7 @@ def test_rationality_report_roots_match_planted_factors(planted, unit):
     g = S2.const(unit)
     for kind, name, consts in planted:
         g = g * _planted_poly(kind, name, consts)
-    B = BSIdeal(instance=INST_XY, generators=[g], certificates=[None])
+    B = BSIdeal(instance=INST_XY, generators=[g], certificates=[None], ann=None)
     (entry,) = rationality_report(B)["generators"]
     listed = Counter()
     for rec in entry["factors"]:
@@ -263,3 +265,79 @@ def test_ann_fs_kills_symbol_for_corpus():
         assert ideal.generators
         for g in ideal.generators:
             assert act(g, sym).is_zero()
+
+
+# -- canonical certificates ----------------------------------------------------
+
+
+def _canonical_cases():
+    Rx = PolyRing(QQ, ("x",), GRevLex())
+    Rxy = PolyRing(QQ, ("x", "y"), GRevLex())
+    x, (x2, y2) = Rx.var("x"), (Rxy.var("x"), Rxy.var("y"))
+    cases = {
+        "x^2": make_instance(("x",), [x**2], v=(1,)),
+        "x,v=2": make_instance(("x",), [x], v=(2,)),
+        "cusp": make_instance(("x", "y"), [y2**2 - x2**3]),
+        "x,y": make_instance(("x", "y"), [x2, y2], v=(1, 1)),
+        "y,y-x^2": make_instance(("x", "y"), [y2, y2 - x2**2], v=(1, 1)),
+        "x,y,v=(2,1)": make_instance(("x", "y"), [x2, y2], v=(2, 1)),
+    }
+    return [pytest.param(inst, id=name) for name, inst in cases.items()]
+
+
+def _shifted_ann_basis(inst):
+    """Reduced left basis of Ann f^(s+v), each s_j of Ann f^s replaced by
+    s_j + v_j through ring products, in the order of inst.weyl_ring()."""
+    ring = inst.weyl_ring()
+    s_names = inst.registry.s
+    shifted = []
+    for g in ann_fs(inst).generators:
+        acc = ring.zero()
+        for exp, c in g._terms.items():
+            base = list(exp)
+            term = ring.one()
+            for name, vj in zip(s_names, inst.v):
+                i = ring.index(name)
+                term = term * (ring.gen(name) + vj) ** base[i]
+                base[i] = 0
+            acc = acc + ring.monomial(tuple(base), c) * term
+        shifted.append(acc)
+    return shifted, left_buchberger(shifted)
+
+
+@pytest.mark.parametrize("inst", _canonical_cases())
+def test_reported_certificates_are_normal_forms(inst):
+    """Every P that bs_ideal (and for p = 1 bs_poly) reports is its own
+    normal form modulo Ann f^(s+v), replays, and is the normal form of
+    the raw elimination cofactor."""
+    shifted, gb = _shifted_ann_basis(inst)
+    target = FsElement.shifted(inst)
+    for g in shifted:
+        assert act(g, target).is_zero()
+    B = bs_ideal(inst)
+    raw = bs_ideal_ctx(inst)
+    assert [str(g) for g in raw.generators] == [str(g) for g in B.generators]
+    fsr = inst.fs_ring()
+    for b, P, P_raw in zip(B.generators, B.certificates, raw.certificates):
+        assert normal_form(P, gb) == P
+        assert normal_form(P_raw, gb) == P
+        assert check_identity(fsr.convert(b), P, inst)
+    if inst.registry.p == 1:
+        res = bs_poly(inst)
+        assert normal_form(res.certificate, gb) == res.certificate
+        assert check_identity(res.b, res.certificate, inst)
+
+
+@pytest.mark.parametrize("inst", _canonical_cases())
+def test_certificate_normal_form_ignores_annihilator_multiples(inst):
+    """P and P + A*g reduce to the same operator for g in Ann f^(s+v)."""
+    shifted, gb = _shifted_ann_basis(inst)
+    ring = inst.weyl_ring()
+    r = inst.registry
+    x0, d0, s0 = (ring.gen(names[0]) for names in (r.x, r.d_names(), r.s))
+    multipliers = [ring.one(), x0, d0, s0 + 2, x0 * d0 - Fraction(1, 3) * s0 * s0]
+    B = bs_ideal(inst)
+    for P in B.certificates:
+        for A in multipliers:
+            for g in shifted:
+                assert normal_form(P + A * g, gb) == P

@@ -17,8 +17,8 @@ from genbs.factor import (
     squarefree_decomposition,
     squarefree_part,
 )
-from genbs.orders import GRevLex
-from genbs.poly import PolyRing, QQ
+from genbs.orders import GRevLex, mono_div
+from genbs.poly import Poly, PolyRing, QQ
 from genbs.primes import certify_prime, minimal_primes, the_zero_prime
 
 R = PolyRing(QQ, ("x", "y"), GRevLex())
@@ -34,6 +34,58 @@ def test_exact_div():
         exact_div(X**2 + 1, X + Y)
     assert divides(X, X**2 * Y)
     assert not divides(X + 1, X**2 + 1)
+
+
+def _long_division(f, g):
+    """exact_div's quotient loop alone, without its smallest-term test."""
+    q, r = {}, f
+    while not r.is_zero():
+        m = mono_div(r.lead_exp(), g.lead_exp())
+        if m is None:
+            return None
+        c = q[m] = r.lead_coeff() / g.lead_coeff()
+        r = r.sub_mul_term(c, m, g)
+    return q
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=4),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)), max_size=2),
+)
+def test_exact_div_agrees_with_long_division(q_terms, g_terms, r_terms):
+    """On q*g, and on q*g plus a few terms, exact_div returns the quotient
+    of plain long division, term for term, or raises where it fails."""
+    def poly(terms):
+        return R.from_terms(((i, j), Fraction(c)) for i, j, c in terms if c)
+
+    q, g, r = poly(q_terms), poly(g_terms), poly(r_terms)
+    if g.is_zero():
+        return
+    for f in (q * g, q * g + r):
+        expected = _long_division(f, g)
+        if expected is None:
+            with pytest.raises(ValueError):
+                exact_div(f, g)
+        else:
+            assert exact_div(f, g)._terms == expected
+
+
+def test_exact_div_rejects_on_smallest_terms_without_dividing(monkeypatch):
+    """min(q*g) = min(q)*min(g) under a monomial order, so when the smallest
+    term of g does not divide that of f no division step runs."""
+    steps = []
+    sub_mul_term = Poly.sub_mul_term
+    monkeypatch.setattr(
+        Poly, "sub_mul_term", lambda self, *args: steps.append(args) or sub_mul_term(self, *args)
+    )
+    # the leads x^3 and x divide, the smallest terms 1 and y do not
+    with pytest.raises(ValueError):
+        exact_div(X**3 + 1, X + Y)
+    assert not steps
+    assert exact_div((X + Y) * (X**2 + 1), X + Y) == X**2 + 1
+    assert steps
 
 
 def test_multi_gcd_random_products():

@@ -30,7 +30,7 @@ from genbs.parametric import (
     specialize_check,
 )
 from genbs.parser import parse_poly
-from genbs.poly import PolyRing, QQ
+from genbs.poly import Poly, PolyRing, QQ
 from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.variables import VarRegistry
 from genbs.weyl import WeylOp, WeylRing
@@ -217,8 +217,8 @@ def test_residue_non_rational_operand_goes_through_make(monkeypatch):
 
 
 def test_residue_mixed_operands():
-    """An int or Fraction operand is read as num/1: the result is the
-    element make gives for the same value, num and den alike."""
+    """An int or Fraction operand gives the element make gives for the
+    same value, num and den alike."""
     F = F2
     e = F.make(A + 1, A + 3)
     half = Fraction(1, 2)
@@ -232,6 +232,37 @@ def test_residue_mixed_operands():
     assert e != half and not half == e
     with pytest.raises(TypeError):
         hash(e)
+
+
+def test_residue_scalar_operand_scales_num_or_den(monkeypatch):
+    """An int or Fraction operand q scales the element's num or den by q:
+    make sees those polynomials, and no polynomial product is formed."""
+    F = F2
+    e = F.make(A + 1, A + 3)
+    num, den = e.num, e.den
+    seen = []
+    monkeypatch.setattr(F, "make", lambda n, d=None: seen.append((n, d)))
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    q = Fraction(-2, 3)
+    cases = [
+        (lambda: e + q, num + den.scale(q), den),
+        (lambda: q + e, num + den.scale(q), den),
+        (lambda: e - q, num - den.scale(q), den),
+        (lambda: q - e, den.scale(q) - num, den),
+        (lambda: e * q, num.scale(q), den),
+        (lambda: q * e, num.scale(q), den),
+        (lambda: e / q, num, den.scale(q)),
+        (lambda: q / e, den.scale(q), num),
+        (lambda: 1 / e, den, num),
+        (lambda: e * 2, num.scale(2), den),
+    ]
+    for op, want_num, want_den in cases:
+        seen.clear()
+        op()
+        assert seen == [(want_num, want_den)]
+    assert not products
 
 
 def test_poly_hash_agrees_with_eq_over_a_residue_field():
@@ -304,6 +335,7 @@ def _fake_bs(inst, generators, certs=None):
         instance=inst,
         generators=tuple(generators),
         certificates=certs,
+        ann=None,
     )
 
 
