@@ -12,10 +12,13 @@ yields the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of
 the f^v generator is a certificate operator P with b f^s = P f^(s+v).
 
 P is defined only modulo Ann f^(s+v) = sigma_v(Ann f^s), where sigma_v
-maps s_j to s_j + v_j.  ``bs_ideal`` reports each P as its normal form
-modulo a reduced left Groebner basis of that ideal, so the certificate
-depends only on f, v, b and the term order, not on the path of the
-elimination; ``bs_ideal_ctx`` returns the raw cofactor.
+maps s_j to s_j + v_j.  Every certificate has one form, over Q and over
+a residue field alike: ``bs_ideal_ctx`` reports P as its normal form
+modulo a reduced left Groebner basis of that ideal, whose S-pairs count
+against the budget.  So P depends only on f, v, b and the term order,
+though over a field such as Frac(Q[a,b]/<ab-1>) how its coefficients
+print may depend on the path (``ResidueField.make`` gives them no unique
+form).  A U that ``generic_bs`` combines from several P is no normal form.
 
 Every ring comes from the instance, over its coefficient field, so the
 same code serves instances over Q (parameters as central variables) and
@@ -44,14 +47,12 @@ class BSIdeal:
 
     ``generators[i]`` lies in the instance's ``s_ring`` (parameters and
     s); ``certificates[i]`` is the operator P with
-    generators[i] * f^s = P f^(s+v).  ``ann`` is the Ann f^s the
-    generators were eliminated from.
+    generators[i] * f^s = P f^(s+v).
     """
 
     instance: ProblemInstance
     generators: list
     certificates: list
-    ann: LeftIdealW
 
     def is_zero(self):
         return not self.generators
@@ -189,10 +190,13 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
 def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included.
 
-    Each certificate is the raw cofactor of f^v in the elimination basis,
-    so it depends on the path of that run; ``bs_ideal`` reduces it to a
-    normal form.  ``generic_bs`` reads these raw cofactors over a residue
-    field.
+    Each certificate P, the cofactor of f^v in the elimination basis, is
+    reported as its normal form modulo the reduced left Groebner basis of
+    sigma_v(Ann f^s) = Ann f^(s+v) in the order of ``inst.weyl_ring()``,
+    over Q and over a residue field alike; two certificates of one b
+    differ by a member of that ideal.  That basis counts against
+    ``budget``.  Nothing is replayed here: ``bs_ideal`` replays over Q,
+    and ``generic_bs`` reads these certificates over a residue field.
     """
     ann = ann_fs_ctx(inst, budget=budget)
     ring = ann.ring
@@ -205,35 +209,29 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
         track=(len(gens) - 1,),
         budget=budget,
     )
+    certificates = []
+    if reps:
+        shifted = [_shift_s(g, inst) for g in ann.generators]
+        gb = left_buchberger(shifted, budget=budget)
+        certificates = [normal_form(rep[0], gb) for rep in reps]
     s_ring = inst.s_ring()
     return BSIdeal(
         instance=inst,
         generators=[s_ring.convert(g) for g in members],
-        certificates=[rep[0] for rep in reps],
-        ann=ann,
+        certificates=certificates,
     )
 
 
 def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """Bernstein-Sato ideal over the plain coefficients, verified.
 
-    Each certificate P is reported as its normal form modulo the reduced
-    left Groebner basis of sigma_v(Ann f^s) = Ann f^(s+v), in the order
-    of ``inst.weyl_ring()``.  Two certificates of one b differ by a
-    member of that ideal, so the reported P depends only on f, v, b and
-    the order; the raw cofactor of ``bs_ideal_ctx`` depends on the
-    elimination's path.  That basis counts against ``budget``.
-
-    Over Q the parameters are central variables, so every generator's
-    identity b f^s = P f^(s+v) holds literally over Q[a]; each one is
-    replayed once by direct action, and a failure raises
+    ``bs_ideal_ctx`` with its one replay: over Q the parameters are
+    central variables, so every generator's identity b f^s = P f^(s+v),
+    with P in normal form modulo Ann f^(s+v), holds literally over Q[a];
+    each one is replayed once by direct action, and a failure raises
     VerificationFailed.
     """
     B = bs_ideal_ctx(inst, budget=budget)
-    if B.certificates:
-        shifted = [_shift_s(g, inst) for g in B.ann.generators]
-        gb = left_buchberger(shifted, budget=budget)
-        B.certificates = [normal_form(P, gb) for P in B.certificates]
     for b, P in zip(B.generators, B.certificates):
         if not check_identity(b, P, inst):
             raise VerificationFailed(

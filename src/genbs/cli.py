@@ -261,13 +261,16 @@ def _cmd_generic_bs(spec: JobSpec) -> dict:
 
 
 def _parse_points(spec: JobSpec, inst: ProblemInstance):
-    """Each --point, "1,-1" in parameter order or "a=1,b=-1" by name."""
+    """Each --point, "1,-1" in parameter order or "a=1,b=-1" by name,
+    with no name given twice."""
     out = []
     for text in spec.points:
         parts = _split_csv(text)
         if any("=" in t for t in parts):
-            pairs = (t.partition("=") for t in parts)
+            pairs = [t.partition("=") for t in parts]
             parts = {nm.strip(): val.strip() for nm, _, val in pairs}
+            if len(parts) != len(pairs):
+                raise InvalidInput("point %r names a parameter twice" % text)
         out.append(inst.point(parts))
     return out
 

@@ -59,13 +59,9 @@ def divides(g: Poly, f: Poly) -> bool:
 
 def _univar_coeffs(f: Poly, i: int):
     """Coefficient list of f along variable i; entries lie in the same ring."""
-    d = f.degree_in(i)
-    out = [f.ring.zero()] * (d + 1)
-    for exp, c in f._terms.items():
-        rest = list(exp)
-        k = rest[i]
-        rest[i] = 0
-        out[k] = out[k] + f.ring.monomial(tuple(rest), c)
+    out = [f.ring.zero()] * (f.degree_in(i) + 1)
+    for (k,), c in f.coefficients_wrt([i]).items():
+        out[k] = c
     return out
 
 

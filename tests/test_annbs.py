@@ -24,8 +24,10 @@ from genbs.fsmodule import AnsatzBounds, FsElement, act, ansatz_bs, check_identi
 from genbs.groebner import buchberger, ideal_contains, normal_form
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
+from genbs.parametric import residue_context
 from genbs.poly import PolyRing, QQ
-from genbs.weyl_groebner import left_buchberger
+from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
+from genbs.weyl_groebner import eliminate, left_buchberger
 
 
 def test_malgrange_generators(inst_x):
@@ -228,7 +230,7 @@ def test_rationality_report_roots_match_planted_factors(planted, unit):
     g = S2.const(unit)
     for kind, name, consts in planted:
         g = g * _planted_poly(kind, name, consts)
-    B = BSIdeal(instance=INST_XY, generators=[g], certificates=[None], ann=None)
+    B = BSIdeal(instance=INST_XY, generators=[g], certificates=[None])
     (entry,) = rationality_report(B)["generators"]
     listed = Counter()
     for rec in entry["factors"]:
@@ -285,6 +287,32 @@ def _canonical_cases():
     return [pytest.param(inst, id=name) for name, inst in cases.items()]
 
 
+def _residue_cases():
+    """Families read over Frac(Q[a]/Q), the ring generic_bs works in."""
+    Rxya = PolyRing(QQ, ("x", "y", "a"), GRevLex())
+    x, y, a = (Rxya.var(nm) for nm in ("x", "y", "a"))
+    nodal = make_instance(("x", "y"), [y**2 - x**3 - a * x**2], a_names=("a",))
+    cone = make_instance(("x", "y"), [x**2 + a * y**2], a_names=("a",))
+    param = cone.param_ring()
+    basis = buchberger([param.var("a") - 1])
+    Q = PrimeIdealQ(param, tuple(basis), tuple(basis), certify_prime(basis, param))
+    cases = {
+        "y^2-x^3-a*x^2 at 0": residue_context(nodal, the_zero_prime(nodal.param_ring())),
+        "x^2+a*y^2 at <a-1>": residue_context(cone, Q),
+    }
+    return [pytest.param(inst, id=name) for name, inst in cases.items()]
+
+
+def _raw_cofactors(inst):
+    """The elimination members of Ann f^s + A_n[s] f^v and the cofactors
+    of f^v in them, before any reduction."""
+    ann = ann_fs(inst)
+    gens = list(ann.generators) + [ann.ring.convert(inst.f_power_v())]
+    r = inst.registry
+    members, reps = eliminate(gens, r.x + r.d_names(), track=(len(gens) - 1,))
+    return members, [rep[0] for rep in reps]
+
+
 def _shifted_ann_basis(inst):
     """Reduced left basis of Ann f^(s+v), each s_j of Ann f^s replaced by
     s_j + v_j through ring products, in the order of inst.weyl_ring()."""
@@ -305,26 +333,31 @@ def _shifted_ann_basis(inst):
     return shifted, left_buchberger(shifted)
 
 
-@pytest.mark.parametrize("inst", _canonical_cases())
+@pytest.mark.parametrize("inst", _canonical_cases() + _residue_cases())
 def test_reported_certificates_are_normal_forms(inst):
-    """Every P that bs_ideal (and for p = 1 bs_poly) reports is its own
-    normal form modulo Ann f^(s+v), replays, and is the normal form of
-    the raw elimination cofactor."""
+    """Every P that bs_ideal_ctx builds, over Q and over a residue field,
+    is its own normal form modulo Ann f^(s+v), replays, and is the normal
+    form of the raw elimination cofactor; over Q, bs_ideal (and for
+    p = 1 bs_poly) reports that P."""
     shifted, gb = _shifted_ann_basis(inst)
     target = FsElement.shifted(inst)
     for g in shifted:
         assert act(g, target).is_zero()
-    B = bs_ideal(inst)
-    raw = bs_ideal_ctx(inst)
-    assert [str(g) for g in raw.generators] == [str(g) for g in B.generators]
+    B = bs_ideal_ctx(inst)
+    members, raw = _raw_cofactors(inst)
+    assert B.generators
+    assert [str(g) for g in B.generators] == [str(inst.s_ring().convert(g)) for g in members]
     fsr = inst.fs_ring()
-    for b, P, P_raw in zip(B.generators, B.certificates, raw.certificates):
+    for b, P, P_raw in zip(B.generators, B.certificates, raw):
         assert normal_form(P, gb) == P
         assert normal_form(P_raw, gb) == P
         assert check_identity(fsr.convert(b), P, inst)
+    if inst.field is not QQ:
+        return
+    assert bs_ideal(inst).certificates == B.certificates
     if inst.registry.p == 1:
         res = bs_poly(inst)
-        assert normal_form(res.certificate, gb) == res.certificate
+        assert res.certificate == B.certificates[0]
         assert check_identity(res.b, res.certificate, inst)
 
 

@@ -335,7 +335,6 @@ def _fake_bs(inst, generators, certs=None):
         instance=inst,
         generators=tuple(generators),
         certificates=certs,
-        ann=None,
     )
 
 

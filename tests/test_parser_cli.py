@@ -329,6 +329,7 @@ BAD_INPUTS = [
     ["bs", "--vars", "x", "--f", "x", "--budget-x", "abc"],
     ["bs", "--no-such-flag"],
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x+a", "--point", "a=1/0"],
+    ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--point", "a=1,a=-2"],
     ["bs", "--vars", "x", "--f", "x", "--budget-steps", "-3"],
     ["stratify", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-samples", "-1"],
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-degree", "-1"],

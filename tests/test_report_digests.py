@@ -15,8 +15,16 @@ The curves and ideals pins of every seed moved when ``bs_ideal`` began
 reporting each certificate P as its normal form modulo Ann f^(s+v): the
 P values, their sha256 and ``budget_used.steps`` (which now counts the
 S-pairs of that basis too) changed; b, the generators, the rationality
-reports and the exit codes did not.  The families pins did not move, as
-``generic_bs`` reports the raw cofactor of ``bs_ideal_ctx``.
+reports and the exit codes did not.
+
+The families pins of every seed moved when ``bs_ideal_ctx`` began
+reducing each certificate modulo Ann f^(s+v) over the residue field too:
+the U values of ``generic-bs`` and of every stratum witness and their
+sha256, the remainder of the ``a = 0`` stratum of ``strat_nodal`` and
+its sha256, and ``budget_used.steps`` (which now counts the S-pairs of
+that basis) changed; b, h, h_radical, the strategies, the strata
+regions, the samples and the exit codes did not.  The curves and ideals
+pins held.
 """
 
 import hashlib
@@ -36,7 +44,7 @@ finally:
 SEED1_REPORTS_SHA256 = {
     "curves": "648ff4a4434ade2c926705e18081032370b2e683155b0166f7ef0e03530bbafb",
     "ideals": "78a998caa3b63cfaa85b341da9d0679a94d5b7c41a7fbd53c57e5691eb75f78e",
-    "families": "e7cc26fd747fe9d6159658bed815db751332e2982fe35aba41105eb0d4b62cd1",
+    "families": "cdd741b6181c591cde21d17b59fc2cebf79df5d07f70b61e966a8a4a9d498f38",
 }
 
 # seeds 2 and 3 draw the same jobs in another order, with other scalings
@@ -45,8 +53,8 @@ LATER_SEEDS_REPORTS_SHA256 = {
     ("curves", 3): "fabdc034841b10f4939ccc8b059685abc1f323b9617c57d0009280cd88ab0009",
     ("ideals", 2): "783b8a5d19b01ab1193773ed76140e8b9566e6d642b2eeff0ebe29935f7fdf78",
     ("ideals", 3): "e1b57a4630cbd895730f4e16285b48320588087a2ff5555a220b4bd4be7ab24b",
-    ("families", 2): "877f48d52b03d703c4d931c79fdfcd787105dd3b9aa730d60efba947f04c653f",
-    ("families", 3): "ec2561c0fb0e59545e101501acf991b82c8588450141640508f2a27acd19f9c1",
+    ("families", 2): "0a5266b9004f91d79b4fe719c364223558a94c571cfb139a004656772eab7089",
+    ("families", 3): "4be5903a844dad4d6eda80e663b8b2e34bb40d0756381b49db4df85665cd2ef3",
 }
 
 
