@@ -12,7 +12,6 @@ from .annbs import (
     ann_fs,
     bs_ideal,
     bs_poly,
-    malgrange_ideal,
     rationality_report,
 )
 from .cli import JobSpec, main, run_command
@@ -133,7 +132,6 @@ __all__ = [
     "left_buchberger",
     "main",
     "make_instance",
-    "malgrange_ideal",
     "minimal_primes",
     "normal_form",
     "op_scale_clear",

@@ -1,15 +1,14 @@
 """Ann f^s and the Bernstein-Sato ideal B^v(f), with certificates.
 
-Pipeline: the extended left ideal generated by
+Pipeline (Briancon-Maisonobe): in A_n(R)[s]<dt> with dt_j s_j =
+(s_j - 1) dt_j, the left ideal generated by
 
-    t_j - u_j f_j,   d_i + sum_j u_j (df_j/dx_i) dt_j,   u_j y_j - 1
+    s_j + f_j dt_j,   d_i + sum_j (df_j/dx_i) dt_j
 
-is intersected with the subalgebra free of u, y via a block elimination
-order; survivors are balanced to matched t/dt powers and rewritten
-through t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) with t_j dt_j = -s_j - 1,
-landing in A_n(R)[s].  Appending f^v = prod f_j^v_j and eliminating x, dx
-yields the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of
-the f^v generator is a certificate operator P with b f^s = P f^(s+v).
+meets A_n(R)[s] in Ann f^s, so one elimination of dt gives its
+generators.  Appending f^v = prod f_j^v_j and eliminating x, dx yields
+the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of the f^v
+generator is a certificate operator P with b f^s = P f^(s+v).
 
 P is defined only modulo Ann f^(s+v) = sigma_v(Ann f^s), where sigma_v
 maps s_j to s_j + v_j.  Every certificate has one form, over Q and over
@@ -31,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import HomogeneityViolation, MixedRingError, VerificationFailed, ZeroPolynomialError
+from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
 from .factor import Factorization, factor
 from .fsmodule import FsElement, act, check_identity
 from .groebner import normal_form
 from .instance import ProblemInstance
 from .poly import Poly, PolyRing
-from .weyl import WeylOp, WeylRing
+from .weyl import WeylOp
 from .weyl_groebner import GBBudget, LeftIdealW, eliminate, left_buchberger
 
 
@@ -58,120 +57,33 @@ class BSIdeal:
         return not self.generators
 
 
-def malgrange_ideal(inst: ProblemInstance) -> LeftIdealW:
-    """The extended left ideal whose elimination yields Ann f^s."""
-    ring = inst.malgrange_ring()
-    t = [ring.gen(nm) for nm in inst.aux("t")]
-    u = [ring.gen(nm) for nm in inst.aux("u")]
-    dt = [ring.gen(nm) for nm in inst.aux("dt")]
-    y = [ring.gen(nm) for nm in inst.aux("y")]
-    f_ops = [ring.convert(fj) for fj in inst.f]
-    p = inst.registry.p
-
-    gens = []
-    for j in range(p):
-        gens.append(t[j] - u[j] * f_ops[j])
-    for xn in inst.registry.x:
-        g = ring.gen("d" + xn)
-        for j in range(p):
-            df = inst.f[j].diff(xn)
-            if not df.is_zero():
-                g = g + u[j] * ring.convert(df) * dt[j]
-        gens.append(g)
-    for j in range(p):
-        gens.append(u[j] * y[j] - 1)
-    return LeftIdealW(ring=ring, generators=gens)
-
-
 def ann_fs_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
     """Generators of Ann f^s in A_n(R)[s], not yet verified.
 
-    The Malgrange generators are homogeneous for the weight +1 on each t
-    and u, -1 on each dt and y, and 0 elsewhere, so every element of the
-    elimination basis is too: the engine asserts it on each one.  The
-    basis members free of u and y are balanced per (t, dt) pair (see
-    ``_balance``) and rewritten in s (see ``_theta_substitute``).  They
-    cover the weight-zero part of the ideal: a weight-zero member reduces
-    to zero against left multiples of the members, and those multiples
-    are reachable from the balanced members by weight-zero monomials.
+    Acting on f^s by dt_j g(s) f^s = -s_j g(s - e_j) f^(s - e_j), the
+    generators s_j + f_j dt_j and d_i + sum_j (df_j/dx_i) dt_j kill f^s,
+    and the members free of dt of their left ideal generate Ann f^s
+    (J. Briancon & Ph. Maisonobe, *Remarques sur l'ideal de Bernstein
+    associe a des polynomes*, 2002; Levandovskyy & Martin Morales,
+    ISSAC 2008).  They come from one ``eliminate`` with dt in front and
+    are moved into ``inst.weyl_ring()``.
     """
-    ideal = malgrange_ideal(inst)
-    ring = ideal.ring
-    w = [0] * ring.nvars
-    for prefix, sign in (("t", 1), ("u", 1), ("dt", -1), ("y", -1)):
-        for nm in inst.aux(prefix):
-            w[ring.index(nm)] = sign
-    kept = eliminate(
-        ideal.generators,
-        inst.aux("u") + inst.aux("y"),
-        budget=budget,
-        weight_vectors=(w,),
-    )
-    pairs = list(zip(map(ring.index, inst.aux("t")), map(ring.index, inst.aux("dt"))))
+    ring = inst.annihilator_ring()
+    dt = [ring.gen(nm) for nm in inst.dt_names()]
+    gens = [
+        ring.gen(sj) + ring.convert(fj) * dtj
+        for sj, fj, dtj in zip(inst.registry.s, inst.f, dt)
+    ]
+    for xn in inst.registry.x:
+        g = ring.gen("d" + xn)
+        for fj, dtj in zip(inst.f, dt):
+            df = fj.diff(xn)
+            if not df.is_zero():
+                g = g + ring.convert(df) * dtj
+        gens.append(g)
     target = inst.weyl_ring()
-    out = []
-    for g in kept:
-        g = _theta_substitute(_balance(g, pairs), pairs, target, inst)
-        if not g.is_zero():
-            out.append(g)
-    return LeftIdealW(ring=target, generators=out)
-
-
-def _balance(g: WeylOp, pairs):
-    """Left-multiply g so every (t, dt) pair has net degree zero.
-
-    An element whose degree t_j - dt_j is d_j > 0 is left-multiplied by
-    dt_j^d_j, one with d_j < 0 by t_j^-d_j; the product lies in the left
-    ideal.  Each pair's degree must be one number on all of g
-    (HomogeneityViolation otherwise): for p >= 2 the aggregate weight
-    that the engine asserts does not imply it.
-    """
-    ring = g.ring
-    mults = [0] * ring.nvars
-    for ti, di in pairs:
-        degs = {exp[ti] - exp[di] for exp in g._terms}
-        if len(degs) > 1:
-            raise HomogeneityViolation(
-                "element is not homogeneous in a t/dt pair degree: %s" % g
-            )
-        d = degs.pop()
-        if d > 0:
-            mults[di] += d
-        elif d < 0:
-            mults[ti] += -d
-    if not any(mults):
-        return g
-    return ring.monomial(tuple(mults)) * g
-
-
-def _theta_substitute(op: WeylOp, pairs, target: WeylRing, inst: ProblemInstance):
-    """Rewrite matched t^c dt^c blocks as falling factorials in -s_j - 1.
-
-    ``pairs`` holds the (t_j, dt_j) indices of op's ring.  Uses
-    t^c dt^c = (t dt)(t dt - 1)..(t dt - c + 1) and t_j dt_j = -s_j - 1;
-    the substituted symbol is central on the remaining generators, so the
-    rewrite respects products.  A term whose t_j and dt_j powers differ
-    raises VerificationFailed: this is the one check that balancing
-    matched them.
-    """
-    source = op.ring
-    tset = {i for pair in pairs for i in pair}
-    s_ops = [target.gen(nm) for nm in inst.registry.s]
-    out = target.zero()
-    for exp, c in op._terms.items():
-        sub = target.one()
-        for j, (ti, di) in enumerate(pairs):
-            cj = exp[ti]
-            if exp[di] != cj:
-                raise VerificationFailed("unmatched t/dt powers reached substitution")
-            for i in range(cj):
-                sub = sub * (-s_ops[j] - (1 + i))
-        base = [0] * target.nvars
-        for i, e in enumerate(exp):
-            if e and i not in tset:
-                base[target.index(source.names[i])] = e
-        out = out + target.monomial(tuple(base), c) * sub
-    return out
+    kept = eliminate(gens, inst.dt_names(), budget=budget)
+    return LeftIdealW(ring=target, generators=[target.convert(g) for g in kept])
 
 
 def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:

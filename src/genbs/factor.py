@@ -124,11 +124,11 @@ def multi_gcd(f: Poly, g: Poly) -> Poly:
     b = [exact_div(c, cont_g) for c in gc]
     if _deg(a) < _deg(b):
         a, b = b, a
+    # a and b stay primitive: the primitive parts, then r over its content
     while True:
         r = _prem(a, b, ring)
         if _deg(r) < 0:
-            pp = [exact_div(c, _content(b)) for c in b]
-            return (cont * _from_coeffs(ring, i, pp)).monic()
+            return (cont * _from_coeffs(ring, i, b)).monic()
         cr = _content(r)
         a, b = b, [exact_div(c, cr) for c in r]
 
@@ -294,7 +294,13 @@ class Factorization:
 
 
 def factor(f: Poly) -> Factorization:
-    """Conservative factorization over Q; see the module docstring."""
+    """Conservative factorization over Q; see the module docstring.
+
+    No two factors are equal, so none need merging: the monomial content
+    is shifted out first, so no later factor is a variable; squarefree
+    parts are pairwise coprime; and ``_factor_squarefree`` splits a
+    squarefree part into pairwise coprime pieces.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if not isinstance(f.ring.field, type(QQ)):
@@ -316,24 +322,12 @@ def factor(f: Poly) -> Factorization:
         f = Poly(ring, shift)
 
     if f.is_constant():
-        return Factorization(unit, _merge(factors))
+        return Factorization(unit, factors)
 
     for w, mult in squarefree_decomposition(f):
         for piece, flag in _factor_squarefree(w):
             factors.append((piece, mult, flag))
-    return Factorization(unit, _merge(factors))
-
-
-def _merge(factors):
-    out = []
-    for p, k, flag in factors:
-        for idx, (p2, k2, flag2) in enumerate(out):
-            if p2 == p:
-                out[idx] = (p2, k2 + k, flag2)
-                break
-        else:
-            out.append((p, k, flag))
-    return out
+    return Factorization(unit, factors)
 
 
 def _factor_squarefree(w: Poly):

@@ -2,12 +2,13 @@
 
 One engine serves both rings: a commutative :class:`~genbs.poly.PolyRing`
 and a Weyl ring (:class:`~genbs.weyl.WeylRing`), which is a PolyRing with
-Weyl pairs whose product applies the Leibniz rule.  A commutative ring is
-a Weyl ring without pairs, so every routine is written for left ideals:
-S-pairs and reductions use left monomial multiples.  Orders must be
-global monomial orders; then the lead of a left product m*g is
-m + lead(g), because every Leibniz correction term strictly divides the
-top term, and the commutative divisibility bookkeeping carries over.
+Weyl pairs and shift pairs whose product applies the Leibniz rule and the
+shift rule.  A commutative ring is a Weyl ring without pairs, so every
+routine is written for left ideals: S-pairs and reductions use left
+monomial multiples.  Orders must be global monomial orders; then the lead
+of a left product m*g is m + lead(g), because every correction term of
+either rule strictly divides the top term, and the commutative
+divisibility bookkeeping carries over.
 
 Pair selection is normal selection: the next S-pair is the one whose lcm
 is smallest in the ring order, ties broken by creation order (pairs are
@@ -18,9 +19,9 @@ to it changes reports.
 New pairs pass the Gebauer-Moeller update.  Its chain parts (the M
 test, one pair per lcm, and the chain test on old pairs) run in every
 ring: Buchberger's chain criterion holds in solvable algebras such as
-the Weyl algebra, because the leading terms of left multiples multiply
+the Weyl algebra and A_n[s]<dt>, because the leading terms of left multiples multiply
 like commutative monomials.  The product criterion runs only in a ring
-without Weyl pairs; it needs commuting leading monomials, and in a
+without pairs of either kind; it needs commuting leading monomials, and in a
 solvable algebra an S-pair with coprime leads need not reduce to zero
 (Kandri-Rody & Weispfenning, *Non-commutative Groebner bases in algebras
 of solvable type*, 1990; Levandovskyy, *Non-commutative computer algebra
@@ -129,10 +130,11 @@ def _update_pairs(pairs, basis, t, push):
     ``pairs`` is the heap of (key, serial, i, j, lcm); old pairs failing
     the chain criterion are dropped from it in place, and the surviving
     new pairs are handed to ``push`` as (i, t, lcm).  The chain parts run
-    in every ring; the product criterion only in a ring without Weyl pairs.
+    in every ring; the product criterion only in a ring without pairs.
     """
     lt = basis[t].lead_exp()
-    product = not basis[t].ring.pairs
+    ring = basis[t].ring
+    product = not (ring.pairs or ring.shift_pairs)
     new = [(i, t, mono_lcm(basis[i].lead_exp(), lt)) for i in range(t)]
 
     # M: drop a new pair when another new pair's lcm strictly divides its lcm

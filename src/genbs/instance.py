@@ -13,9 +13,10 @@ agrees on generator order.  ``ProblemInstance.point`` is the one place a
 parameter point is read, and ``generic_family`` builds the fully generic
 family of a degree.
 
-Generator order: parameters, x block, then
-  - A_n[s] (``weyl_ring``): dx block, s block;
-  - the Malgrange ring: t block, u block, dx block, dt block, y block.
+Generator order:
+  - A_n[s] (``weyl_ring``): parameters, x block, dx block, s block;
+  - A_n[s]<dt> (``annihilator_ring``): parameters, s block, x block,
+    dx block, dt block.
 """
 
 from __future__ import annotations
@@ -90,25 +91,20 @@ class ProblemInstance:
         pairs = [(offset + i, offset + n + i) for i in range(n)]
         return WeylRing(self.field, names, pairs)
 
-    def aux(self, prefix):
-        """Names of one auxiliary block of the Malgrange ring, one per f_j."""
-        return tuple("_%s%d" % (prefix, j + 1) for j in range(self.registry.p))
+    def dt_names(self):
+        """Names of dt_1..dt_p, reserved as every name starting with '_' is."""
+        return tuple("_dt%d" % (j + 1) for j in range(self.registry.p))
 
-    def malgrange_ring(self) -> WeylRing:
-        """Ring of the extended ideal whose elimination yields Ann f^s."""
+    def annihilator_ring(self) -> WeylRing:
+        """A_n[s]<dt>, the ring where Ann f^s is eliminated: dt_j s_j =
+        (s_j - 1) dt_j, and dt_j commutes with x and dx."""
         r = self.registry
-        names = (
-            r.a + r.x + self.aux("t") + self.aux("u")
-            + r.d_names() + self.aux("dt") + self.aux("y")
-        )
-        na, n, p = r.m, r.n, r.p
-        x0, t0 = na, na + n
-        d0 = na + n + 2 * p
-        dt0 = na + 2 * n + 2 * p
-        pairs = [(x0 + i, d0 + i) for i in range(n)] + [
-            (t0 + j, dt0 + j) for j in range(p)
-        ]
-        return WeylRing(self.field, names, pairs)
+        names = r.a + r.s + r.x + r.d_names() + self.dt_names()
+        m, n, p = r.m, r.n, r.p
+        x0 = m + p
+        pairs = [(x0 + i, x0 + n + i) for i in range(n)]
+        shift_pairs = [(m + j, x0 + 2 * n + j) for j in range(p)]
+        return WeylRing(self.field, names, pairs, shift_pairs=shift_pairs)
 
     # -- family helpers ---------------------------------------------------------
 

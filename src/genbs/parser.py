@@ -7,10 +7,13 @@ Grammar (whitespace free between tokens):
     factor := atom ('^' integer)?
     atom   := integer | name | '(' expr ')'
 
-Multiplication is explicit.  In operator rings the factor order is kept,
-so "dx*x" builds the composition with the commutation applied.  Division
-is only by integer literals (rational scalars).  Printing of Poly and
-WeylOp values round-trips through this parser.
+Integers are ASCII digits, and parentheses nest at most ``MAX_DEPTH``
+deep, so a malformed text raises ParseError, not ValueError or
+RecursionError.  Multiplication is explicit.  In operator rings the
+factor order is kept, so "dx*x" builds the composition with the
+commutation applied.  Division is only by integer literals (rational
+scalars).  Printing of Poly and WeylOp values round-trips through this
+parser.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")
+# a level of parentheses takes four frames (expr, term, factor, atom), so
+# this depth stays well inside Python's default recursion limit of 1000
+MAX_DEPTH = 100
 
 
 class _Token:
@@ -55,9 +62,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, col))
             col += j - i
@@ -83,6 +90,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -167,8 +175,16 @@ class _Parser:
             return self._var(tok)
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % MAX_DEPTH,
+                    line=tok.line,
+                    col=tok.col,
+                )
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         raise ParseError(
             "expected a value, found %r"

@@ -337,11 +337,13 @@ class Poly:
 class PolyRing:
     """A polynomial ring: coefficient field, ordered variable names, term order.
 
-    It is the Weyl ring without Weyl pairs (:class:`genbs.weyl.WeylRing`
-    adds them); ``_elem`` is the element class the ring builds.
+    It is the Weyl ring without pairs (:class:`genbs.weyl.WeylRing` adds
+    Weyl pairs and shift pairs); ``_elem`` is the element class the ring
+    builds.
     """
 
     pairs = ()
+    shift_pairs = ()
     _elem = Poly
 
     def __init__(self, field, names, order: TermOrder | None = None):
@@ -418,9 +420,10 @@ class PolyRing:
 
         - names: each variable goes to the generator of the same name;
           a variable with no namesake here must not occur.
-        - derivatives: an element of a ring without Weyl pairs must not
-          occur in a generator this ring pairs as a derivative, since
-          commuting variables carry no normal order.
+        - derivatives: an element of a ring without pairs must not occur
+          in a generator this ring pairs as a derivative (a Weyl pair's
+          d or a shift pair's dt), since commuting variables carry no
+          normal order.
         - field: when the fields differ, a rational coefficient (a
           ``Fraction`` in every field) passes through, and any other
           coefficient raises ValueError.
@@ -432,7 +435,11 @@ class PolyRing:
             return poly
         src = poly.ring
         cross = src.field is not self.field and src.field != self.field
-        guard = {d for _, d in self.pairs} if not src.pairs else ()
+        guard = (
+            {d for _, d in self.pairs + self.shift_pairs}
+            if not (src.pairs or src.shift_pairs)
+            else ()
+        )
         if src.names == self.names and not cross and not guard:
             return self._elem(self, poly._terms)
         pos = [self._index.get(n) for n in src.names]
@@ -463,11 +470,12 @@ class PolyRing:
             and self.field == other.field
             and self.names == other.names
             and self.pairs == other.pairs
+            and self.shift_pairs == other.shift_pairs
             and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.field, self.names, self.pairs, self.order))
+        return hash((self.field, self.names, self.pairs, self.shift_pairs, self.order))
 
     def __repr__(self):
         return "PolyRing(%s; %s; %s)" % (

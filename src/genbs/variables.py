@@ -3,7 +3,7 @@
 A registry fixes three user-facing name classes: the geometric variables
 x_1..x_n, the shift variables s_1..s_p (printed plain "s" when p = 1) and
 the parameters a_1..a_m.  Names starting with an underscore are reserved
-for internal auxiliaries (_t, _u, _y blocks used by the annihilator
+for internal auxiliaries (the _dt block of the annihilator
 construction), so user names may never start with "_".  Each x name also
 induces a derivative name "d" + x used by the operator parser.
 """

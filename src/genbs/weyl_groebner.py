@@ -3,8 +3,8 @@
 The engine itself is :mod:`genbs.groebner`, shared with commutative
 rings.  This module adds the step budget shared by every Groebner loop,
 ``left_buchberger`` with its weight-vector assertions, and ``eliminate``
-(the one intersection of a left ideal with a subring).  The Malgrange
-construction that grades, balances and rewrites its result lives in
+(the one intersection of a left ideal with a subring).  The
+Briancon-Maisonobe construction of Ann f^s that eliminates dt lives in
 :mod:`genbs.annbs`.
 """
 
@@ -64,9 +64,8 @@ def left_buchberger(generators, track=(), budget=None, weight_vectors=()):
     With ``track`` (positions in ``generators``), also return reps with
     reps[k][t] the left cofactor of generators[track[t]] in basis[k].
     ``weight_vectors`` is a list of integer vectors; every intermediate
-    element is asserted to be homogeneous with respect to each (the
-    Malgrange construction's gradings survive the run, and this check
-    certifies it).
+    element is asserted to be homogeneous with respect to each, so a
+    grading of the generators is certified to survive the run.
     """
     return _buchberger(generators, track, budget, weight_vectors)
 
@@ -76,7 +75,7 @@ def elimination_order(ring, front_names):
     return Block(ring.index(n) for n in front_names)
 
 
-def eliminate(generators, drop_names, track=(), budget=None, weight_vectors=()):
+def eliminate(generators, drop_names, track=(), budget=None):
     """The left ideal's intersection with the subring free of ``drop_names``.
 
     The reduced left basis is computed in a block order with
@@ -88,16 +87,13 @@ def eliminate(generators, drop_names, track=(), budget=None, weight_vectors=()):
     the generators' ring, in the basis order.  With ``track`` (positions
     in ``generators``), the result is (members, reps) with reps[k][t]
     the left cofactor of generators[track[t]] in members[k].
-    ``weight_vectors`` are asserted as in ``left_buchberger``.
     """
     if not generators:
         return ([], []) if track else []
     ring = generators[0].ring
     order = elimination_order(ring, drop_names)
     elim = ring.with_order(order)
-    result = left_buchberger(
-        [elim.convert(g) for g in generators], track, budget, weight_vectors
-    )
+    result = left_buchberger([elim.convert(g) for g in generators], track, budget)
     basis, reps = result if track else (result, None)
     members, member_reps = [], []
     for k, g in enumerate(basis):

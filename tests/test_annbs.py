@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 import genbs.annbs
 from genbs.annbs import (
     BSIdeal,
-    _theta_substitute,
     ann_fs,
     bs_ideal,
     bs_ideal_ctx,
     bs_poly,
-    malgrange_ideal,
     rationality_report,
 )
+from genbs.cli import JobSpec, run_command
 from genbs.errors import EmptyAnsatz, VerificationFailed
 from genbs.factor import divides
 from genbs.fsmodule import AnsatzBounds, FsElement, act, ansatz_bs, check_identity
@@ -30,12 +29,125 @@ from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.weyl_groebner import eliminate, left_buchberger
 
 
-def test_malgrange_generators(inst_x):
-    ideal = malgrange_ideal(inst_x)
-    strs = {str(g) for g in ideal.generators}
-    # t - u f, dx + u f_x dt, u y - 1
-    assert len(strs) == 3
-    assert any("_u1*_y1" in s for s in strs)
+def test_ann_fs_generators(inst_pair, monkeypatch):
+    """One dt-elimination of s_j + f_j dt_j and d_i + sum_j (df_j/dx_i) dt_j
+    in A_n[s]<dt>, whose members free of dt land in A_n[s]."""
+    seen = []
+
+    def recorded(generators, drop_names, **kw):
+        seen.append((generators, drop_names))
+        return eliminate(generators, drop_names, **kw)
+
+    monkeypatch.setattr(genbs.annbs, "eliminate", recorded)
+    ideal = genbs.annbs.ann_fs_ctx(inst_pair)
+    ((gens, dropped),) = seen
+    assert dropped == inst_pair.dt_names() == ("_dt1", "_dt2")
+    assert [str(g) for g in gens] == [
+        "x*_dt1 + s1", "y*_dt2 + s2", "dx + _dt1", "dy + _dt2"
+    ]
+    ring = gens[0].ring
+    assert ring == inst_pair.annihilator_ring()
+    assert ring.names == ("s1", "s2", "x", "y", "dx", "dy", "_dt1", "_dt2")
+    assert ring.pairs == ((2, 4), (3, 5)) and ring.shift_pairs == ((0, 6), (1, 7))
+    assert ideal.ring == inst_pair.weyl_ring()
+    assert [str(g) for g in ideal.generators] == ["x*dx - s1", "y*dy - s2"]
+
+
+# The generators ``annfs`` printed while Ann f^s came from the Malgrange
+# ring (t, u, dt, y eliminated, then rewritten in s); the dt-elimination
+# gives the same reduced generators.
+ANNFS_GENERATORS = {
+    ("x,y,z", ("x", "y^2+z^2"), (1, 1)): [
+        "y^2*dz + z^2*dz - 2*z*s2",
+        "x*dx - s1",
+        "y*dy + z*dz - 2*s2",
+        "z*dy - y*dz",
+    ],
+    ("x,y,z", ("x^2+y^3+z^3",), None): [
+        "y^3*dy + y^2*z*dz + x^2*dy - 3*y^2*s",
+        "y^3*dz + z^3*dz + x^2*dz - 3*z^2*s",
+        "y^2*dx - 2/3*x*dy",
+        "z^2*dx - 2/3*x*dz",
+        "z^2*dy - y^2*dz",
+        "x*dx + 2/3*y*dy + 2/3*z*dz - 2*s",
+    ],
+    ("x,y", ("x*y*(x+y)",), None): [
+        "y^2*dx*dy - y^2*dy^2 - 2*y*dx*s + 4*y*dy*s - 3*s^2 - s",
+        "x*y*dy + y^2*dy - x*s - 2*y*s",
+        "x*dx + y*dy - 3*s",
+    ],
+    ("x,y", ("x*y", "x"), (1, 1)): [
+        "x*dx - s1 - s2",
+        "y*dy - s1",
+    ],
+    ("x,y", ("x*y",), None): [
+        "x*dx - s",
+        "y*dy - s",
+    ],
+    ("x,y", ("x", "x^2+y^2"), (1, 1)): [
+        "y^2*dx*dy - x*y*dy^2 + x*dy*s1 - 2*y*dx*s2 + 2*x*dy*s2 + x*dy",
+        "x^2*dy + y^2*dy - 2*y*s2",
+        "x*dx + y*dy - s1 - 2*s2",
+    ],
+    ("x,y", ("x", "y"), (1, 1)): [
+        "x*dx - s1",
+        "y*dy - s2",
+    ],
+    ("x,y", ("x^2+y^2",), None): [
+        "x^2*dy + y^2*dy - 2*y*s",
+        "x*dx + y*dy - 2*s",
+        "y*dx - x*dy",
+    ],
+    ("x,y", ("x^3", "y^4"), (1, 1)): [
+        "x*dx - 3*s1",
+        "y*dy - 4*s2",
+    ],
+    ("x,y", ("y", "y-x^2"), (1, 1)): [
+        "y^2*dy^2 - 1/4*y*dx^2 - 2*y*dy*s1 - y*dy*s2 + 1/2*y*dy + s1^2 + s1*s2 + 1/2*s1",
+        "x*y*dy + 1/2*y*dx - x*s1",
+        "x*dx + 2*y*dy - 2*s1 - 2*s2",
+    ],
+    ("x,y", ("y^2-x^3",), None): [
+        "y^2*dy^3 + 8/27*y*dx^3 - 4*y*dy^2*s + y*dy^2 + 4*dy*s^2 - 1/9*dy",
+        "x*y*dy^2 - 4/9*y*dx^2 - 2*x*dy*s - 1/3*x*dy",
+        "x^2*dy + 2/3*y*dx",
+        "x*dx + 3/2*y*dy - 3*s",
+    ],
+    ("x,y", ("y^2-x^5",), None): [
+        "y^4*dy^5 - 8*y^3*dy^4*s + 6*y^3*dy^4 + 24*y^2*dy^3*s^2 + 32/3125*y*dx^5 - 24*y^2*dy^3*s - 32*y*dy^2*s^3 + 33/5*y^2*dy^3 + 24*y*dy^2*s^2 + 16*dy*s^4 - 32/5*y*dy^2*s + 3/5*y*dy^2 - 8/5*dy*s^2 + 9/625*dy",
+        "x*y^3*dy^4 - 6*x*y^2*dy^3*s + 12/5*x*y^2*dy^3 + 12*x*y*dy^2*s^2 - 16/625*y*dx^4 - 18/5*x*y*dy^2*s - 8*x*dy*s^3 + 9/25*x*y*dy^2 - 12/5*x*dy*s^2 + 2/25*x*dy*s + 3/125*x*dy",
+        "x^2*y^2*dy^3 - 4*x^2*y*dy^2*s + 1/5*x^2*y*dy^2 + 4*x^2*dy*s^2 + 8/125*y*dx^3 + 8/5*x^2*dy*s + 3/25*x^2*dy",
+        "x^3*y*dy^2 - 2*x^3*dy*s - 3/5*x^3*dy - 4/25*y*dx^2",
+        "x^4*dy + 2/5*y*dx",
+        "x*dx + 5/2*y*dy - 5*s",
+    ],
+    ("x,y", ("y^3-x^4",), None): [
+        "y^3*dy^4 - 81/256*y^2*dx^4 - 9*y^2*dy^3*s + 3/2*y^2*dy^3 + 27*y*dy^2*s^2 - 27*dy*s^3 - 5/16*y*dy^2 - 27/2*dy*s^2 - 9/16*dy*s + 5/32*dy",
+        "x*y^2*dy^3 + 27/64*y^2*dx^3 - 6*x*y*dy^2*s - 3/4*x*y*dy^2 + 9*x*dy*s^2 + 21/4*x*dy*s + 5/8*x*dy",
+        "x^2*y*dy^2 - 9/16*y^2*dx^2 - 3*x^2*dy*s - 5/4*x^2*dy",
+        "x^3*dy + 3/4*y^2*dx",
+        "x*dx + 4/3*y*dy - 4*s",
+    ],
+    ("x,y", ("y^4-x^5",), None): [
+        "y^4*dy^5 + 1024/3125*y^3*dx^5 - 16*y^3*dy^4*s + 2*y^3*dy^4 + 96*y^2*dy^3*s^2 - 256*y*dy^2*s^3 - 3/5*y^2*dy^3 - 96*y*dy^2*s^2 + 256*dy*s^4 - 16/5*y*dy^2*s + 256*dy*s^3 + 3/5*y*dy^2 + 352/5*dy*s^2 + 16/5*dy*s - 231/625*dy",
+        "x*y^3*dy^4 - 256/625*y^3*dx^4 - 12*x*y^2*dy^3*s - 6/5*x*y^2*dy^3 + 48*x*y*dy^2*s^2 + 108/5*x*y*dy^2*s - 64*x*dy*s^3 + 51/25*x*y*dy^2 - 336/5*x*dy*s^2 - 524/25*x*dy*s - 231/125*x*dy",
+        "x^2*y^2*dy^3 + 64/125*y^3*dx^3 - 8*x^2*y*dy^2*s - 13/5*x^2*y*dy^2 + 16*x^2*dy*s^2 + 72/5*x^2*dy*s + 77/25*x^2*dy",
+        "x^3*y*dy^2 - 16/25*y^3*dx^2 - 4*x^3*dy*s - 11/5*x^3*dy",
+        "x^4*dy + 4/5*y^3*dx",
+        "x*dx + 5/4*y*dy - 5*s",
+    ],
+    ("x", ("x^2",), None): [
+        "x*dx - 2*s",
+    ],
+}
+
+
+@pytest.mark.parametrize("vars_, fs, v", sorted(ANNFS_GENERATORS, key=str))
+def test_annfs_generators_are_pinned(vars_, fs, v):
+    spec = JobSpec(command="annfs", vars=tuple(vars_.split(",")), f=fs, v=v)
+    report, code = run_command(spec)
+    assert code == 0
+    assert report["outputs"]["generators"] == ANNFS_GENERATORS[vars_, fs, v]
 
 
 def test_ann_fs_x(inst_x):
@@ -128,16 +240,6 @@ def test_bs_poly_agrees_with_the_ansatz_on_random_curves(terms):
         return
     for b, _ in pairs:
         assert divides(res.b, b)
-
-
-def test_theta_substitute_rejects_unmatched_powers(inst_x):
-    ring = inst_x.malgrange_ring()
-    t, dt, x = ring.gen("_t1"), ring.gen("_dt1"), ring.gen("x")
-    pairs = [(ring.index("_t1"), ring.index("_dt1"))]
-    target = inst_x.weyl_ring()
-    assert str(_theta_substitute(t * dt * x, pairs, target, inst_x)) == "-x*s - x"
-    with pytest.raises(VerificationFailed):
-        _theta_substitute(t * dt + t * x, pairs, target, inst_x)
 
 
 def test_bs_ideal_pair(inst_pair):

@@ -333,10 +333,17 @@ BAD_INPUTS = [
     ["bs", "--vars", "x", "--f", "x", "--budget-steps", "-3"],
     ["stratify", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-samples", "-1"],
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-degree", "-1"],
+    # a superscript digit is no integer, and nesting has a bound
+    ["bs", "--vars", "x", "--f", "x^²"],
+    ["bs", "--vars", "x", "--f", "(" * 3000 + "x" + ")" * 3000],
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def _argv_id(argv):
+    return " ".join(a if len(a) <= 20 else "%s...%s" % (a[:8], a[-8:]) for a in argv)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=_argv_id)
 def test_cli_bad_input_exits_4(argv, capsys):
     assert main(argv) == 4
 
@@ -394,15 +401,16 @@ def test_text_rendering_stable():
 
 # S-pair counts and certificate digests.  The counts are the S-pairs that
 # survive the pair criteria in the three Groebner loops of a bs job: the
-# Malgrange elimination, the s-elimination and the basis of
+# dt-elimination of Ann f^s, the s-elimination and the basis of
 # sigma_v(Ann f^s) that P is reduced by.  P is reported as its normal form
 # modulo that ideal, so its digest depends on f, v, b and the term order,
 # not on pair selection or the reduction path; the pins moved when that
 # reduction came in (the counts by the pairs of the new basis: 68 -> 72
-# and 110 -> 112).
+# and 110 -> 112), and the counts alone when Ann f^s moved from the
+# Malgrange elimination to the dt-elimination (72 -> 48, 112 -> 76).
 GOLDEN_BS = {
-    "y^2-x^3": (72, "2aa1f45f07b4f8e0ddc309560f09f47a3f0692057a1e384e92ca71eb59e8a1dc"),
-    "x*y*(x+y)": (112, "d9d9fffeb744f679c49ad8be84da42ba73f65e56212526a9fb59ff859e62310b"),
+    "y^2-x^3": (48, "2aa1f45f07b4f8e0ddc309560f09f47a3f0692057a1e384e92ca71eb59e8a1dc"),
+    "x*y*(x+y)": (76, "d9d9fffeb744f679c49ad8be84da42ba73f65e56212526a9fb59ff859e62310b"),
 }
 
 

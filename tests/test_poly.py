@@ -24,12 +24,14 @@ R = PolyRing(QQ, ("x", "y"), GRevLex())
 X, Y = R.var("x"), R.var("y")
 
 # two Weyl pairs (x, dx), (y, dy) and a central s, under a degree order and
-# under the elimination order used for s-elimination
+# under the elimination order used for s-elimination; and one Weyl pair
+# with one shift pair (s, dt) under the dt elimination order of Ann f^s
 WEYL_NAMES = ("x", "y", "dx", "dy", "s")
 WEYL_PAIRS = ((0, 2), (1, 3))
 WEYL_RINGS = (
     WeylRing(QQ, WEYL_NAMES, WEYL_PAIRS, GRevLex()),
     WeylRing(QQ, WEYL_NAMES, WEYL_PAIRS, Block((0, 2))),
+    WeylRing(QQ, ("s", "x", "y", "dx", "dt"), ((1, 3),), Block((4,)), ((0, 4),)),
 )
 
 coeffs = st.fractions(
@@ -82,8 +84,9 @@ def test_ring_axioms(f, g, h):
     poly_strategy(),
     weyl_op_strategy(WEYL_RINGS[0]),
     weyl_op_strategy(WEYL_RINGS[1]),
+    weyl_op_strategy(WEYL_RINGS[2]),
 )
-def test_lead_term_consistency(f, op_grevlex, op_block):
+def test_lead_term_consistency(f, op_grevlex, op_block, op_shift):
     if f.is_zero():
         assert f.total_degree() == -1
     else:
@@ -91,7 +94,7 @@ def test_lead_term_consistency(f, op_grevlex, op_block):
         assert f.coeff(le) == f.lead_coeff()
         for e, _ in f.terms()[1:]:
             assert R.order.greater(le, e)
-    for op in (op_grevlex, op_block):
+    for op in (op_grevlex, op_block, op_shift):
         if op.is_zero():
             continue
         # the cached lead is taken before any sort happens
@@ -124,7 +127,7 @@ def test_fused_reduction_poly(f, g, c, m):
     assert _same_terms(fused, reference)
 
 
-@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["grevlex", "block"])
+@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["grevlex", "block", "shift_block"])
 @given(data=st.data(), c=nonzero_coeffs, m=weyl_exps)
 def test_fused_reduction_weyl(ring, data, c, m):
     f = data.draw(weyl_op_strategy(ring))

@@ -1,4 +1,4 @@
-"""Weyl algebra: canonical commutation relations, normal ordering, associativity."""
+"""Weyl algebra and shift pairs: commutation relations, normal ordering, associativity."""
 
 import random
 from fractions import Fraction
@@ -12,6 +12,9 @@ from genbs.weyl import WeylOp, WeylRing, commutator
 
 W = WeylRing(QQ, ("a", "x", "y", "dx", "dy", "s"), ((1, 3), (2, 4)))
 Av, X, Y, DX, DY, S = (W.gen(n) for n in W.names)
+# A_1[s]<dt> as Ann f^s is eliminated in it: dt s = (s - 1) dt
+WT = WeylRing(QQ, ("s", "x", "dx", "dt"), ((1, 2),), shift_pairs=((0, 3),))
+ST, XT, DXT, DT = (WT.gen(n) for n in WT.names)
 
 
 def test_commutation_relations():
@@ -40,24 +43,46 @@ def test_normal_ordering():
     assert op == expected
 
 
-def random_op(rng, max_terms=3, max_exp=2):
+def test_shift_pair_normal_ordering():
+    assert DT * ST == (ST - 1) * DT
+    assert DT**2 * ST**2 == (ST - 2) ** 2 * DT**2
+    assert DT**2 * ST**2 == ST**2 * DT**2 - 4 * ST * DT**2 + 4 * DT**2
+    assert str(DT * ST) == "s*dt - dt"
+    # s stays central on x and dx, dt commutes with them, [dx, x] = 1
+    for g in (ST, DT):
+        for h in (XT, DXT):
+            assert commutator(g, h).is_zero()
+    assert commutator(DXT, XT) == WT.one()
+    # both kinds of pair in one product
+    assert (DT * DXT) * (ST * XT) == (ST - 1) * XT * DT * DXT + (ST - 1) * DT
+
+
+def test_pairing_keeps_first_members_first():
+    for pairs, shifts in ((((2, 1),), ()), ((), ((3, 0),)), (((1, 2),), ((1, 3),))):
+        with pytest.raises(ValueError):
+            WeylRing(QQ, WT.names, pairs, shift_pairs=shifts)
+
+
+def random_op(rng, max_terms=3, max_exp=2, ring=W):
     terms = []
     for _ in range(rng.randrange(1, max_terms + 1)):
-        exp = tuple(rng.randrange(max_exp + 1) for _ in range(W.nvars))
+        exp = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
         c = Fraction(rng.randrange(-3, 4))
         if c:
             terms.append((exp, c))
     out = {}
     for e, c in terms:
         out[e] = out.get(e, 0) + c
-    return WeylOp(W, {e: c for e, c in out.items() if c})
+    return WeylOp(ring, {e: c for e, c in out.items() if c})
 
 
 def test_associativity_random():
-    rng = random.Random(17)
-    for _ in range(120):
-        f, g, h = (random_op(rng) for _ in range(3))
-        assert (f * g) * h == f * (g * h)
+    # Weyl pairs alone, and a Weyl pair next to a shift pair
+    for ring in (W, WT):
+        rng = random.Random(17)
+        for _ in range(120):
+            f, g, h = (random_op(rng, ring=ring) for _ in range(3))
+            assert (f * g) * h == f * (g * h)
 
 
 def test_distributivity_random():
@@ -75,10 +100,13 @@ def test_convert_embeds_and_recovers_commutative_poly():
     assert isinstance(op, WeylOp) and op == X**2 + Av * Y
     back = P.convert(op)
     assert type(back) is Poly and back == f
-    # derivative generators cannot be embedded from a commutative poly
-    Q2 = PolyRing(QQ, ("dx",), GRevLex())
+    # derivative generators cannot be embedded from a commutative poly,
+    # the dt of a shift pair included
+    Q2 = PolyRing(QQ, ("dx", "dt"), GRevLex())
     with pytest.raises(MixedRingError):
         W.convert(Q2.var("dx"))
+    with pytest.raises(MixedRingError):
+        WT.convert(Q2.var("dt"))
 
 
 def test_weyl_ring_extends_poly_ring():
@@ -89,6 +117,11 @@ def test_weyl_ring_extends_poly_ring():
     assert WeylRing(QQ, W.names, ()) != P
     assert WeylRing(QQ, W.names, W.pairs) == W
     assert hash(WeylRing(QQ, W.names, W.pairs)) == hash(W)
+    # equality and hashing see the shift pairs
+    assert WeylRing(QQ, WT.names, WT.pairs) != WT
+    assert hash(WeylRing(QQ, WT.names, WT.pairs)) != hash(WT)
+    assert WeylRing(QQ, WT.names, WT.pairs, shift_pairs=WT.shift_pairs) == WT
+    assert WT.with_order(Block((3,))).shift_pairs == WT.shift_pairs
     op = (DX + X * S).scale(Fraction(2)) - 1
     for value in (op, op.monic(), -op, op**2, W.convert(op), W.var("x"), W.zero()):
         assert isinstance(value, WeylOp) and value.ring == W

@@ -9,8 +9,7 @@ import pytest
 import genbs.weyl_groebner
 from hypothesis import given, settings, strategies as st
 
-import genbs.annbs
-from genbs.annbs import _balance, _theta_substitute, ann_fs_ctx, malgrange_ideal
+from genbs.annbs import ann_fs_ctx
 from genbs.errors import HomogeneityViolation, TimeoutBudget
 from genbs.groebner import _assert_homogeneous, is_groebner, normal_form, spoly
 from genbs.instance import make_instance
@@ -77,10 +76,12 @@ def test_left_buchberger_cofactors():
 
 W2 = WeylRing(QQ, ("x", "y", "dx", "dy"), ((0, 2), (1, 3)))
 W2S = WeylRing(QQ, ("x", "y", "dx", "dy", "s"), ((0, 2), (1, 3)))
+# A_1[s]<dt>: dt s = (s - 1) dt
+WT = WeylRing(QQ, ("s", "x", "dx", "dt"), ((1, 2),), shift_pairs=((0, 3),))
 
 # The engine skips S-pairs by the chain criterion in every ring; these
-# rings cover one and two Weyl pairs, a central variable, and the block
-# elimination orders of the s-elimination.
+# rings cover one and two Weyl pairs, a central variable, a shift pair,
+# and the block elimination orders of the dt- and s-eliminations.
 CRITERIA_RINGS = {
     "one_pair_central": W,
     "two_pairs": W2,
@@ -88,6 +89,7 @@ CRITERIA_RINGS = {
     "two_pairs_central_block": W2S.with_order(
         elimination_order(W2S, ("x", "y", "dx", "dy"))
     ),
+    "weyl_and_shift_block": WT.with_order(elimination_order(WT, ("dt",))),
 }
 
 
@@ -158,14 +160,16 @@ def test_tracking_one_generator_gives_that_component(name, seed, n, data):
 def test_pipeline_bases_pass_the_all_pairs_check():
     R = PolyRing(QQ, ("x", "y"), GRevLex())
     x, y = R.var("x"), R.var("y")
-    # the Malgrange basis of the cusp, in the u, y elimination order
+    # the dt-elimination basis of the cusp, in the dt elimination order
     cusp = make_instance(("x", "y"), [y**2 - x**3])
-    ideal = malgrange_ideal(cusp)
-    E = ideal.ring.with_order(
-        elimination_order(ideal.ring, cusp.aux("u") + cusp.aux("y"))
-    )
-    malgrange = left_buchberger([E.convert(g) for g in ideal.generators])
-    assert is_groebner(malgrange)
+    A = cusp.annihilator_ring()
+    dt = A.gen("_dt1")
+    f = A.convert(cusp.f[0])
+    gens = [A.gen("s") + f * dt] + [
+        A.gen("d" + v) + A.convert(cusp.f[0].diff(v)) * dt for v in ("x", "y")
+    ]
+    E = A.with_order(elimination_order(A, cusp.dt_names()))
+    assert is_groebner(left_buchberger([E.convert(g) for g in gens]))
     # the s-elimination basis of the pair (x^3, y^4), in the x, dx order
     pair = make_instance(("x", "y"), [x**3, y**4])
     ann = ann_fs_ctx(pair)
@@ -174,6 +178,14 @@ def test_pipeline_bases_pass_the_all_pairs_check():
         elimination_order(ann.ring, pair.registry.x + pair.registry.d_names())
     )
     assert is_groebner(left_buchberger([E.convert(g) for g in gens]))
+
+
+def test_product_criterion_is_off_with_a_shift_pair():
+    """The leads dt and s are coprime, yet the S-pair of dt - 1 and s
+    reduces to 1: s (dt - 1) - dt s = dt - s, as dt s = (s - 1) dt."""
+    T = WeylRing(QQ, ("s", "dt"), (), shift_pairs=((0, 1),))
+    s, dt = T.gen("s"), T.gen("dt")
+    assert left_buchberger([dt - 1, s]) == [T.one()]
 
 
 def test_elimination_and_subring():
@@ -210,64 +222,17 @@ def test_elimination_order_dies_with_its_ring(monkeypatch):
         gc.enable()
 
 
-def test_weight_vector_and_homogeneity(monkeypatch):
-    """ann_fs_ctx grades the Malgrange ring +1 on t, u and -1 on dt, y,
-    and the engine's assertion holds that grading."""
-    R = PolyRing(QQ, ("x", "y"), GRevLex())
-    cusp = make_instance(("x", "y"), [R.var("y") ** 2 - R.var("x") ** 3])
-    seen = []
-
-    def recorded(generators, drop_names, **kw):
-        seen.append(kw["weight_vectors"])
-        return eliminate(generators, drop_names, **kw)
-
-    monkeypatch.setattr(genbs.annbs, "eliminate", recorded)
-    ann_fs_ctx(cusp)
-    (w,) = seen[0]
-    WT = cusp.malgrange_ring()
-    assert w == [{"_t1": 1, "_u1": 1, "_dt1": -1, "_y1": -1}.get(n, 0) for n in WT.names]
-    t, u, dt, y = (WT.gen(n) for n in ("_t1", "_u1", "_dt1", "_y1"))
-    for g in malgrange_ideal(cusp).generators + [t * dt, u * y - 1]:
+def test_weight_vector_and_homogeneity():
+    """left_buchberger asserts each weight vector on every element it
+    forms: a graded input passes, and an input that is not homogeneous
+    raises."""
+    w = [1, -1, 0]  # x, dx, s: [dx, x] = 1 is homogeneous of degree 0
+    gens = [X * DX - S, X**3]
+    assert left_buchberger(gens, weight_vectors=(w,)) == left_buchberger(gens)
+    for g in gens + [DX * X]:
         _assert_homogeneous(g, (w,), "test")
     with pytest.raises(HomogeneityViolation):
-        _assert_homogeneous(t + WT.one(), (w,), "test")
-
-
-def test_balance_pairs():
-    WT = WeylRing(QQ, ("x", "t", "dx", "dt"), ((0, 2), (1, 3)))
-    x, t, dx, dt = (WT.gen(n) for n in WT.names)
-    # degree +1 in the (t, dt) pair: balancing left-multiplies by dt
-    g = t * x
-    balanced = _balance(g, [(1, 3)])
-    assert balanced == dt * (t * x)
-    for exp in balanced._terms:
-        assert exp[1] == exp[3]
-    # degree -1: balancing multiplies by t
-    g2 = dt * x
-    balanced2 = _balance(g2, [(1, 3)])
-    for exp in balanced2._terms:
-        assert exp[1] == exp[3]
-    # mixed degrees inside one element are rejected
-    with pytest.raises(HomogeneityViolation):
-        _balance(t + x, [(1, 3)])
-
-
-def test_weight0_extract_matched():
-    R = PolyRing(QQ, ("x",), GRevLex())
-    inst = make_instance(("x",), [R.var("x")])
-    WT = inst.malgrange_ring()
-    x, t, u, dx, dt, y = (WT.gen(n) for n in WT.names)
-    assert WT.pairs == ((0, 3), (1, 4))
-    # eliminate returns the members free of u and y, and no other
-    members = eliminate([t * dt + 1, t * x, u * y - 1], inst.aux("u") + inst.aux("y"))
-    assert [str(g) for g in members] == ["x*_t1", "_t1*_dt1 + 1"]
-    # balancing matches the t/dt powers; t dt = -s - 1, dt t = -s
-    pairs = [(1, 4)]
-    out = [
-        _theta_substitute(_balance(g, pairs), pairs, inst.weyl_ring(), inst)
-        for g in [t * dt + 1, t * x, dt * x]
-    ]
-    assert [str(g) for g in out] == ["-s", "-x*s", "-x*s - x"]
+        left_buchberger([X + S], weight_vectors=(w,))
 
 
 def test_budget_ticks():
