@@ -6,9 +6,20 @@ Pipeline (Briancon-Maisonobe): in A_n(R)[s]<dt> with dt_j s_j =
     s_j + f_j dt_j,   d_i + sum_j (df_j/dx_i) dt_j
 
 meets A_n(R)[s] in Ann f^s, so one elimination of dt gives its
-generators.  Appending f^v = prod f_j^v_j and eliminating x, dx yields
-the Bernstein-Sato ideal in R[s]; the left-reduction cofactor of the f^v
-generator is a certificate operator P with b f^s = P f^(s+v).
+generators.  Appending f^v = prod f_j^v_j, the Bernstein-Sato ideal is
+the intersection of the left ideal I = Ann f^s + A_n(R)[s] f^v with
+R[s], reached by one of two routes:
+
+- p = 1 and no central parameter: R is a field K (Q, or a residue field
+  Frac(Q[a]/Q)), so I meets K[s] in the multiples of one monic b, the
+  minimal polynomial of s modulo I.  One left Groebner basis of I in the
+  order of ``inst.weyl_ring()`` gives the normal forms of 1, s, s^2, ...,
+  and their first linear dependence is b (M. Noro, ICMS 2002).
+- otherwise (p >= 2, or parameters as central variables, where the
+  intersection need not be principal): one elimination of x, dx.
+
+Either way the left-reduction cofactor of the f^v generator gives a
+certificate operator P with b f^s = P f^(s+v).
 
 P is defined only modulo Ann f^(s+v) = sigma_v(Ann f^s), where sigma_v
 maps s_j to s_j + v_j.  Every certificate has one form, over Q and over
@@ -30,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import MixedRingError, VerificationFailed, ZeroPolynomialError
+from .errors import MixedRingError, VerificationFailed
 from .factor import Factorization, factor
-from .fsmodule import FsElement, act, check_identity
+from .fsmodule import FsElement, act, b_kernel, check_identity
 from .groebner import normal_form
 from .instance import ProblemInstance
 from .poly import Poly, PolyRing
@@ -102,7 +113,18 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
 def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included.
 
-    Each certificate P, the cofactor of f^v in the elimination basis, is
+    For p = 1 and m = 0 the coefficients R form a field K, so the
+    intersection is generated by the minimal polynomial b of s modulo the
+    left ideal, read off by ``_minimal_polynomial_of_s``.  That loop
+    ends: Bernstein's theorem gives a nonzero b, say of degree d, so the
+    normal forms of 1, s, ..., s^d are linearly dependent over K.  With
+    a central parameter (m > 0) the coefficients Q[a] are no field, and
+    the normal forms of the s^k need never become dependent over Q (the
+    ideal of x^2 + a*y^2 meets Q[a][s] in a*(s+1)^2, with no member in
+    Q[s]); for p >= 2 the ideal lives in K[s_1..s_p] and need not be
+    principal.  There the members come from one elimination of x, dx.
+
+    Each certificate P, the cofactor of f^v in the member, is
     reported as its normal form modulo the reduced left Groebner basis of
     sigma_v(Ann f^s) = Ann f^(s+v) in the order of ``inst.weyl_ring()``,
     over Q and over a residue field alike; two certificates of one b
@@ -115,12 +137,15 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
     fv = ring.convert(inst.f_power_v())
     gens = list(ann.generators) + [fv]
     # only the cofactor of f^v is read: it is the certificate P
-    members, reps = eliminate(
-        gens,
-        inst.registry.x + inst.registry.d_names(),
-        track=(len(gens) - 1,),
-        budget=budget,
-    )
+    if inst.registry.p == 1 and inst.registry.m == 0:
+        members, reps = _minimal_polynomial_of_s(gens, inst, budget)
+    else:
+        members, reps = eliminate(
+            gens,
+            inst.registry.x + inst.registry.d_names(),
+            track=(len(gens) - 1,),
+            budget=budget,
+        )
     certificates = []
     if reps:
         shifted = [_shift_s(g, inst) for g in ann.generators]
@@ -132,6 +157,44 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
         generators=[s_ring.convert(g) for g in members],
         certificates=certificates,
     )
+
+
+def _minimal_polynomial_of_s(gens, inst: ProblemInstance, budget: GBBudget | None):
+    """([b], [[P]]) for p = 1 and m = 0, by Noro's method.
+
+    b is the minimal polynomial of s modulo the left ideal I of ``gens``
+    (Ann f^s and f^v last): one tracked left basis of I in the order of
+    ``inst.weyl_ring()``, then the normal forms r_k of s^k, k = 0, 1, ...,
+    until the first linear dependence sum_k c_k r_k = 0 over the field.
+    With s^k = sum_i q_ki g_i + r_k and g_i = rep_i f^v modulo Ann f^s,
+    b = sum_k c_k s^k acts on f^s as P f^(s+v) for
+    P = sum_i (sum_k c_k q_ki) rep_i.  The c_k come from ``b_kernel``
+    with every column a b column, so b is monic.  (M. Noro, *An efficient
+    modular algorithm for computing the global b-function*, ICMS 2002.)
+    """
+    basis, reps = left_buchberger(gens, track=(len(gens) - 1,), budget=budget)
+    ring = gens[0].ring
+    s_ring = inst.s_ring()
+    s = ring.gen(inst.registry.s[0])
+    power = ring.one()
+    columns, quotients = [], []
+    while True:
+        r, q = normal_form(power, basis, with_cofactors=True)
+        columns.append(r._terms)
+        quotients.append(q)
+        kernel = b_kernel(columns, [(k,) for k in range(len(columns))], s_ring)
+        if kernel:
+            break
+        power = power * s
+    b = kernel[0][0]
+    P = ring.zero()
+    for i, rep in enumerate(reps):
+        qi = ring.zero()
+        for (k,), c in b._terms.items():
+            qi = qi + quotients[k][i].scale(c)
+        if not qi.is_zero():
+            P = P + qi * rep[0]
+    return [b], [[P]]
 
 
 def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
@@ -184,26 +247,16 @@ class BernsteinPoly:
 def bs_poly(inst: ProblemInstance, budget: GBBudget | None = None) -> BernsteinPoly:
     """The Bernstein polynomial: monic generator of B^v(f) for p = 1.
 
-    B^v(f) is principal, and a reduced elimination basis holds at most
-    one element of Q[s] (two leads s^i, s^j would divide each other).
-    So (b, P) is the one reduced, hence monic, pair that bs_ideal
-    already replayed; a second member raises VerificationFailed.
+    For p = 1 over Q, b is the minimal polynomial of s modulo
+    Ann f^s + A_n[s] f^v, so it is unique and monic; (b, P) is the one
+    pair that ``bs_ideal`` already replayed.
     """
     if inst.registry.p != 1:
         raise ValueError("the Bernstein polynomial is defined for p = 1")
     if inst.registry.m != 0:
         raise ValueError("plain rational coefficients required; specialize first")
     B = bs_ideal(inst, budget=budget)
-    if not B.generators:
-        raise ZeroPolynomialError(
-            "no nonzero element found in B^v(f); enlarge budgets"
-        )
-    if len(B.generators) > 1:
-        raise VerificationFailed(
-            "B^v(f) is principal, but the elimination basis has %d members"
-            % len(B.generators)
-        )
-    g, P = B.generators[0], B.certificates[0]
+    (g,), (P,) = B.generators, B.certificates
     return BernsteinPoly(
         b=g, certificate=P, factorization=factor(g), ideal=B
     )

@@ -545,13 +545,14 @@ def test_generic_bs_nonzero_prime():
 
 
 RAXY = PolyRing(QQ, ("a", "x", "y"), GRevLex())
-# x^2*y and x*y^2 are left out: with them a draw such as
-# -2*a*x*y^2 + 2*y^3 + 3*x^2 runs for minutes in the s-elimination GB
+# the monomials of degree 1-3 in x, y; both sides read b as the minimal
+# polynomial of s, so cusp-type draws such as -2*a*x*y^2 + 2*y^3 + 3*x^2
+# take well under a second
 _X, _Y = RAXY.var("x"), RAXY.var("y")
-AXY_MONOMIALS = [_X, _Y, _X**2, _X * _Y, _Y**2, _X**3, _Y**3]
+AXY_MONOMIALS = [_X, _Y, _X**2, _X * _Y, _Y**2, _X**3, _X**2 * _Y, _X * _Y**2, _Y**3]
 
 
-@settings(deadline=None, max_examples=15, derandomize=True)
+@settings(deadline=None, max_examples=15)
 @given(
     st.lists(st.sampled_from(range(len(AXY_MONOMIALS))), min_size=3, max_size=3, unique=True),
     st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3),
