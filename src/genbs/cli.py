@@ -70,7 +70,6 @@ class JobSpec:
     p: int | None = None
     d: int | None = None
     budget_steps: int | None = None
-    budget_degree: int = 8
     budget_x: int = 2
     budget_dorder: int = 2
     budget_sdegree: int = 2
@@ -106,7 +105,6 @@ class JobSpec:
     def budgets_dict(self) -> dict:
         return {
             "steps": self.budget_steps,
-            "degree": self.budget_degree,
             "x_degree": self.budget_x,
             "d_order": self.budget_dorder,
             "s_degree": self.budget_sdegree,
@@ -143,13 +141,13 @@ def _build_budget(spec: JobSpec):
     return GBBudget(max_steps=spec.budget_steps)
 
 
-def _prime_from_spec(spec: JobSpec, inst: ProblemInstance) -> PrimeIdealQ:
+def _prime_from_spec(spec: JobSpec, inst: ProblemInstance, budget) -> PrimeIdealQ:
     param = inst.param_ring()
     gens = [parse_poly(text, param) for text in spec.ideal]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return the_zero_prime(param)
-    basis = buchberger(gens)
+    basis = buchberger(gens, budget=budget)
     if basis and basis[0].is_constant():
         raise UnitIdealError("Q is the unit ideal")
     cert = certify_prime(basis, param)
@@ -232,9 +230,9 @@ def _cmd_annfs(spec: JobSpec) -> dict:
 def _cmd_generic_bs(spec: JobSpec) -> dict:
     inst = _build_instance(spec)
     budget = _build_budget(spec)
-    Q = _prime_from_spec(spec, inst)
+    Q = _prime_from_spec(spec, inst, budget)
     points = _parse_points(spec, inst)
-    g = generic_bs(inst, Q, budget=budget, degree_budget=spec.budget_degree)
+    g = generic_bs(inst, Q, budget=budget)
     spot = [
         {
             "point": {k: str(v) for k, v in sorted(values.items())},
@@ -249,7 +247,6 @@ def _cmd_generic_bs(spec: JobSpec) -> dict:
         "h_radical": str(g.h_radical),
         "b": str(g.b),
         "b_factored": _factor_doc(factor(g.b)),
-        "strategy": g.strategy,
         "specialize_checks": spot,
     }
     certs = {
@@ -284,7 +281,6 @@ def _cmd_stratify(spec: JobSpec) -> dict:
         inst,
         ambient=ambient,
         budget=budget,
-        degree_budget=spec.budget_degree,
         sample_limit=spec.budget_samples,
     )
     strata_docs = []
@@ -467,7 +463,7 @@ def build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--n", type=int, help="number of x variables (family)")
     ap.add_argument("--p", type=int, help="number of family members (family)")
     ap.add_argument("--d", type=int, help="total degree bound (family)")
-    for name in ("steps", "degree", "x", "dorder", "sdegree", "samples"):
+    for name in ("steps", "x", "dorder", "sdegree", "samples"):
         ap.add_argument("--budget-" + name, type=int)
     ap.add_argument("--out", default=None, help="write the report to this path")
     ap.add_argument("--format", choices=["json", "text"], default="json")

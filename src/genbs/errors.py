@@ -70,7 +70,9 @@ class FamilyVanishesModQ(GenbsError):
 
 
 class NonRationalCertificate(GenbsError):
-    """No rational element was found within the configured search budget."""
+    """The ideal handed to ``rationalize`` has no generators, so no
+    rational member can be read from it.  The search itself needs no
+    budget: on an irreducible V(Q) a nonzero rational member exists."""
 
 
 class PointOutsideStratum(GenbsError):

@@ -20,8 +20,9 @@ division runs once per action instead of after every term.
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
 Groebner pipeline and serves as the oracle for everything else.  Its
-kernel, like that of the rational search in ``parametric.rationalize``
-and the minimal polynomial of s in ``annbs.bs_ideal_ctx``, comes from
+kernel, like those of the least-degree rational search in
+``parametric.rationalize`` and of the minimal polynomial of s in
+``annbs.bs_ideal_ctx``, comes from
 ``b_kernel``: one Gauss-Jordan over sparse columns whose basis is
 already echelonized on b's coefficients.
 """

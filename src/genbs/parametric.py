@@ -9,8 +9,9 @@ value, zero included, as a ``Fraction``, and a ``ResidueElem`` (den
 monic and not in Q) only for a value that is not rational.
 
 The generic package runs the Bernstein-Sato pipeline over the residue
-field, picks a rational b, clears denominators into (h, U) over Q[a]
-and stores the congruence remainder; the identity
+field, searches the ideal for its least-degree member b in Q[s], clears
+denominators into (h, U) over Q[a] and stores the congruence remainder;
+the identity
 
     h b(s) f^s = U(s) f^(s+v) + remainder,   remainder's coefficients in Q
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annbs import BSIdeal, bs_ideal_ctx, over_QQ
+from .annbs import BSIdeal, bs_ideal_ctx
 from .errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
@@ -32,20 +33,18 @@ from .errors import (
 )
 from .factor import exact_div, multi_gcd, squarefree_part
 from .fsmodule import (
-    _exp,
     b_kernel,
     check_identity,
     congruence_remainder,
     remainder_in_Q,
 )
-from .groebner import normal_form
+from .groebner import buchberger, normal_form
 from .instance import ProblemInstance, family_ring
 from .orders import multi_indices
 from .poly import Poly, PolyRing
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
 from .weyl import WeylOp, WeylRing
-from .weyl_groebner import eliminate
 
 
 def _lifted(op, scalar_op, scalar_rop):
@@ -277,154 +276,101 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
 
 @dataclass
 class RationalizeResult:
-    """A rational member of the ideal with its residue-field certificate."""
+    """The least-degree member of the ideal in Q[s], with its residue-field
+    certificate."""
 
     b: Poly  # over Q[s]
     U_residue: WeylOp
-    strategy: str
 
 
-def rationalize(B: BSIdeal, degree_budget: int = 8) -> RationalizeResult:
-    """A nonzero element of B with rational coefficients, plus certificate.
+def rationalize(B: BSIdeal) -> RationalizeResult:
+    """The monic least-degree member b of B in Q[s], and U with
+    b f^s = U f^(s+v) over F.
 
-    Strategy cascade per the package contract: (i) a generator already
-    rational; (ii) product of rational univariate elimination generators;
-    (iii) Q-linear combinations of s-monomial multiples and pairwise
-    products of generators up to the degree budget.
+    B comes from ``bs_ideal_ctx`` over F = Frac(Q[a]/Q): its generators
+    lie in F[s], each with its certificate.  One tracked Groebner basis
+    G of B in F[s] gives s^g = sum_k q_gk G_k + r_g for every s-monomial
+    s^g, and a rational sum_g c_g s^g lies in B exactly when
+    sum_g c_g r_g = 0.  Over Q that is a linear system in the c_g:
+    ``_rational_equations`` splits each coefficient along the monomials
+    of Q[a] mod Q.  The search takes every s^g of total degree at most
+    d, for d = d0, d0 + 1, ..., where d0 is the least lead degree of G;
+    grevlex is degree compatible, so B has no nonzero member of lower
+    degree.  The first kernel vector of ``b_kernel`` gives b, monic, and
+    U is the matching combination of the certificates.
+
+    The search ends by a theorem, not a cap: on an irreducible V(Q) the
+    generic Bernstein-Sato ideal contains a nonzero rational polynomial
+    (arXiv math/0307168).  For p = 1 the monic generator of B is
+    rational already (Kashiwara), so d0 is its degree and one round runs,
+    with no residue arithmetic.  Raises NonRationalCertificate when B has
+    no generators.
     """
-    F = B.instance.field
     if not B.generators:
         raise NonRationalCertificate("the computed ideal has no generators")
-    s_ring = B.instance.rational_s_ring()
-
-    found = _strategy_rational_generator(B, s_ring)
-    if found is not None:
-        return found
-    found = _strategy_univariate_products(B, s_ring)
-    if found is not None:
-        return found
-    found = _strategy_linear_combination(B, F, s_ring, degree_budget)
-    if found is not None:
-        return found
-    raise NonRationalCertificate(
-        "no rational element found within degree budget %d" % degree_budget
-    )
-
-
-def _strategy_rational_generator(B, s_ring):
-    for g, P in zip(B.generators, B.certificates):
-        q = over_QQ(g, s_ring)
-        if q is not None and not q.is_zero():
-            return RationalizeResult(b=q, U_residue=P, strategy="rational-generator")
-    return None
-
-
-def _strategy_univariate_products(B, s_ring):
-    parts = []
-    for j in range(B.instance.registry.p):
-        part = _univariate_part(B, s_ring, j)
-        if part is None:
-            return None
-        parts.append(part)
-    b = s_ring.one()
-    for bj, _ in parts:
-        b = b * bj
-    prefix = s_ring.one()
-    for bj, _ in parts[:-1]:
-        prefix = prefix * bj
-    wring = B.certificates[0].ring if B.certificates else None
-    U_last = parts[-1][1]
-    U = wring.convert(prefix) * U_last
-    return RationalizeResult(b=b, U_residue=U, strategy="univariate-products")
-
-
-def _univariate_part(B, s_ring, j):
-    """Monic rational generator of B intersected with F[s_j], with certificate."""
-    ring = B.instance.s_ring()
+    inst = B.instance
+    ring = inst.s_ring()
     gens = [ring.convert(g) for g in B.generators]
-    sj = B.instance.registry.s[j]
-    members, reps = eliminate(
-        gens, [nm for nm in ring.names if nm != sj], track=range(len(gens))
-    )
-    # the first member of least degree
-    best = min(zip(members, reps), key=lambda m: m[0].total_degree(), default=None)
-    if best is None:
-        return None
-    g, rep = best
-    bq = over_QQ(g, s_ring)
-    if bq is None or bq.is_zero():
-        return None
+    basis, reps = buchberger(gens, track=range(len(gens)))
+    degree = min(g.total_degree() for g in basis)
+    gammas, remainders, quotients = [], [], {}
+    while True:
+        for gamma in multi_indices(inst.registry.p, degree)[len(gammas) :]:
+            r, quotients[gamma] = normal_form(
+                ring.monomial(gamma), basis, with_cofactors=True
+            )
+            gammas.append(gamma)
+            remainders.append(r)
+        columns = _rational_equations(remainders, inst.field)
+        kernel = b_kernel(columns, gammas, inst.rational_s_ring())
+        if kernel:
+            break
+        degree += 1
+    b = kernel[0][0]
+    # b = sum_g c_g s^g = sum_k (sum_g c_g q_gk) G_k, G_k = sum_t reps[k][t] gens[t]
+    u = [ring.zero() for _ in gens]
+    for g, c in b._terms.items():
+        for qk, rep in zip(quotients[g], reps):
+            if not qk.is_zero():
+                qk = qk.scale(c)
+                u = [ut + qk * r for ut, r in zip(u, rep)]
     wring = B.certificates[0].ring
-    U = wring.zero()
-    for cof, P in zip(rep, B.certificates):
-        if cof.is_zero():
+    one = ring.one()
+    parts = [
+        P if ut == one else wring.convert(ut) * P
+        for ut, P in zip(u, B.certificates)
+        if not ut.is_zero()
+    ]
+    U = sum(parts[1:], parts[0])
+    return RationalizeResult(b=b, U_residue=U)
+
+
+def _rational_equations(remainders, F: ResidueField):
+    """sum_g c_g r_g = 0 over F as a rational system: one column per c_g.
+
+    An s-monomial's row holds the coefficients of the r_g there.  A row
+    of rationals stays as it is.  Any other row is brought over the lcm
+    D of its denominators, num/den becoming nf(num * D/den) mod Q, and
+    splits into one equation per monomial of Q[a]: D lies outside the
+    prime Q, so the row vanishes in F exactly when its numerator sum
+    lies in Q, that is, when its normal form is zero.
+    """
+    rows = {}
+    for col, r in enumerate(remainders):
+        for delta, c in r._terms.items():
+            rows.setdefault(delta, {})[col] = c
+    columns = [{} for _ in remainders]
+    for delta, row in rows.items():
+        if not any(isinstance(c, ResidueElem) for c in row.values()):
+            for col, c in row.items():
+                columns[col][delta] = c
             continue
-        U = U + wring.convert(cof) * P
-    return bq, U
-
-
-def _strategy_linear_combination(B, F, s_ring, degree_budget):
-    s_names = B.instance.registry.s
-    ring = B.instance.s_ring()
-    param = F.ring
-    candidates = []  # (poly over F in s, certificate op)
-
-    def add_candidate(poly, cert):
-        if poly.is_zero() or poly.total_degree() > degree_budget:
-            return
-        if poly in seen:
-            return
-        seen.add(poly)
-        candidates.append((poly, cert))
-
-    seen = set()
-    wring = B.certificates[0].ring
-    gens = [ring.convert(g) for g in B.generators]
-    for i, (g, P) in enumerate(zip(gens, B.certificates)):
-        room = degree_budget - g.total_degree()
-        if room < 0:
-            continue
-        for gamma in multi_indices(len(s_names), room):
-            mono = ring.monomial(_exp(ring, s_names, gamma))
-            cert = wring.convert(mono) * P
-            add_candidate(mono * g, cert)
-    for i, (gi, Pi) in enumerate(zip(gens, B.certificates)):
-        for j2 in range(i, len(gens)):
-            gj, Pj = gens[j2], B.certificates[j2]
-            prod = gi * gj
-            if prod.total_degree() > degree_budget:
-                continue
-            cert = wring.convert(gi) * Pj
-            add_candidate(prod, cert)
-
-    if not candidates:
-        return None
-
-    # unknowns: a rational weight per denominator-cleared candidate, then
-    # b's coefficients; one equation per (s-monomial, a-monomial)
-    certs = []
-    columns = []
-    for poly, cert in candidates:
-        den = F.make(_den_lcm(param, poly._terms.values()))
-        certs.append(cert.scale(den))
-        columns.append(
-            {
-                (sexp, aexp): q
-                for sexp, c in poly.scale(den)._terms.items()
-                for aexp, q in _num_den(c, param)[0]._terms.items()
-            }
-        )
-    b_exps = sorted({sexp for col in columns for sexp, _ in col})
-    unit = (0,) * param.nvars
-    columns += [{(sexp, unit): Fraction(-1)} for sexp in b_exps]
-    solutions = [t for t in b_kernel(columns, b_exps, s_ring) if not t[0].is_zero()]
-    if not solutions:
-        return None
-    b, weights = min(solutions, key=lambda t: t[0].total_degree())
-    U = wring.zero()
-    for k, q in weights.items():
-        U = U + certs[k].scale(q)
-    return RationalizeResult(b=b, U_residue=U, strategy="linear-combination")
+        D = _den_lcm(F.ring, row.values())
+        for col, c in row.items():
+            num, den = _num_den(c, F.ring)
+            for aexp, q in F.nf(num * exact_div(D, den))._terms.items():
+                columns[col][delta, aexp] = q
+    return columns
 
 
 # -- the generic package --------------------------------------------------------
@@ -446,7 +392,6 @@ class GenericBS:
     b: Poly
     U: WeylOp
     remainder: object
-    strategy: str
     ideal: BSIdeal
 
 
@@ -454,13 +399,12 @@ def generic_bs(
     inst: ProblemInstance,
     Q: PrimeIdealQ | None = None,
     budget=None,
-    degree_budget: int = 8,
 ) -> GenericBS:
     """Generic package: rational b valid on V(Q) minus V(h), certified."""
     if Q is None:
         Q = the_zero_prime(inst.param_ring())
     B = bs_ideal_ctx(residue_context(inst, Q), budget=budget)
-    res = rationalize(B, degree_budget=degree_budget)
+    res = rationalize(B)
 
     param = inst.param_ring()
     target = inst.weyl_ring()
@@ -478,7 +422,6 @@ def generic_bs(
         b=res.b,
         U=U,
         remainder=r,
-        strategy=res.strategy,
         ideal=B,
     )
 

@@ -83,7 +83,7 @@ def minimal_primes(generators, ring, budget=None):
         if budget is not None:
             budget.tick()
         branch = work.pop(0)
-        gb = buchberger(list(branch))
+        gb = buchberger(list(branch), budget=budget)
         key = tuple(str(b) for b in gb)
         if key in seen:
             continue

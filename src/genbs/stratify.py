@@ -120,7 +120,6 @@ def stratify(
     inst: ProblemInstance,
     ambient=(),
     budget=None,
-    degree_budget: int = 8,
     sample_limit: int = 20000,
 ) -> Stratification:
     """Partition V(ambient) into finitely many b-constant strata."""
@@ -136,7 +135,7 @@ def stratify(
                 continue
             seen.add(Q.key())
             try:
-                g = generic_bs(inst, Q, budget=budget, degree_budget=degree_budget)
+                g = generic_bs(inst, Q, budget=budget)
             except FamilyVanishesModQ:
                 pieces.append(
                     _Piece(

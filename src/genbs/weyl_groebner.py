@@ -29,11 +29,13 @@ from .weyl import WeylRing
 class GBBudget:
     """Step budget shared by Groebner loops.
 
-    A loop ticks once per S-pair it reduces, i.e. per pair that survives
-    the pair criteria, so ``used`` is the count a report gives as
-    ``budget_used.steps``.  It caps S-pairs only: the reduction work of
-    one pair and certificate replay are not counted, so ``max_steps``
-    does not bound a run's time.
+    Every Groebner basis a job computes ticks once per S-pair it
+    reduces, i.e. per pair that survives the pair criteria, and
+    ``minimal_primes`` ticks once more per branch it visits; ``used`` is
+    that count, which a report gives as ``budget_used.steps``.  Nothing
+    else is counted: not the reduction work of one pair, nor certificate
+    replay, nor the rational search of ``rationalize`` (its small basis
+    in F[s] included), so ``max_steps`` does not bound a run's time.
     """
 
     max_steps: int = 200000

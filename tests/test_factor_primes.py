@@ -8,7 +8,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genbs.errors import DecompositionUnsupported, UnitIdealError, ZeroPolynomialError
+from genbs.errors import (
+    DecompositionUnsupported,
+    TimeoutBudget,
+    UnitIdealError,
+    ZeroPolynomialError,
+)
 from genbs.factor import (
     exact_div,
     divides,
@@ -21,6 +26,7 @@ from genbs.factor import (
 from genbs.orders import GRevLex, mono_div, mono_mul
 from genbs.poly import PolyRing, QQ
 from genbs.primes import certify_prime, minimal_primes, the_zero_prime
+from genbs.weyl_groebner import GBBudget
 
 R = PolyRing(QQ, ("x", "y"), GRevLex())
 X, Y = R.var("x"), R.var("y")
@@ -292,6 +298,20 @@ def test_minimal_primes_unsupported_is_honest():
     a, b = S.var("a"), S.var("b")
     with pytest.raises(DecompositionUnsupported):
         minimal_primes([a**5 + a * b**4 + b + 1 + a**2 * b**2], S)
+
+
+def test_minimal_primes_budget_counts_the_branch_basis():
+    # one tick for the branch, then the one S-pair of its Groebner basis
+    # <a - 1, b + 1>: a budget of one step cannot cover both
+    S = PolyRing(QQ, ("a", "b"), GRevLex())
+    a, b = S.var("a"), S.var("b")
+    gens = [a**2 + b, a**2 + a + b - 1]
+    with pytest.raises(TimeoutBudget):
+        minimal_primes(gens, S, budget=GBBudget(max_steps=1))
+    budget = GBBudget(max_steps=2)
+    ps = minimal_primes(gens, S, budget=budget)
+    assert [str(p) for p in ps] == ["<a - 1, b + 1>"]
+    assert budget.used == 2
 
 
 def test_certify_prime_cases():

@@ -1,4 +1,4 @@
-"""Residue fields, rationalization strategies, denominator clearing, generic packages."""
+"""Residue fields, the rational b search, denominator clearing, generic packages."""
 
 import operator
 import random
@@ -20,7 +20,6 @@ from genbs.groebner import buchberger
 from genbs.instance import ProblemInstance, make_instance
 from genbs.orders import GRevLex
 from genbs.parametric import (
-    RationalizeResult,
     ResidueElem,
     ResidueField,
     generic_bs,
@@ -327,71 +326,92 @@ def _fake_inst(p, Q=None):
     return ProblemInstance(VarRegistry.create(("x",), p), f, (1,) * p, field=F)
 
 
-def _fake_bs(inst, generators, certs=None):
-    wring = inst.weyl_ring()
-    if certs is None:
-        certs = tuple(wring.one() for _ in generators)
-    return BSIdeal(
-        instance=inst,
-        generators=tuple(generators),
-        certificates=certs,
-    )
+def _fake_bs(inst, generators, certs=()):
+    return BSIdeal(instance=inst, generators=tuple(generators), certificates=certs)
 
 
-def test_rationalize_strategy_rational_generator():
-    inst = _fake_inst(1)
-    ring = inst.s_ring()
-    s = ring.var("s")
-    B = _fake_bs(inst, [s + 1])
-    res = rationalize(B)
-    assert res.strategy == "rational-generator"
-    assert str(res.b) == "s + 1"
+def _rational(a, s):
+    return [s + 1]
 
 
-def test_rationalize_strategy_univariate_gcd():
+def _coprime_cofactors(a, s):
     # neither generator rational, their gcd over the residue field is s + 1
-    inst = _fake_inst(1)
-    ring = inst.s_ring()
-    F = inst.field
-    s = ring.var("s")
-    aa = ring.const(F.make(A))
-    g1 = (s + 1) * (s + aa)
-    g2 = (s + 1) * (s + aa + 1)
-    B = _fake_bs(inst, [g1, g2])
-    res = rationalize(B)
-    assert res.strategy == "univariate-products"
-    assert str(res.b) == "s + 1"
-    # the certificate is the cofactor combination of the generators' operators
-    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)))
-    assert str(res.U_residue) == "-x + dx"
+    return [(s + 1) * (s + a), (s + 1) * (s + a + 1)]
+
+
+def _gcd_pair(a, s):
+    return [(s + 1) * (s + a), (s + 1) * (s * s + a + 1)]
+
+
+def _mean_pair(a, s1, s2):
+    # (s1+1)(s2+1+a) and (s1+1)(s2+1-a): a is a unit of F, so s1 + 1 is in B
+    return [(s1 + 1) * (s2 + 1 + a), (s1 + 1) * (s2 + 1 - a)]
+
+
+def _univariate_parts(a, s1, s2):
+    # each s_j has the rational univariate part s_j + 1, of least degree
+    return [
+        (s1 + 1) * (s1 + a),
+        (s1 + 1) * (s1 + a + 1),
+        (s2 + 1) * (s2 + a),
+        (s2 + 1) * (s2 + a + 1),
+    ]
 
 
 @pytest.mark.parametrize(
-    "Q, U",
+    "p, Q, build, b, U",
     [
-        (
+        pytest.param(1, None, _rational, "s + 1", "x", id="rational-generator"),
+        pytest.param(1, None, _coprime_cofactors, "s + 1", "-x + dx", id="univariate-gcd"),
+        # these two U were pinned before the two Groebner engines merged,
+        # when a univariate elimination gave them; the search keeps them
+        pytest.param(
+            1,
             None,
+            _gcd_pair,
+            "s + 1",
             "((-1)/(a^2 + a + 1))*x*s + ((a)/(a^2 + a + 1))*x + ((1)/(a^2 + a + 1))*dx",
+            id="univariate-gcd-certificate",
         ),
-        (Q_SQRT2, "((-1)/(a + 3))*x*s + ((a)/(a + 3))*x + ((1)/(a + 3))*dx"),
+        pytest.param(
+            1,
+            Q_SQRT2,
+            _gcd_pair,
+            "s + 1",
+            "((-1)/(a + 3))*x*s + ((a)/(a + 3))*x + ((1)/(a + 3))*dx",
+            id="univariate-gcd-certificate-sqrt2",
+        ),
+        pytest.param(
+            2,
+            None,
+            _mean_pair,
+            "s1 + 1",
+            "(1/2)/(a)*x + (-1/2)/(a)*dx",
+            id="linear-combination",
+        ),
+        pytest.param(
+            2, None, _univariate_parts, "s1 + 1", "-x + dx", id="univariate-products"
+        ),
     ],
 )
-def test_rationalize_univariate_gcd_certificate(Q, U):
-    # the commutative GB with cofactors over Frac(Q[a]/Q) gives U; the
-    # expected strings were recorded before the two Groebner engines merged
-    inst = _fake_inst(1, Q)
+def test_rationalize_least_degree(p, Q, build, b, U):
+    # the least-degree member of B in Q[s] and the combination of the
+    # generators' operators that gives it
+    inst = _fake_inst(p, Q)
     ring = inst.s_ring()
-    F = inst.field
-    s = ring.var("s")
-    aa = ring.const(F.make(A))
-    g1 = (s + 1) * (s + aa)
-    g2 = (s + 1) * (s * s + aa + 1)
+    a = ring.const(inst.field.make(A))
+    gens = build(a, *(ring.var(n) for n in inst.registry.s))
     x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)))
-    assert res.strategy == "univariate-products"
-    assert str(res.b) == "s + 1"
+    certs = (x, dx, x * dx, dx * dx)[: len(gens)]
+    res = rationalize(_fake_bs(inst, gens, certs=certs))
+    assert str(res.b) == b
+    assert res.b.ring == inst.rational_s_ring()
     assert str(res.U_residue) == U
+
+
+def test_rationalize_no_generators():
+    with pytest.raises(NonRationalCertificate):
+        rationalize(_fake_bs(_fake_inst(1), []))
 
 
 def test_buchberger_cofactors_residue_field():
@@ -420,66 +440,6 @@ def test_buchberger_cofactors_residue_field():
         for r, gen in zip(rep, gens):
             combo = combo + r * gen
         assert combo == g
-
-
-def test_rationalize_strategy_linear_combination():
-    # (s1+1)(s2+1+a) and (s1+1)(s2+1-a): the mean is rational, nothing else is
-    inst = _fake_inst(2)
-    ring = inst.s_ring()
-    F = inst.field
-    s1, s2 = ring.var("s1"), ring.var("s2")
-    aa = ring.const(F.make(A))
-    g1 = (s1 + 1) * (s2 + 1 + aa)
-    g2 = (s1 + 1) * (s2 + 1 - aa)
-    B = _fake_bs(inst, [g1, g2])
-    res = rationalize(B, degree_budget=4)
-    assert res.strategy == "linear-combination"
-    S = PolyRing(QQ, ("s1", "s2"), GRevLex())
-    assert res.b == (S.var("s1") + 1) * (S.var("s2") + 1)
-    # the certificate lifts the rational kernel vector into the residue
-    # field; the expected string was recorded before ring conversion was
-    # unified in PolyRing.convert
-    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(inst, [g1, g2], certs=(x, dx)), degree_budget=4)
-    assert str(res.U_residue) == (
-        "-1/4*x*s1*s2 + 1/4*dx*s1*s2 + (1/4*a - 1/4)*x*s1 + (1/4*a + 1/4)*dx*s1"
-        " - 1/4*x*s2 + 1/4*dx*s2 + (1/4*a + 1/4)*x + (1/4*a + 3/4)*dx"
-    )
-
-
-def test_rationalize_strategy_univariate_products():
-    # each s_j has a rational univariate part s_j + 1; b is their product
-    # and U lifts the rational prefix into the residue field.  The expected
-    # string was recorded before ring conversion was unified in
-    # PolyRing.convert
-    inst = _fake_inst(2)
-    ring = inst.s_ring()
-    F = inst.field
-    s1, s2 = ring.var("s1"), ring.var("s2")
-    aa = ring.const(F.make(A))
-    gens = [
-        (s1 + 1) * (s1 + aa),
-        (s1 + 1) * (s1 + aa + 1),
-        (s2 + 1) * (s2 + aa),
-        (s2 + 1) * (s2 + aa + 1),
-    ]
-    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
-    res = rationalize(_fake_bs(inst, gens, certs=(x, dx, x * dx, dx * dx)))
-    assert res.strategy == "univariate-products"
-    S = PolyRing(QQ, ("s1", "s2"), GRevLex())
-    assert res.b == (S.var("s1") + 1) * (S.var("s2") + 1)
-    assert str(res.U_residue) == "-x*dx*s1 + dx^2*s1 - x*dx + dx^2"
-
-
-def test_rationalize_honest_failure():
-    inst = _fake_inst(1)
-    ring = inst.s_ring()
-    F = inst.field
-    s = ring.var("s")
-    aa = ring.const(F.make(A))
-    B = _fake_bs(inst, [s + aa])
-    with pytest.raises(NonRationalCertificate):
-        rationalize(B, degree_budget=3)
 
 
 def test_op_scale_clear_plain():
@@ -612,3 +572,15 @@ def test_generic_bs_p2():
     assert g.b == (S.var("s1") + 1) * (S.var("s2") + 1)
     assert check_congruence(g)
     assert specialize_check(g, {"a": 3})
+
+
+def test_generic_bs_p2_two_variables():
+    # x and x + a*y meet transversally at the origin for a != 0
+    R = PolyRing(QQ, ("a", "x", "y"), GRevLex())
+    a, x, y = R.var("a"), R.var("x"), R.var("y")
+    inst = make_instance(("x", "y"), [x, x + a * y], v=(1, 1), a_names=("a",))
+    g = generic_bs(inst)
+    assert str(g.b) == "s1*s2 + s1 + s2 + 1"
+    assert str(g.h) == "a^2"
+    assert check_congruence(g)
+    assert specialize_check(g, {"a": -2})

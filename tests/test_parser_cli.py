@@ -157,6 +157,27 @@ def test_cli_budget_exit_3():
     assert "partial" in report
 
 
+def test_cli_budget_counts_the_basis_of_q():
+    # <a^2 + b, a^2 + a + b - 1> = <a - 1, b + 1>: its basis reduces one
+    # S-pair, the basis of <a - 1, b + 1> none (coprime leads), and the
+    # residue field, hence the rest of the job, is the same
+    def steps(ideal):
+        spec = JobSpec(
+            command="generic-bs",
+            vars=("x",),
+            params=("a", "b"),
+            f=("x^2+a",),
+            ideal=ideal,
+            budget_steps=10**6,
+        )
+        report, code = run_command(spec)
+        assert code == 0, report
+        assert report["outputs"]["Q"] == ["a - 1", "b + 1"]
+        return report["budget_used"]["steps"]
+
+    assert steps(("a^2+b", "a^2+a+b-1")) == steps(("a-1", "b+1")) + 1
+
+
 def test_cli_verify_pass_and_fail():
     ok = JobSpec(command="verify", vars=("x",), f=("x",), b="s+1", op="dx")
     report, code = run_command(ok)
@@ -332,6 +353,7 @@ BAD_INPUTS = [
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--point", "a=1,a=-2"],
     ["bs", "--vars", "x", "--f", "x", "--budget-steps", "-3"],
     ["stratify", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-samples", "-1"],
+    # the degree budget is gone with the rationalize cascade: no such flag
     ["generic-bs", "--vars", "x", "--params", "a", "--f", "x^2+a", "--budget-degree", "-1"],
     # a superscript digit is no integer, and nesting has a bound
     ["bs", "--vars", "x", "--f", "x^²"],
@@ -372,7 +394,7 @@ def test_cli_bad_job_file_exits_4(tmp_path, capsys):
         dict(bs, budget_steps=True),
         dict(bs, budget_steps="5"),
         dict(bs, budget_steps=-3),
-        dict(bs, budget_degree=None),
+        dict(bs, budget_degree=None),  # no such field any more
         dict(family, n="2"),
         dict(family, d=1.0),
         dict(bs, f=[1]),

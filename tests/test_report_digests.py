@@ -38,6 +38,14 @@ and the minimal polynomial of s (Noro) instead of the (x, dx)
 elimination: only ``budget_used.steps`` changed; b and P, the unique
 normal form modulo Ann f^(s+v), held with every other field.  The ideals
 pins (p = 2, still eliminated) held.
+
+Every pin moved when ``rationalize`` became one least-degree search for
+the rational b, with no degree budget and no strategy cascade: every
+report lost ``budgets.degree`` and every ``generic-bs`` report lost
+``outputs.strategy``; every other field held.  In the same change
+``minimal_primes`` began passing the budget to the Groebner basis of
+each branch, so ``budget_used.steps`` of ``strat_quadratic``, the one
+stratify job whose branches need S-pairs, grew; nothing else moved.
 """
 
 import hashlib
@@ -55,19 +63,19 @@ finally:
     sys.path.pop(0)
 
 SEED1_REPORTS_SHA256 = {
-    "curves": "f9c19855061a53e96c144137311e1c05a6b9982771be569536f26bf54708d21c",
-    "ideals": "0f5758650d8989df0f664e622a576a177f766d0e9e28304c3d777e704e6c7f77",
-    "families": "1f5cf475f6be9310507c2d084608fcefb6e60b658c43dd9e6aa295d770a3cf1b",
+    "curves": "eb76153486d3b94d260b3630194af052272754305c1ed00accb0b29112abd3e6",
+    "ideals": "893070630047dd4d0161efab19ed335e0b5cfb89d1017d48f7096467b9eb82ce",
+    "families": "b01a0c741fb05851fda281f1c40a12d74460df40af5836307581c6dbaf879791",
 }
 
 # seeds 2 and 3 draw the same jobs in another order, with other scalings
 LATER_SEEDS_REPORTS_SHA256 = {
-    ("curves", 2): "8b6262bc44b43c3bf4fb2dc113d6f3065ee5f42b498df366cb847b243de8094b",
-    ("curves", 3): "b7f93ebf2d12b596131f64220a4eb96a6bd51ea6fbda58fbe842e414a7067503",
-    ("ideals", 2): "6c456f908d40282fd27a881aa4b450d5ce572188ab4b25b724a720a8fad5bb1e",
-    ("ideals", 3): "36a97a3be8cb894d67dfb941acb61e0f3d12fa2128473d313475ad239de88623",
-    ("families", 2): "83ad0b544f9090adc20c8e3db5c8a36802d5b3e5f18b2f61d627d9e020287694",
-    ("families", 3): "d89224bb31f4eb8f2a58410f5eb746b3d24db4e84fd74c6d537d01759b9bc46d",
+    ("curves", 2): "cbb8d25e23288e5b86c001bd454b68582685de4957c830c8058b55a9aa16479c",
+    ("curves", 3): "23c4f041f72e3bc930d1355e3a8a7bca21a75ff2ad6ef2584b46e86c64e0f7d7",
+    ("ideals", 2): "6520622bec0f692fbd30df8fbbd6f83ae6f75ce9e7a2700b58e9a74efdfa0655",
+    ("ideals", 3): "1ada1d0268ce12a04d6823ccf0e6d3688e3c12965da34b4a055bd1f2bc8d4116",
+    ("families", 2): "f8ba05ab2d9c2ceba528b917be898f95b3b074b8714fdc0ef101048cca15a538",
+    ("families", 3): "3ca7b6fc826cb45d340fd132fe804c7875d48689523b4d19bd6831aa539b639d",
 }
 
 

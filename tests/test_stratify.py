@@ -9,6 +9,7 @@ from genbs.errors import PointOutsideStratum
 from genbs.fsmodule import check_congruence
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
+from genbs.parametric import specialize_check
 from genbs.poly import PolyRing, QQ
 from genbs.stratify import (
     LocallyClosedSet,
@@ -61,6 +62,25 @@ def test_stratify_x2_plus_a():
     # samples found for both
     assert s0.sample is not None and s1.sample is not None
     assert not s0.emptiness_unknown and not s1.emptiness_unknown
+
+
+def test_stratify_p2_x_and_x_plus_a():
+    # x and x + a: two smooth branches for a != 0, one double at a = 0
+    R = PolyRing(QQ, ("a", "x"), GRevLex())
+    a, x = R.var("a"), R.var("x")
+    inst = make_instance(("x",), [x, x + a], v=(1, 1), a_names=("a",))
+    st = stratify(inst)
+    assert [str(s.b) for s in st.strata] == [
+        "s1*s2 + s1 + s2 + 1",
+        "s1^2 + 2*s1*s2 + s2^2 + 3*s1 + 3*s2 + 2",
+    ]
+    generic, special = st.strata
+    # each witness's h is nonzero at its stratum's point: a^2 and 1
+    for stratum, point in ((generic, {"a": 3}), (special, {"a": 0})):
+        assert st.find(point) is stratum
+        for w in stratum.witnesses:
+            assert check_congruence(w)
+            assert specialize_check(w, point)
 
 
 def test_stratify_covering_and_disjoint_grid():
