@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from .errors import VerificationFailed, ZeroPolynomialError
 from .groebner import normal_form
-from .orders import mono_div, mono_mul
-from .poly import Poly, QQ, _check_same_ring
+from .orders import mono_div
+from .poly import Poly, QQ, _check_same_ring, term_arithmetic
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
@@ -29,8 +29,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     the smallest terms of q and g, so a quotient exists only if the
     smallest term of g divides that of f: that test rejects in one pass
     over the terms, before any division step.  The remainder is one term
-    map, updated in place: each step subtracts c*x^m*g from it as
-    ``Poly.sub_mul_term`` would.
+    map, updated in place by the reduction kernel's step, on int pairs
+    over Q.
     """
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero")
@@ -38,31 +38,18 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     key = f.ring.order.cached_key
     if f._terms and mono_div(min(f._terms, key=key), min(g._terms, key=key)) is None:
         raise ValueError("division is not exact")
+    arith = term_arithmetic(f.ring)
     q = {}
-    r = dict(f._terms)
+    r = arith.load(f)
     lg = g.lead_exp()
-    lcg = g.lead_coeff()
-    g_terms = g._terms.items()
     while r:
         lt = max(r, key=key)
         m = mono_div(lt, lg)
         if m is None:
             raise ValueError("division is not exact")
         # leads of r strictly decrease, so every quotient term is new
-        c = q[m] = r[lt] / lcg
-        for e, v in g_terms:
-            exp = mono_mul(e, m)
-            t = c * v
-            acc = r.get(exp)
-            if acc is None:
-                r[exp] = -t
-                continue
-            acc = acc - t
-            if acc:
-                r[exp] = acc
-            else:
-                del r[exp]
-    return Poly(f.ring, q)
+        q[m] = arith.cancel_lead(r, lt, m, g)
+    return Poly(f.ring, arith.export(q))
 
 
 def divides(g: Poly, f: Poly) -> bool:

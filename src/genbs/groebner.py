@@ -43,12 +43,22 @@ generators, which is what certificate extraction downstream relies on.
 Only the tracked components are carried, and a normal form builds its
 quotients only when something is tracked: the b-function needs the one
 cofactor of f^v, not a full matrix.
+
+A normal form reduces one mutable term map in place: an irreducible lead
+moves to the tail, a reducible one is cancelled by ``reduce_step``.  Only
+the arithmetic on each term depends on the field
+(:func:`genbs.poly.term_arithmetic`).  Over Q the map holds normalized
+(numerator, denominator) int pairs, and ``Fraction``s are built only for
+what is returned: the tail, the cofactors and an S-polynomial.  Over a
+residue field it holds the field's elements and computes with their
+operators, in the order of the product it replaces.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import ge, sub
 
 from .errors import HomogeneityViolation, MissingBasisError, MixedRingError
 from .orders import (
@@ -58,22 +68,30 @@ from .orders import (
     mono_lcm,
     mono_mul,
 )
-from .poly import Poly
+from .poly import (
+    QQ,
+    Poly,
+    RatioTerms,
+    _check_same_ring,
+    _ratio,
+    sub_ratios_into,
+    term_arithmetic,
+)
 
 
-def reduce_step(f: Poly, basis):
-    """One left top-reduction step of f by the first basis element that divides.
+def reduce_step(work, lt, basis, leads, arith):
+    """One left top-reduction step of the term map ``work`` at its lead ``lt``.
 
-    Returns (g, i, m, c) with g = f - c*x^m*basis[i], or None when the
-    lead of f is irreducible.
+    ``leads`` holds the leads of ``basis``.  With the first basis element
+    b_i whose lead divides lt, subtract c*x^m*b_i from ``work`` in place,
+    c chosen so that lt cancels, and return (i, m, c), c in the form of
+    ``arith`` (the term arithmetic of the ring's field).  Return None,
+    leaving ``work`` as it is, when lt is irreducible.
     """
-    lt = f.lead_exp()
-    lc = f.lead_coeff()
-    for i, b in enumerate(basis):
-        m = mono_div(lt, b.lead_exp())
-        if m is not None:
-            c = lc / b.lead_coeff()
-            return f.sub_mul_term(c, m, b), i, m, c
+    for i, le in enumerate(leads):
+        if all(map(ge, lt, le)):
+            m = tuple(map(sub, lt, le))
+            return i, m, arith.cancel_lead(work, lt, m, basis[i])
     return None
 
 
@@ -81,37 +99,51 @@ def normal_form(f: Poly, basis, with_cofactors=False):
     """Full left normal form; no term of the result is divisible by a lead.
 
     With cofactors, also return q with f = sum q_i * basis_i + nf, the
-    products taken on the left.
+    products taken on the left.  One term map is reduced in place: each
+    lead is either reduced by ``reduce_step`` or moved to the tail.
     """
     ring = f.ring
     basis = list(basis)
-    q = [ring.zero() for _ in basis] if with_cofactors else None
+    for b in basis:
+        _check_same_ring(f, b)
+    leads = [b.lead_exp() for b in basis]
+    arith = term_arithmetic(ring)
+    key = ring.order.cached_key
+    work = arith.load(f)
     tail = {}
-    work = f
-    while not work.is_zero():
-        step = reduce_step(work, basis)
+    q = [{} for _ in basis] if with_cofactors else None
+    while work:
+        lt = max(work, key=key)
+        step = reduce_step(work, lt, basis, leads, arith)
         if step is None:
-            # move the irreducible lead to the tail; later leads are smaller
-            lt = work.lead_exp()
-            rest = dict(work._terms)
-            tail[lt] = rest.pop(lt)
-            work = type(f)(ring, rest)
-        else:
-            work, i, m, c = step
-            if with_cofactors:
-                q[i] = q[i] + ring.monomial(m, c)
-    tail = type(f)(ring, tail)
+            # later leads are smaller, so the tail is built in descending order
+            tail[lt] = work.pop(lt)
+        elif q is not None:
+            # for one i each step has a smaller m, so every m is new
+            i, m, c = step
+            q[i][m] = c
+    tail = type(f)(ring, arith.export(tail))
     if with_cofactors:
-        return tail, q
+        return tail, [ring._elem(ring, arith.export(qi) if qi else {}) for qi in q]
     return tail
 
 
 def spoly(f: Poly, g: Poly):
     """Left S-polynomial of f and g."""
     ring = f.ring
-    l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), 1 / f.lead_coeff())
-    return (mf * f).sub_mul_term(1 / g.lead_coeff(), mono_div(l, g.lead_exp()), g)
+    lf, lg = f.lead_exp(), g.lead_exp()
+    l = mono_lcm(lf, lg)
+    if ring.field is QQ:
+        _check_same_ring(f, g)
+        work = {}
+        # start from an empty map: subtracting -x^mf*f/lc(f) adds it
+        _, n, d = f.ratio_terms()[0]
+        sub_ratios_into(work, *_ratio(-d, n), mono_div(l, lf), f)
+        _, n, d = g.ratio_terms()[0]
+        sub_ratios_into(work, *_ratio(d, n), mono_div(l, lg), g)
+        return ring._elem(ring, RatioTerms.export(work))
+    mf = ring.monomial(mono_div(l, lf), 1 / f.lead_coeff())
+    return (mf * f).sub_mul_term(1 / g.lead_coeff(), mono_div(l, lg), g)
 
 
 def _assert_homogeneous(op, weight_vectors, where):

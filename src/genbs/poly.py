@@ -8,12 +8,18 @@ field object only names the field a ring is over.  Polynomials are
 immutable; a ring carries the variable names, the coefficient field and
 the term order.  The Weyl algebra (:mod:`genbs.weyl`) subclasses both
 the polynomial and the ring and changes only the product.
+
+The reduction kernel subtracts c*x^m*g from a mutable term map in place:
+``sub_mul_into`` with the field's operators, ``sub_ratios_into`` over Q on
+normalized (numerator, denominator) int pairs, without a ``Fraction``
+per term.
 """
 
 from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from math import gcd
 
 from .errors import MixedRingError, ZeroPolynomialError
 from .orders import GRevLex, TermOrder, mono_mul
@@ -52,13 +58,14 @@ class Poly:
     inherits everything else.
     """
 
-    __slots__ = ("ring", "_terms", "_sorted", "_lead")
+    __slots__ = ("ring", "_terms", "_sorted", "_lead", "_ratios")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self._terms = terms
         self._sorted = None
         self._lead = None
+        self._ratios = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -96,6 +103,20 @@ class Poly:
 
     def lead_coeff(self):
         return self._terms[self.lead_exp()]
+
+    def ratio_terms(self):
+        """Terms as (exponent, numerator, denominator) triples, the lead first.
+
+        Only for a polynomial over Q; the reduction kernel reads a basis
+        element's terms this way many times, so they are built once.
+        """
+        if self._ratios is None:
+            lead = self.lead_exp()
+            terms = self._terms
+            self._ratios = [(lead, *terms[lead].as_integer_ratio())] + [
+                (e, *c.as_integer_ratio()) for e, c in terms.items() if e != lead
+            ]
+        return self._ratios
 
     def coeff(self, exp):
         return self._terms.get(tuple(exp), Fraction(0))
@@ -182,25 +203,12 @@ class Poly:
     def sub_mul_term(self, c, m, g):
         """Return self - c*x^m*g, with c a field element and m an exponent.
 
-        The reduction step of the Groebner engine and exact division use
-        it in place of building the product as a polynomial.
+        It runs the operations of ``self - ring.monomial(m, c) * g`` in
+        their order, without building the product as a polynomial.
         """
-        _check_same_ring(self, g)
-        return self._sub_terms({mono_mul(e, m): c * v for e, v in g._terms.items()})
-
-    def _sub_terms(self, prod):
-        """self minus the terms of ``prod``, a map exponent -> coefficient."""
+        g = self._coerce(g)
         out = dict(self._terms)
-        for exp, t in prod.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = -t
-                continue
-            acc = acc - t
-            if not acc:
-                del out[exp]
-            else:
-                out[exp] = acc
+        sub_mul_into(out, c, m, g)
         return type(self)(self.ring, out)
 
     def scale(self, c):
@@ -369,6 +377,16 @@ class PolyRing:
     def one(self):
         return self.const(1)
 
+    def expansion(self, m):
+        """The map e -> terms (exp, k) of x^m * x^e, the top term first.
+
+        Each is k*x^exp with k an integer.  Without pairs a product of
+        monomials is one term; a Weyl ring adds the corrections of its
+        pairs.  Every product of an element by a monomial on the left
+        expands term by term through this map.
+        """
+        return lambda e: ((mono_mul(m, e), 1),)
+
     def const(self, q):
         c = Fraction(q) if not self._is_coeff(q) else q
         if not c:
@@ -484,3 +502,148 @@ class PolyRing:
             self.order.describe(),
         )
 
+
+def _add_product_terms(acc, c, terms):
+    """Add c*k at exp into ``acc`` for each (exp, k) of a monomial product.
+
+    The multiply is skipped when k is 1, as it is for every term of a
+    product without an active pair.
+    """
+    for exp, k in terms:
+        t = c if k == 1 else c * k
+        prev = acc.get(exp)
+        if prev is None:
+            acc[exp] = t
+            continue
+        t = prev + t
+        if not t:
+            del acc[exp]
+        else:
+            acc[exp] = t
+
+
+def sub_mul_into(acc, c, m, g):
+    """acc -= c*x^m*g in place, with the field's operators.
+
+    ``acc`` is a term map and c a field element.  Each coefficient of the
+    product is summed in full before it is subtracted, as in
+    ``f - ring.monomial(m, c) * g``: over a residue field the form of a
+    result depends on that order.
+    """
+    expand = g.ring.expansion(m)
+    prod = {}
+    for e, v in g._terms.items():
+        _add_product_terms(prod, c * v, expand(e))
+    for exp, t in prod.items():
+        prev = acc.get(exp)
+        if prev is None:
+            acc[exp] = -t
+            continue
+        prev = prev - t
+        if not prev:
+            del acc[exp]
+        else:
+            acc[exp] = prev
+
+
+def _ratio(n, d):
+    """n/d as a normalized pair: coprime, with a positive denominator."""
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def sub_ratios_into(acc, cn, cd, m, g):
+    """acc -= (cn/cd)*x^m*g in place, over Q on normalized int pairs.
+
+    ``acc`` maps exponents to pairs (num, den); cn/cd is normalized too.
+    Each difference is normalized the way ``Fraction`` does it, so the
+    values are those of the same steps on ``Fraction`` coefficients.
+    """
+    expand = g.ring.expansion(m)
+    for e, tn, td in g.ratio_terms():
+        tn *= cn
+        td *= cd
+        h = gcd(tn, td)
+        if h != 1:
+            tn //= h
+            td //= h
+        for exp, k in expand(e):
+            kn, kd = tn, td
+            if k != 1:
+                # tn and td are coprime, so only k can share a factor with td
+                h = gcd(k, td)
+                kn, kd = tn * (k // h), td // h
+            prev = acc.get(exp)
+            if prev is None:
+                acc[exp] = (-kn, kd)
+                continue
+            an, ad = prev
+            h = gcd(ad, kd)
+            if h == 1:
+                num, den = an * kd - ad * kn, ad * kd
+            else:
+                s = ad // h
+                num = an * (kd // h) - kn * s
+                h2 = gcd(num, h)
+                den = s * (kd // h2)
+                if h2 != 1:
+                    num //= h2
+            if num:
+                acc[exp] = (num, den)
+            else:
+                del acc[exp]
+
+
+class OperatorTerms:
+    """Term-map arithmetic with the field's operators, on stored values.
+
+    The residue fields compute this way: their elements are operands, and
+    the forms they reach depend on the order of the operations.
+    """
+
+    @staticmethod
+    def load(p):
+        return dict(p._terms)
+
+    @staticmethod
+    def export(terms):
+        return terms
+
+    @staticmethod
+    def cancel_lead(acc, lt, m, g):
+        """Subtract c*x^m*g with c = acc[lt] / lc(g), cancelling lt; return c."""
+        c = acc[lt] / g.lead_coeff()
+        sub_mul_into(acc, c, m, g)
+        return c
+
+
+class RatioTerms:
+    """Term-map arithmetic over Q on normalized int pairs (num, den).
+
+    A term map is loaded from a polynomial's ``Fraction`` coefficients and
+    exported back to them; in between no ``Fraction`` is built.
+    """
+
+    @staticmethod
+    def load(p):
+        return {e: c.as_integer_ratio() for e, c in p._terms.items()}
+
+    @staticmethod
+    def export(terms):
+        return {e: Fraction(n, d) if d != 1 else Fraction(n) for e, (n, d) in terms.items()}
+
+    @staticmethod
+    def cancel_lead(acc, lt, m, g):
+        """Subtract c*x^m*g with c = acc[lt] / lc(g), cancelling lt; return c."""
+        n, d = acc[lt]
+        _, gn, gd = g.ratio_terms()[0]
+        c = _ratio(n * gd, d * gn)
+        sub_ratios_into(acc, c[0], c[1], m, g)
+        return c
+
+
+def term_arithmetic(ring):
+    """The term-map arithmetic for ring's field: int pairs over Q."""
+    return RatioTerms if ring.field is QQ else OperatorTerms

@@ -24,17 +24,19 @@ parameter ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .orders import mono_mul
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, _add_product_terms
 
 
 class WeylOp(Poly):
     """Immutable normally ordered operator: a Poly with the Leibniz product.
 
-    Only the product and the fused reduction step differ from
-    :class:`Poly`; every other method, printing included, is inherited.
+    Only the product differs from :class:`Poly`; every other method is
+    inherited, printing and the fused reduction step included, and every
+    product by a monomial expands through the ring's ``expansion``.
     """
 
     __slots__ = ()
@@ -48,25 +50,10 @@ class WeylOp(Poly):
         ring = self.ring
         acc = {}
         for e1, c1 in self._terms.items():
+            expand = ring.expansion(e1)
             for e2, c2 in other._terms.items():
-                _add_product_terms(acc, c1 * c2, _leibniz_terms(ring, e1, e2))
+                _add_product_terms(acc, c1 * c2, expand(e2))
         return WeylOp(ring, acc)
-
-    def sub_mul_term(self, c, m, g):
-        """Return self - c*x^m*g, with c a field element and m an exponent.
-
-        One pass over the terms of g, applying the Leibniz rule to x^m
-        times each term; this is the left reduction step of the Groebner
-        engine.  Each coefficient of the product is summed in full before
-        it is subtracted, as in ``self - ring.monomial(m, c) * g``: over a
-        residue field the form of a result depends on that order.
-        """
-        g = self._coerce(g)
-        ring = self.ring
-        prod = {}
-        for e2, c2 in g._terms.items():
-            _add_product_terms(prod, c * c2, _leibniz_terms(ring, m, e2))
-        return self._sub_terms(prod)
 
 
 class WeylRing(PolyRing):
@@ -84,9 +71,21 @@ class WeylRing(PolyRing):
                 raise ValueError("invalid Weyl pairing")
             paired.add(p)
             paired.add(d)
+        self._second = tuple(d for _, d in self.pairs + self.shift_pairs)
 
     # the Weyl algebra calls its variables generators
     gen = PolyRing.var
+
+    def expansion(self, m):
+        """The map e -> terms (exp, k) of x^m * x^e, the top term first.
+
+        When m holds the second member of a pair, the Leibniz and shift
+        rules add their corrections (``_leibniz_terms``).
+        """
+        for i in self._second:
+            if m[i]:
+                return partial(_leibniz_terms, self, m)
+        return super().expansion(m)
 
     def __repr__(self):
         return "WeylRing(%s; %s; pairs=%s; shift_pairs=%s)" % (
@@ -95,25 +94,6 @@ class WeylRing(PolyRing):
             self.pairs,
             self.shift_pairs,
         )
-
-
-def _add_product_terms(acc, c, terms):
-    """Add c*num at exp into ``acc`` for each (exp, num) of a Leibniz expansion.
-
-    The multiply is skipped when num is 1, as it is for every term of a
-    product without an active pair.
-    """
-    for exp, num in terms:
-        t = c if num == 1 else c * num
-        prev = acc.get(exp)
-        if prev is None:
-            acc[exp] = t
-            continue
-        t = prev + t
-        if not t:
-            del acc[exp]
-        else:
-            acc[exp] = t
 
 
 def _leibniz_terms(ring, e1, e2):

@@ -23,7 +23,7 @@ from genbs.factor import (
     squarefree_decomposition,
     squarefree_part,
 )
-from genbs.orders import GRevLex, mono_div, mono_mul
+from genbs.orders import GRevLex, mono_div
 from genbs.poly import PolyRing, QQ
 from genbs.primes import certify_prime, minimal_primes, the_zero_prime
 from genbs.weyl_groebner import GBBudget
@@ -83,10 +83,12 @@ def test_exact_div_rejects_on_smallest_terms_without_dividing(monkeypatch):
     """min(q*g) = min(q)*min(g) under a monomial order, so when the smallest
     term of g does not divide that of f no division step runs."""
     steps = []
-    # each division step shifts the divisor's exponents through mono_mul
-    factor_module = importlib.import_module("genbs.factor")
+    # each division step over Q subtracts a multiple of the divisor
+    # through sub_ratios_into
+    poly_module = importlib.import_module("genbs.poly")
+    step = poly_module.sub_ratios_into
     monkeypatch.setattr(
-        factor_module, "mono_mul", lambda a, b: steps.append((a, b)) or mono_mul(a, b)
+        poly_module, "sub_ratios_into", lambda *args: steps.append(args[3]) or step(*args)
     )
     # the leads x^3 and x divide, the smallest terms 1 and y do not
     with pytest.raises(ValueError):
