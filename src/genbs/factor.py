@@ -8,13 +8,15 @@ polynomials of degree one in some variable with coprime coefficients.
 Anything else is returned whole with the flag off, never guessed at.
 Every nonzero rational root of a univariate piece is split off, so
 :meth:`Factorization.roots` reads each factor's roots off its shape.
+Rational roots are found by p-adic lifting from a small prime, which
+factors no integer; each candidate is kept only after an exact test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import VerificationFailed, ZeroPolynomialError
 from .groebner import normal_form
@@ -194,45 +196,79 @@ def squarefree_part(f: Poly) -> Poly:
     return acc
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(f: Poly, var: int):
-    """All rational roots of a univariate polynomial over Q, ascending, by trial.
-
-    Candidates are ±p/q in lowest terms with p dividing the trailing and q
-    the leading coefficient of the integer primitive form.  Each is tested
-    by the integer value q^n f(p/q), evaluated with Horner's rule.
-    Assumes the trailing coefficient is nonzero (no root at 0).
-    """
-    coeffs = _univar_coeffs(f, var)
-    vals = [c.const_value() for c in coeffs]
+def _integer_coeffs(f: Poly, var: int):
+    """The primitive integer form a_0..a_n of f, univariate in var."""
+    vals = [c.const_value() for c in _univar_coeffs(f, var)]
     den_lcm = lcm(*(v.denominator for v in vals))
     ints = [int(v * den_lcm) for v in vals]
     content = gcd(*ints)
-    ints = [z // content for z in ints]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        raise ValueError("trailing coefficient is zero; remove the monomial part first")
-    roots = []
-    qs = _divisors(an)
-    for p in _divisors(a0):
-        for q in qs:
-            if gcd(p, q) != 1:
-                continue
-            for sign in (1, -1):
-                if _homogeneous_value(ints, sign * p, q) == 0:
-                    roots.append(Fraction(sign * p, q))
-    return sorted(roots)
+    return [z // content for z in ints]
+
+
+def rational_roots(f: Poly, var: int):
+    """All rational roots of a univariate polynomial over Q, ascending.
+
+    A repeated root is listed once, and 0 is listed when the constant
+    term vanishes.  The roots are those of the squarefree part of f,
+    found by p-adic lifting (see ``_simple_rational_roots``).  Raises
+    ValueError when f involves a variable other than var.
+    """
+    if any(i != var for i in f.variables()):
+        raise ValueError("rational_roots takes a polynomial in its one variable")
+    return _simple_rational_roots(_integer_coeffs(squarefree_part(f), var))
+
+
+def _simple_rational_roots(ints):
+    """Rational roots, ascending, of f = sum ints[i] x^i, squarefree and primitive.
+
+    By p-adic lifting (R. Loos, SIAM J. Comput. 1983).  Take the least
+    odd prime l that does not divide a_n and at which every root of f
+    mod l is simple (f'(r) != 0 mod l); one exists, since f is squarefree
+    and so l need only avoid the primes dividing a_n or the discriminant.
+    Newton-lift each root r mod l to M = l^(2^k) > 2B, where
+    B = |a_n| + max|a_i|, take c as the symmetric residue of a_n*r mod M,
+    and keep c/a_n only if the exact integer value q^n f(p/q) is 0.
+
+    Every rational root is found.  A root p/q in lowest terms has q | a_n,
+    so q is a unit mod l and p/q maps to a root of f mod l.  That root is
+    simple, so its lift to a root mod M is unique, and it is p/q mod M.
+    a_n*p/q is an integer, and by the Cauchy bound |p/q| <= 1 +
+    max|a_i/a_n| (i < n) it is at most B in size, so the symmetric
+    residue mod M > 2B is a_n*p/q itself.  A missed root would be
+    unsound: the cubic left over would be certified irreducible.
+    """
+    an = ints[-1]
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    l = 3
+    while True:
+        if an % l and all(l % d for d in range(3, isqrt(l) + 1, 2)):
+            small = [c % l for c in ints]
+            roots = [r for r in range(l) if _value_mod(small, r, l) == 0]
+            if all(_value_mod(deriv, r, l) for r in roots):
+                break
+        l += 2
+    bound = 2 * (abs(an) + max(map(abs, ints)))
+    out = []
+    for r in roots:
+        m = l
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(ints, r, m) * pow(_value_mod(deriv, r, m), -1, m)) % m
+        c = an * r % m
+        if 2 * c > m:
+            c -= m
+        root = Fraction(c, an)
+        if _homogeneous_value(ints, root.numerator, root.denominator) == 0:
+            out.append(root)
+    return sorted(out)
+
+
+def _value_mod(coeffs, x, m):
+    """sum coeffs[i] x^i mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _homogeneous_value(ints, p, q):
@@ -275,7 +311,7 @@ class Factorization:
         A linear factor v - r with r != 0 has the one root r; every other
         factor lists none.  Each univariate piece but a monomial v (root
         0, listed as none) passes _factor_univar_squarefree, where
-        rational_roots finds every nonzero rational root and each is split
+        p-adic lifting finds every nonzero rational root and each is split
         off as v - r, so no nonlinear univariate factor has one."""
         out = []
         for p, _, _ in self.factors:
@@ -363,10 +399,12 @@ def _certified_multivar_irreducible(w: Poly) -> bool:
 
 def _factor_univar_squarefree(w: Poly, var: int):
     v = w.ring.var(var)
-    out = [(v - w.ring.const(r), True) for r in rational_roots(w, var)]
-    for lin, _ in out:
-        w = exact_div(w, lin)
-    if not w.is_constant():
+    roots = _simple_rational_roots(_integer_coeffs(w, var))
+    out = [(v - w.ring.const(r), True) for r in roots]
+    # w is monic and squarefree, so deg w roots make w their product
+    if len(roots) < w.degree_in(var):
+        for lin, _ in out:
+            w = exact_div(w, lin)
         # quadratics and cubics without rational roots are irreducible
         out.append((w.monic(), w.degree_in(var) <= 3))
     return out

@@ -194,6 +194,25 @@ def test_bs_poly_classical_corpus():
         assert check_identity(res.b, res.certificate, inst)
 
 
+def test_bs_poly_weight_formula_for_y4_x5():
+    """y^4 - x^5 is quasi-homogeneous with weights (1/5, 1/4) and Milnor
+    basis x^i y^j, i <= 3, j <= 2, so b = (s + 1) * prod(s + (i+1)/5 + (j+1)/4)."""
+    R2 = PolyRing(QQ, ("x", "y"), GRevLex())
+    x, y = R2.var("x"), R2.var("y")
+    inst = make_instance(("x", "y"), [y**4 - x**5], v=(1,))
+    res = bs_poly(inst)
+    s = res.b.ring.var("s")
+    expected = s + 1
+    for i in range(4):
+        for j in range(3):
+            expected = expected * (s + Fraction(i + 1, 5) + Fraction(j + 1, 4))
+    assert res.b == expected
+    fac = res.factorization
+    assert fac.all_certified() and len(fac.factors) == 13
+    assert all(p.total_degree() == 1 and k == 1 for p, k, _ in fac.factors)
+    assert check_identity(res.b, res.certificate, inst)
+
+
 def test_bs_poly_certificates():
     R1 = PolyRing(QQ, ("x",), GRevLex())
     x = R1.var("x")

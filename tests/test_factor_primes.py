@@ -144,6 +144,23 @@ def test_rational_roots():
     assert rational_roots(g, 0) == []
 
 
+def test_rational_roots_lists_zero():
+    S = PolyRing(QQ, ("s",), GRevLex())
+    s = S.var("s")
+    f = s**3 * (s + 1) ** 2 * (2 * s - 1)
+    assert rational_roots(f, 0) == [-1, 0, Fraction(1, 2)]
+    assert rational_roots(s, 0) == [0]
+
+
+def test_rational_roots_refuses_other_variables():
+    # the constant coefficient along s1 is s2 + 1 or 2, not a number
+    S2 = PolyRing(QQ, ("s1", "s2"), GRevLex())
+    s1, s2 = S2.var("s1"), S2.var("s2")
+    for f in (s1 + s2 + 1, s1 * s2 + s1 + 2, s2 + 1):
+        with pytest.raises(ValueError):
+            rational_roots(f, 0)
+
+
 def _eval_univar(vals, r):
     acc = Fraction(0)
     for c in reversed(vals):
@@ -184,6 +201,60 @@ def test_rational_roots_products_of_linear_factors(roots, unit):
     expected = sorted(set(roots))
     assert _reference_rational_roots(f) == expected
     assert rational_roots(f, 0) == expected
+
+
+S1 = PolyRing(QQ, ("s",), GRevLex())
+s_ = S1.var("s")
+# no rational root: a missed root would leave a cubic certified irreducible
+IRREDUCIBLE = [s_**2 + 1, s_**2 - 2, 2 * s_**2 + 3, s_**3 - 2, s_**3 + s_ + 1, 3 * s_**3 - 3 * s_ + 1]
+HEIGHT = 10**12
+tall_roots = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    st.lists(st.tuples(tall_roots, st.integers(1, 3)), min_size=1, max_size=4),
+    st.sampled_from(IRREDUCIBLE),
+    st.sampled_from([1, -1]),
+)
+def test_rational_roots_by_lifting_at_large_heights(planted, rest, unit):
+    """Planted roots up to 10^12 over 10^12, repeated ones through the public
+    function, are exactly what the root finder and ``factor`` return."""
+    f = rest * unit
+    for r, k in planted:
+        f = f * (s_ - S1.const(r)) ** k
+    expected = sorted({r for r, _ in planted})
+    assert rational_roots(f, 0) == expected
+    assert sorted(r for rs in factor(f).roots() for r in rs) == [r for r in expected if r]
+
+
+@pytest.mark.parametrize(
+    "linear, rest",
+    [
+        # 1 and 15016 meet mod 3, 5, 7, 11 and 13, so the first prime is 17
+        ([(1, 1), (1, 15016)], s_**3 - 2),
+        # the leading coefficient 210 rules out 3, 5 and 7
+        ([(2, -1), (3, 1), (5, -2), (7, 3)], s_**2 + 1),
+    ],
+)
+def test_rational_roots_skip_bad_primes(linear, rest):
+    f = rest
+    for q, p in linear:
+        f = f * (q * s_ - p)
+    expected = sorted(Fraction(p, q) for q, p in linear)
+    assert rational_roots(f, 0) == expected
+    fac = factor(f)
+    assert sorted(r for rs in fac.roots() for r in rs) == expected
+    assert fac.all_certified() and fac.expand(S1) == f
+
+
+def test_factor_splits_thirty_linear_factors():
+    f = S1.one()
+    for k in range(1, 31):
+        f = f * (s_ + k)
+    fac = factor(f)
+    assert len(fac.factors) == 30 and fac.all_certified()
+    assert sorted(r for rs in fac.roots() for r in rs) == list(range(-30, 0))
 
 
 def test_factor_shapes():
