@@ -6,16 +6,32 @@ f^s.  Differential operators act through logarithmic derivatives:
     d_i (g f^s) = (d_i g) f^s + g sum_j s_j (d_i f_j)/f_j f^s
 
 with all bookkeeping exact.  Denominators are exponent vectors, never
-general polynomials, and the canonical form divides out f_j from the
-numerator while possible.
+general polynomials.
+
+Replay never divides.  An element is built in its undivided form, where
+a k_j may be negative: f^(s+v) is 1 over k = -v.  Sums, negation,
+equality, the zero test and the action work on that form, bringing
+parts to a common denominator by multiplying by powers of the f_j only.
+The canonical form (every k_j >= 0, and f_j divided out of the
+numerator while it divides and k_j > 0) is made once, by trial
+division, on the first read of ``numerator``, ``k`` or ``str``.  It is
+unique when p = 1 or the f_j are pairwise coprime: if N / f^k = M / f^l
+with f_j dividing neither N where k_j > 0 nor M where l_j > 0, and
+l_j > k_j, then f_j^(l_j - k_j) divides M times a product of the other
+f_i, hence M, which is impossible; so k = l and N = M.
 
 An operator acts along a derivative ladder.  Its terms x^alpha s^gamma
 d^beta are grouped by beta, and D^beta e is computed once per beta: each
 rung is a single d_x of a rung already on the ladder, with prod f_l and
-(d_x f_j) prod_{l != j} f_l formed once per action, not per rung.  Each
-rung is multiplied by its group's multiplier polynomial, the parts are
-brought to one common denominator, and the sum is reduced once, so trial
-division runs once per action instead of after every term.
+(d_x f_j) prod_{l != j} f_l formed once per action, not per rung, and
+raising every k_j by one.  Each rung is multiplied by its group's
+multiplier polynomial, the parts of one order |beta| (which share a
+denominator) are summed, and those sums are brought to one common
+denominator once.  Over Q the ladder runs on int coefficients: the f_j
+become F_j = lam_j f_j, lam_j the lcm of f_j's denominators, and e's
+numerator and the multipliers are cleared of theirs.  A rung of order t
+then carries the factor (prod_j lam_j)^t, and one rational scaling of
+the sum's coefficients at the end takes every factor out.
 
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
@@ -29,6 +45,7 @@ already echelonized on b's coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +54,7 @@ from .factor import exact_div
 from .groebner import normal_form
 from .instance import ProblemInstance
 from .orders import multi_indices
-from .poly import Poly
+from .poly import Poly, QQ
 from .weyl import WeylOp
 
 
@@ -55,16 +72,21 @@ class AnsatzBounds:
 
 
 class FsElement:
-    """numerator / prod f_j^k_j times f^s, over a fixed instance."""
+    """numerator / prod f_j^k_j times f^s, over a fixed instance.
 
-    __slots__ = ("instance", "numerator", "k")
+    The element is stored in the undivided form it was built in (a k_j
+    may be negative); ``numerator`` and ``k`` read its canonical form,
+    made on the first read.  With ``reduce=False`` the given form is
+    taken as the one to read.
+    """
+
+    __slots__ = ("instance", "_num", "_k", "_canonical")
 
     def __init__(self, instance, numerator, k, reduce=True):
         self.instance = instance
-        if reduce:
-            numerator, k = _reduce(instance, numerator, tuple(k))
-        self.numerator = numerator
-        self.k = tuple(k)
+        self._num = numerator
+        self._k = tuple(k)
+        self._canonical = not reduce
 
     # -- constructors ---------------------------------------------------------
 
@@ -76,22 +98,41 @@ class FsElement:
 
     @staticmethod
     def shifted(instance) -> "FsElement":
-        """f^(s+v), i.e. the element with numerator prod f_j^v_j."""
+        """f^(s+v), undivided as 1 / prod f_j^(-v_j)."""
         ring = instance.fs_ring()
-        return FsElement(
-            instance, ring.convert(instance.f_power_v()), (0,) * instance.registry.p
-        )
+        return FsElement(instance, ring.one(), tuple(-vj for vj in instance.v))
+
+    # -- canonical form -----------------------------------------------------------
+
+    @property
+    def numerator(self):
+        self._canonicalize()
+        return self._num
+
+    @property
+    def k(self):
+        self._canonicalize()
+        return self._k
+
+    def _canonicalize(self):
+        if not self._canonical:
+            self._num, self._k = _reduce(self.instance, self._num, self._k)
+            self._canonical = True
+
+    def _with(self, numerator):
+        """numerator over this element's denominator, read as this one is."""
+        return FsElement(self.instance, numerator, self._k, reduce=not self._canonical)
 
     # -- structure ---------------------------------------------------------------
 
     def is_zero(self):
-        return self.numerator.is_zero()
+        return self._num.is_zero()
 
     def _common(self, other):
         if self.instance != other.instance:
             raise MixedRingError("f^s elements over different instances")
         (n1, n2), K = _common_denominator(
-            self.instance, [(self.numerator, self.k), (other.numerator, other.k)]
+            self.instance, [(self._num, self._k), (other._num, other._k)]
         )
         return n1, n2, K
 
@@ -102,7 +143,7 @@ class FsElement:
         return FsElement(self.instance, n1 + n2, K)
 
     def __neg__(self):
-        return FsElement(self.instance, -self.numerator, self.k, reduce=False)
+        return self._with(-self._num)
 
     def __sub__(self, other):
         if not isinstance(other, FsElement):
@@ -111,12 +152,10 @@ class FsElement:
 
     def scale_poly(self, g: Poly) -> "FsElement":
         ring = self.instance.fs_ring()
-        return FsElement(self.instance, ring.convert(g) * self.numerator, self.k)
+        return FsElement(self.instance, ring.convert(g) * self._num, self._k)
 
     def scale(self, c) -> "FsElement":
-        return FsElement(
-            self.instance, self.numerator * Fraction(c), self.k, reduce=False
-        )
+        return self._with(self._num * Fraction(c))
 
     def __eq__(self, other):
         if not isinstance(other, FsElement):
@@ -145,11 +184,16 @@ def _f_lifted(instance):
 
 
 def _reduce(instance, numerator, k):
-    """Canonical form: divide numerator by f_j while divisible and k_j > 0."""
+    """Canonical form: multiply each f_j^(-k_j) with k_j < 0 into the
+    numerator, then divide the numerator by f_j while divisible and
+    k_j > 0."""
     if numerator.is_zero():
         return numerator, (0,) * len(k)
     fs = _f_lifted(instance)
-    k = list(k)
+    for fj, kj in zip(fs, k):
+        if kj < 0:
+            numerator = numerator * fj**-kj
+    k = [max(kj, 0) for kj in k]
     for j, fj in enumerate(fs):
         while k[j] > 0:
             try:
@@ -160,14 +204,14 @@ def _reduce(instance, numerator, k):
     return numerator, tuple(k)
 
 
-def _diff_constants(inst):
-    """The factors of d_x (g f^s) that depend on f alone.
+def _diff_constants(inst, fs):
+    """The factors of d_x (g f^s) that depend on the f_j in fs alone.
 
-    Returns (prod_l f_l, [s_j], {x: [(d_x f_j) prod_{l != j} f_l]}), so a
-    rung of the derivative ladder costs two products and a short sum.
+    Returns (prod_l f_l, {x: (sum_j s_j g_j, [g_j])}) with g_j =
+    (d_x f_j) prod_{l != j} f_l, so a rung of the derivative ladder costs
+    two products and a short sum.
     """
     ring = inst.fs_ring()
-    fs = _f_lifted(inst)
     prod = ring.one()
     for fj in fs:
         prod = prod * fj
@@ -178,31 +222,61 @@ def _diff_constants(inst):
             if l != j:
                 cof = cof * fl
         cofactors.append(cof)
-    grads = {
-        x: [fj.diff(x) * cof for fj, cof in zip(fs, cofactors)]
-        for x in inst.registry.x
-    }
     s_vars = [ring.var(name) for name in inst.registry.s]
-    return prod, s_vars, grads
+    grads = {}
+    for x in inst.registry.x:
+        g = [fj.diff(x) * cof for fj, cof in zip(fs, cofactors)]
+        s_log = ring.zero()
+        for s_j, g_j in zip(s_vars, g):
+            s_log = s_log + s_j * g_j
+        grads[x] = (s_log, g)
+    return prod, grads
+
+
+def _denominator(polys):
+    """The lcm of every coefficient's denominator in polys, over Q."""
+    return math.lcm(*(c.denominator for g in polys for c in g._terms.values()))
+
+
+def _on_ints(g, d=1):
+    """d g over Q on int coefficients; d must clear g's denominators."""
+    terms = {e: c.numerator * (d // c.denominator) for e, c in g._terms.items()}
+    return Poly(g.ring, terms)
+
+
+def _int_constants(inst):
+    """Over Q, _diff_constants of the F_j = lam_j f_j on int coefficients,
+    lam_j the denominator of f_j; returns (consts, prod_j lam_j)."""
+    fs = _f_lifted(inst)
+    lams = [_denominator([fj]) for fj in fs]
+    prod, grads = _diff_constants(inst, [_on_ints(fj, d) for fj, d in zip(fs, lams)])
+    grads = {
+        x: (_on_ints(s_log), [_on_ints(g) for g in gs])
+        for x, (s_log, gs) in grads.items()
+    }
+    return (_on_ints(prod), grads), math.prod(lams)
 
 
 def _diff_once(e: FsElement, x_name: str, consts) -> FsElement:
-    """Action of a single d/dx on the element; consts from _diff_constants.
+    """Action of a single d/dx on the element's undivided form; consts
+    from _diff_constants.  Nothing is divided out.
 
     d_x (g / prod f^k f^s) = (g' prod f + g sum_j (s_j - k_j) (d_x f_j)
     prod_{l != j} f_l) / prod f^(k+1) f^s.
     """
-    prod, s_vars, grads = consts
-    log = e.numerator.ring.zero()
-    for s_j, k_j, g_j in zip(s_vars, e.k, grads[x_name]):
-        log = log + (s_j - k_j) * g_j
-    term = e.numerator.diff(x_name) * prod + e.numerator * log
-    return FsElement(e.instance, term, tuple(kj + 1 for kj in e.k))
+    prod, grads = consts
+    log, g_x = grads[x_name]
+    for k_j, g_j in zip(e._k, g_x):
+        if k_j:
+            log = log - g_j.scale(k_j)
+    g = e._num
+    term = g.diff(x_name) * prod + g * log
+    return FsElement(e.instance, term, tuple(kj + 1 for kj in e._k))
 
 
-def _derivative_ladder(e: FsElement, x_names, betas):
+def _derivative_ladder(e: FsElement, x_names, betas, consts):
     """Iterator of (beta, D^beta e), once for each multi-index in betas
-    (indexed like x_names).
+    (indexed like x_names); consts from _diff_constants.
 
     The rungs form a tree: the parent of beta has one derivative fewer in
     beta's last nonzero coordinate, so D^beta e is reached by the same
@@ -220,7 +294,6 @@ def _derivative_ladder(e: FsElement, x_names, betas):
             if any(beta):
                 i = _last_index(beta)
                 beta = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
-    consts = _diff_constants(e.instance)
 
     def walk(beta, cur):
         if beta in wanted:
@@ -246,13 +319,16 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
     an x variable (acting by differentiation).
 
     The terms x^alpha s^gamma d^beta of A are grouped by beta.  Each
-    D^beta e is taken once from the derivative ladder and multiplied by
-    the polynomial sum of its group's multipliers; the parts are summed
-    over their common denominator prod f_j^K_j, and the sum is reduced
-    once.  When the f_j are pairwise coprime the reduced form of an
-    element is unique, so the result is the canonical element a
-    term-by-term sum would give.  A = 0 gives the zero numerator over
-    e's denominator.
+    D^beta e is taken once from the derivative ladder, undivided over
+    prod f_j^(k_j + |beta|), and multiplied by the polynomial sum of its
+    group's multipliers.  The parts of one order |beta| are summed, and
+    the sums are put over their common denominator k + max |beta| once,
+    by Horner's rule in prod f; over Q on int coefficients (see the
+    module docstring).  The result is undivided: the zero test and
+    equality read it as it is, and its canonical form is made, by the
+    only trial division of the action, when ``numerator``, ``k`` or
+    ``str`` is first read.  A = 0 gives the zero numerator over e's
+    canonical denominator.
     """
     inst = e.instance
     ring = inst.fs_ring()
@@ -262,20 +338,37 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
 
     x_names = [wr.names[pos] for pos, _ in wr.pairs]
     groups = A.coefficients_wrt([der for _, der in wr.pairs])
-    total = None
-    for beta, r in _derivative_ladder(e, x_names, groups):
-        part = r.numerator * ring.convert(groups[beta])
-        if total is None:
-            total, K = part, r.k
-        else:
-            (total, part), K = _common_denominator(inst, [(total, K), (part, r.k)])
-            total = total + part
-    return FsElement(inst, total, K)
+    groups = {beta: ring.convert(g) for beta, g in groups.items()}
+    on_ints = ring.field is QQ
+    if on_ints:
+        consts, lam = _int_constants(inst)
+        d_e, d_A = _denominator([e._num]), _denominator(groups.values())
+        start = FsElement(inst, _on_ints(e._num, d_e), e._k)
+        groups = {beta: _on_ints(g, d_A) for beta, g in groups.items()}
+    else:
+        consts, start = _diff_constants(inst, _f_lifted(inst)), e
+    by_order = {}
+    for beta, r in _derivative_ladder(start, x_names, groups, consts):
+        part = r._num * groups[beta]
+        t = sum(beta)
+        by_order[t] = by_order[t] + part if t in by_order else part
+    orders = sorted(by_order)
+    total = by_order[orders[0]]
+    for prev, t in zip(orders, orders[1:]):
+        for _ in range(t - prev):
+            total = total * consts[0]
+        total = total + by_order[t]
+    if on_ints:
+        # a rung of order t carries lam^t, and Horner's prod F adds the rest
+        den = d_e * d_A * lam ** orders[-1]
+        total = Poly(ring, {m: Fraction(c, den) for m, c in total._terms.items()})
+    return FsElement(inst, total, tuple(kj + orders[-1] for kj in e._k))
 
 
 def _common_denominator(inst, parts):
     """Numerators of (numerator, k) parts over prod f_j^K_j, K the
-    componentwise maximum of the k; returns (numerators, K)."""
+    componentwise maximum of the k (which may be negative); returns
+    (numerators, K)."""
     K = tuple(max(col) for col in zip(*(k for _, k in parts)))
     fs = _f_lifted(inst)
     out = []
@@ -288,14 +381,20 @@ def _common_denominator(inst, parts):
 
 
 def check_identity(b: Poly, P: WeylOp, inst: ProblemInstance) -> bool:
-    """Exact check of act(P, f^(s+v)) = b(s) f^s."""
+    """Exact check of act(P, f^(s+v)) = b(s) f^s, without division.
+
+    act gives T / prod f_j^K_j undivided, so the identity holds exactly
+    when T prod f_j^max(0, -K_j) = b prod f_j^max(0, K_j) as
+    polynomials; that is the comparison FsElement equality makes.
+    """
     lhs = act(P, FsElement.shifted(inst))
-    rhs = FsElement.symbol(inst).scale_poly(b)
-    return (lhs - rhs).is_zero()
+    return lhs == FsElement.symbol(inst).scale_poly(b)
 
 
 def congruence_remainder(h: Poly, b: Poly, U: WeylOp, inst: ProblemInstance):
-    """r = h b f^s - U f^(s+v), the term that must lie in Q[x, 1/f, s] f^s."""
+    """r = h b f^s - U f^(s+v), the term that must lie in Q[x, 1/f, s] f^s.
+
+    r is undivided; its canonical form is made once, when read."""
     lhs = FsElement.symbol(inst).scale_poly(h).scale_poly(b)
     rhs = act(U, FsElement.shifted(inst))
     return lhs - rhs
@@ -413,7 +512,8 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     betas = multi_indices(r.n, bounds.d_order)
     alphas = multi_indices(r.n, bounds.x_degree)
     gammas = multi_indices(r.p, bounds.s_degree)
-    base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), r.x, betas))
+    consts = _diff_constants(inst, _f_lifted(inst))
+    base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), r.x, betas, consts))
     symbol = FsElement.symbol(inst)
 
     # unknowns: P's coefficients at x^alpha s^gamma d^beta, then b's at s^gamma
@@ -425,11 +525,11 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
         for alpha in alphas:
             for gamma in gammas:
                 mono = ring.monomial(_exp(ring, r.x + r.s, alpha + gamma))
-                elements.append((e.numerator * mono, e.k))
+                elements.append((e._num * mono, e._k))
                 p_exps.append(_exp(wring, w_names, alpha + beta + gamma))
     for gamma in gammas:
         mono = ring.monomial(_exp(ring, r.s, gamma))
-        elements.append((-(symbol.numerator * mono), symbol.k))
+        elements.append((-(symbol._num * mono), symbol._k))
     numerators, _ = _common_denominator(inst, elements)
 
     kernel = b_kernel([num._terms for num in numerators], gammas, s_ring)

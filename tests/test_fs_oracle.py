@@ -1,5 +1,6 @@
 """The f^s module oracle: action, identities, ansatz search, congruences."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genbs.fsmodule as fsmodule
+from genbs.annbs import ann_fs, bs_ideal
 from genbs.errors import EmptyAnsatz
 from genbs.fsmodule import (
     AnsatzBounds,
@@ -19,10 +21,13 @@ from genbs.fsmodule import (
     congruence_remainder,
     remainder_in_Q,
 )
+from genbs.groebner import buchberger
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
+from genbs.parametric import generic_bs
+from genbs.parser import parse_poly
 from genbs.poly import PolyRing, QQ
-from genbs.primes import the_zero_prime
+from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.weyl import WeylOp
 
 
@@ -212,10 +217,10 @@ def _act_term_by_term(A, e):
     return result
 
 
-def _family(x_names, fs, a_names=()):
+def _family(x_names, fs, a_names=(), v=None):
     R = PolyRing(QQ, tuple(a_names) + tuple(x_names), GRevLex())
     gens = {name: R.var(name) for name in R.names}
-    return make_instance(x_names, [f(**gens) for f in fs], a_names=a_names)
+    return make_instance(x_names, [f(**gens) for f in fs], v=v, a_names=a_names)
 
 
 LADDER_FAMILIES = {
@@ -310,6 +315,182 @@ def test_ansatz_differentiates_once_per_multi_index(inst_xy, diff_calls):
     assert (str(pairs[0][0]), str(pairs[0][1])) == ("s^2 + 2*s + 1", "dx*dy")
     # the five nonzero beta with |beta| <= 2
     assert len(diff_calls) == 5
+
+
+# -- division-free replay against the term-by-term reference ------------------
+
+
+def _identity_reference(b, P, inst):
+    """Whether act(P, f^(s+v)) = b f^s, read off the term-by-term action's
+    canonical form N / prod f_j^k_j: it holds iff N = b prod f_j^k_j."""
+    lhs = _act_term_by_term(P, FsElement.shifted(inst))
+    rhs = inst.fs_ring().convert(b)
+    for fj, kj in zip(_f_lifted(inst), lhs.k):
+        rhs = rhs * fj**kj
+    return lhs.numerator == rhs
+
+
+IDENTITY_FAMILIES = {
+    "x2_v0": _family(("x",), [lambda x: x**2], v=(0,)),
+    "x2_v1": _family(("x",), [lambda x: x**2], v=(1,)),
+    "x2_v2": _family(("x",), [lambda x: x**2], v=(2,)),
+    "cusp_v1": _family(("x", "y"), [lambda x, y: y**2 - x**3]),
+    "x_y_v21": _family(("x", "y"), [lambda x, y: x, lambda x, y: y], v=(2, 1)),
+    "line_conic_v10": _family(
+        ("x", "y"), [lambda x, y: x, lambda x, y: x**2 + y**2], v=(1, 0)
+    ),
+    # the f_j share the factor x
+    "xy_x_v11": _family(("x", "y"), [lambda x, y: x * y, lambda x, y: x], v=(1, 1)),
+    # rational coefficients: over Q the ladder clears each f_j's denominator
+    "cusp_scaled_v1": _family(
+        ("x", "y"), [lambda x, y: Fraction(3, 2) * y**2 - Fraction(2, 3) * x**3]
+    ),
+    "line_conic_scaled_v11": _family(
+        ("x", "y"),
+        [lambda x, y: x * Fraction(1, 2), lambda x, y: Fraction(2, 3) * x**2 + y**2],
+        v=(1, 1),
+    ),
+}
+
+# degree boxes for a second, ansatz-found pair; None where bs_ideal's suffices
+IDENTITY_ANSATZ = {
+    "x2_v1": AnsatzBounds(x_degree=1, d_order=2, s_degree=2),
+    "x2_v2": AnsatzBounds(x_degree=0, d_order=4, s_degree=4),
+    "x_y_v21": AnsatzBounds(x_degree=0, d_order=3, s_degree=3),
+    "xy_x_v11": AnsatzBounds(x_degree=0, d_order=3, s_degree=3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _true_pairs(name):
+    """Certified (b, P) for the family: bs_ideal's, then the ansatz's."""
+    inst = IDENTITY_FAMILIES[name]
+    B = bs_ideal(inst)
+    pairs = list(zip(B.generators, B.certificates))
+    if name in IDENTITY_ANSATZ:
+        pairs += ansatz_bs(inst, IDENTITY_ANSATZ[name])[:2]
+    return tuple(pairs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(IDENTITY_FAMILIES)), data=st.data())
+def test_check_identity_matches_term_by_term_reference(name, data):
+    inst = IDENTITY_FAMILIES[name]
+    b, P = data.draw(st.sampled_from(_true_pairs(name)), label="pair")
+    assert check_identity(b, P, inst) and _identity_reference(b, P, inst)
+    assert not check_identity(b * 2, P, inst)
+    assert not _identity_reference(b * 2, P, inst)
+    R = data.draw(operators(inst, max(inst.v) + 1, 3), label="R")
+    assert check_identity(b, P + R, inst) == _identity_reference(b, P + R, inst)
+    # total order below every v_j: act's undivided result keeps K < 0
+    n = inst.registry.n
+    if min(inst.v) > 0:
+        low = data.draw(operators(inst, (min(inst.v) - 1) // n, 3), label="low")
+        assert check_identity(b, low, inst) == _identity_reference(b, low, inst)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    name=st.sampled_from(["cusp_scaled_v1", "line_conic_scaled_v11"]), data=st.data()
+)
+def test_act_with_rational_coefficients_matches_reference(name, data):
+    # f_j, the multipliers and the input numerator all carry denominators
+    inst = IDENTITY_FAMILIES[name]
+    A = data.draw(operators(inst, 2, 4), label="A")
+    B = data.draw(operators(inst, 1, 2), label="B") + inst.weyl_ring().gen("dx")
+    for e in (FsElement.symbol(inst), FsElement.shifted(inst)):
+        _same_element(act(A, e), _act_term_by_term(A, e))
+    inner = act(B, FsElement.symbol(inst)).scale(Fraction(-5, 7))
+    _same_element(act(A, inner), _act_term_by_term(A, inner))
+
+
+@pytest.fixture
+def exact_div_calls(monkeypatch):
+    calls = []
+    inner = fsmodule.exact_div
+
+    def counted(f, g):
+        calls.append(g)
+        return inner(f, g)
+
+    monkeypatch.setattr(fsmodule, "exact_div", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FAMILIES))
+def test_identity_and_annihilator_checks_never_divide(name, exact_div_calls):
+    inst = IDENTITY_FAMILIES[name]
+    pairs = _true_pairs(name)
+    del exact_div_calls[:]
+    for b, P in pairs:
+        assert check_identity(b, P, inst)
+        assert not check_identity(b * 2, P, inst)
+    ann_fs(inst)
+    assert exact_div_calls == []
+    # only reading the canonical form divides, and only on the first read
+    e = act(pairs[0][1], FsElement.symbol(inst))
+    assert not e.is_zero() and exact_div_calls == []
+    canonical = (e.numerator, e.k)
+    divisions = len(exact_div_calls)
+    assert (e.numerator, e.k) == canonical
+    str(e)
+    assert len(exact_div_calls) == divisions
+
+
+def _prime(param, text):
+    basis = buchberger([parse_poly(text, param)])
+    return PrimeIdealQ(param, tuple(basis), tuple(basis), certify_prime(basis, param))
+
+
+def _remainder_reference(h, b, U, inst):
+    """h b f^s - U f^(s+v): the term-by-term action, then the subtraction
+    over its canonical denominator."""
+    rhs = _act_term_by_term(U, FsElement.shifted(inst))
+    ring = inst.fs_ring()
+    lhs = ring.convert(h) * ring.convert(b)
+    for fj, kj in zip(_f_lifted(inst), rhs.k):
+        lhs = lhs * fj**kj
+    return FsElement(inst, lhs - rhs.numerator, rhs.k)
+
+
+REMAINDER_FAMILIES = {
+    "nodal_a": LADDER_FAMILIES["nodal_a"],
+    "p2_lines_a": _family(
+        ("x", "y"), [lambda a, x, y: x, lambda a, x, y: x + a * y], a_names=("a",)
+    ),
+    "p2_line_quadric_a": _family(
+        ("x", "y"),
+        [lambda a, x, y: x, lambda a, x, y: x**2 + a * y**2],
+        a_names=("a",),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, prime",
+    [
+        ("nodal_a", None),
+        ("nodal_a", "a"),
+        ("nodal_a", "a - 1"),
+        ("p2_lines_a", None),
+        ("p2_lines_a", "a"),
+        ("p2_line_quadric_a", "a - 1"),
+    ],
+)
+def test_congruence_remainder_matches_reference(name, prime, exact_div_calls):
+    inst = REMAINDER_FAMILIES[name]
+    param = inst.param_ring()
+    Q = the_zero_prime(param) if prime is None else _prime(param, prime)
+    g = generic_bs(inst, Q)
+    del exact_div_calls[:]
+    r = congruence_remainder(g.h, g.b, g.U, inst)
+    assert exact_div_calls == []
+    ref = _remainder_reference(g.h, g.b, g.U, inst)
+    assert r.numerator == ref.numerator
+    assert r.k == ref.k
+    assert str(r) == str(ref) == str(g.remainder)
+    assert r.is_zero() == (prime is None)
+    assert remainder_in_Q(r, Q, inst)
 
 
 def _nullspace(rows, ncols):
