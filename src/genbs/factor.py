@@ -33,10 +33,23 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     over the terms, before any division step.  The remainder is one term
     map, updated in place by the reduction kernel's step, on int pairs
     over Q.
+
+    A single-term divisor c*x^e takes one pass instead: each term of f
+    has its exponent shifted down by e and its coefficient divided by c,
+    and the first term that x^e does not divide raises.
     """
     if g.is_zero():
         raise ZeroDivisionError("exact division by zero")
     _check_same_ring(f, g)
+    if len(g._terms) == 1:
+        ((e, c),) = g._terms.items()
+        q = {}
+        for exp, v in f._terms.items():
+            m = mono_div(exp, e)
+            if m is None:
+                raise ValueError("division is not exact")
+            q[m] = v / c
+        return Poly(f.ring, q)
     key = f.ring.order.cached_key
     if f._terms and mono_div(min(f._terms, key=key), min(g._terms, key=key)) is None:
         raise ValueError("division is not exact")
@@ -102,15 +115,20 @@ def _content(coeffs):
 def multi_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd in a multivariate polynomial ring over a field.
 
-    Uses the primitive polynomial remainder sequence, recursing on the
+    When either operand is a single term c*x^e, a constant included, the
+    gcd is x^m with m the coordinatewise minimum of e and the exponents
+    of the other operand: every divisor of a monomial is a monomial, and
+    x^m is the largest one dividing each term of both.  Otherwise it
+    uses the primitive polynomial remainder sequence, recursing on the
     coefficient ring through contents.
     """
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
-    if f.is_constant() or g.is_constant():
-        return f.ring.one()
+    if len(f._terms) == 1 or len(g._terms) == 1:
+        m = tuple(map(min, *f._terms, *g._terms))
+        return f.ring.monomial(m)
     used = sorted(set(f.variables()) | set(g.variables()))
     if len(used) == 1:
         # Euclid: over a field, a univariate remainder is a normal form

@@ -6,7 +6,9 @@ cancels their gcd.  A rational value always ends as two constants there:
 if num/den equals r in the field then num - r*den is a normal form equal
 to 0, hence num = r*den as polynomials.  So ``make`` returns a rational
 value, zero included, as a ``Fraction``, and a ``ResidueElem`` (den
-monic and not in Q) only for a value that is not rational.
+monic and not in Q) only for a value that is not rational.  Arithmetic
+with an int or Fraction operand cannot cancel anything, so it builds
+that canonical form directly, with no gcd.
 
 The generic package runs the Bernstein-Sato pipeline over the residue
 field, searches the ideal for its least-degree member b in Q[s], clears
@@ -50,9 +52,9 @@ from .weyl import WeylOp, WeylRing
 def _lifted(op, scalar_op, scalar_rop):
     """``op`` on two elements as an operator and its reflection.
 
-    An int or Fraction operand q takes its own path, which scales the
-    element's num or den by q: ``scalar_op(a, q)`` is a op q and
-    ``scalar_rop(a, q)`` is q op a.
+    An int or Fraction operand q takes its own path, which builds the
+    result from the element's num and den without ``make``:
+    ``scalar_op(a, q)`` is a op q and ``scalar_rop(a, q)`` is q op a.
     """
 
     def forward(a, b):
@@ -71,12 +73,17 @@ def _lifted(op, scalar_op, scalar_rop):
 
 
 class ResidueElem:
-    """num/den with both parts normal forms mod Q, den monic and not in Q.
+    """num/den for a value of Frac(Q[a]/Q) that is not rational.
 
-    Only ``ResidueField.make`` builds one, and only for a value that is
-    not rational: a rational value, zero included, is a ``Fraction``.  So
-    an element is never zero, and equals no int or Fraction.  Elements
-    compute with Python's operators, each one ``make`` of its formula.
+    The invariant: num and den are normal forms mod Q, coprime as
+    polynomials, and den is monic and not in Q.  A rational value, zero
+    included, is a ``Fraction``, so an element is never zero and equals
+    no int or Fraction.  Elements compute with Python's operators.  Two
+    elements combine through ``make`` of the formula, which cancels
+    their gcd.  An int or Fraction operand q builds its result directly,
+    the one ``make`` would return: normal forms are closed under linear
+    combination, num + q*den stays coprime to den, and a nonzero q keeps
+    num and den coprime, so only ``q / e`` rescales, by 1/lc(num).
     ``==`` cross-multiplies, so elements are not hashable.
     """
 
@@ -91,31 +98,38 @@ class ResidueElem:
         return a.field.make(a.num * b.den + b.num * a.den, a.den * b.den)
 
     def _add_q(a, q):
-        return a.field.make(a.num + a.den.scale(q), a.den)
+        return ResidueElem(a.field, a.num + a.den.scale(q), a.den)
 
     def _sub(a, b):
         return a.field.make(a.num * b.den - b.num * a.den, a.den * b.den)
 
     def _sub_q(a, q):
-        return a.field.make(a.num - a.den.scale(q), a.den)
+        return ResidueElem(a.field, a.num + a.den.scale(-q), a.den)
 
     def _rsub_q(a, q):
-        return a.field.make(a.den.scale(q) - a.num, a.den)
+        return ResidueElem(a.field, a.den.scale(q) - a.num, a.den)
 
     def _mul(a, b):
         return a.field.make(a.num * b.num, a.den * b.den)
 
     def _mul_q(a, q):
-        return a.field.make(a.num.scale(q), a.den)
+        if not q:
+            return Fraction(0)
+        return ResidueElem(a.field, a.num.scale(q), a.den)
 
     def _div(a, b):
         return a.field.make(a.num * b.den, a.den * b.num)
 
     def _div_q(a, q):
-        return a.field.make(a.num, a.den.scale(q))
+        if not q:
+            raise DivisionByZeroModQ("denominator lies in Q")
+        return ResidueElem(a.field, a.num.scale(Fraction(1) / q), a.den)
 
     def _rdiv_q(a, q):
-        return a.field.make(a.den.scale(q), a.num)
+        if not q:
+            return Fraction(0)
+        inv = Fraction(1) / a.num.lead_coeff()
+        return ResidueElem(a.field, a.den.scale(q * inv), a.num.scale(inv))
 
     __add__, __radd__ = _lifted(_add, _add_q, _add_q)
     __sub__, __rsub__ = _lifted(_sub, _sub_q, _rsub_q)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genbs.errors import (
     DecompositionUnsupported,
@@ -43,6 +43,9 @@ def test_exact_div():
     assert not divides(X + 1, X**2 + 1)
 
 
+NONZERO_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
 def _long_division(f, g):
     """exact_div's quotient loop alone, without its smallest-term test."""
     q, r = {}, f
@@ -60,23 +63,29 @@ def _long_division(f, g):
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=4),
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=3),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)), max_size=2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), NONZERO_RATIONALS),
 )
-def test_exact_div_agrees_with_long_division(q_terms, g_terms, r_terms):
+# a single-term divisor that divides every term of f but one
+@example([(1, 0, 1)], [(0, 1, 2)], [(1, 0, 1)], (1, 1, Fraction(-3, 2)))
+def test_exact_div_agrees_with_long_division(q_terms, g_terms, r_terms, mono):
     """On q*g, and on q*g plus a few terms, exact_div returns the quotient
-    of plain long division, term for term, or raises where it fails."""
+    of plain long division, term for term, or raises where it fails; g is
+    drawn as a sum of terms and as a single term c*x^i*y^j with c a
+    nonzero rational, negative and non-integer ones included."""
     def poly(terms):
         return R.from_terms(((i, j), Fraction(c)) for i, j, c in terms if c)
 
-    q, g, r = poly(q_terms), poly(g_terms), poly(r_terms)
-    if g.is_zero():
-        return
-    for f in (q * g, q * g + r):
-        expected = _long_division(f, g)
-        if expected is None:
-            with pytest.raises(ValueError):
-                exact_div(f, g)
-        else:
-            assert exact_div(f, g)._terms == expected
+    q, r = poly(q_terms), poly(r_terms)
+    for g in (poly(g_terms), poly([mono])):
+        if g.is_zero():
+            continue
+        for f in (q * g, q * g + r):
+            expected = _long_division(f, g)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    exact_div(f, g)
+            else:
+                assert exact_div(f, g)._terms == expected
 
 
 def test_exact_div_rejects_on_smallest_terms_without_dividing(monkeypatch):
@@ -119,6 +128,33 @@ def test_multi_gcd_random_products():
         # gcd contains g (up to the gcd of u and v)
         assert divides(g.monic(), d) or divides(d, (u * g).monic())
         assert divides(d, (u * g).monic()) and divides(d, (v * g).monic())
+
+
+A3_POLYS = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-3, 3)), min_size=1, max_size=4
+).map(lambda terms: A3.from_terms((e, Fraction(c)) for e, c in terms if c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    NONZERO_RATIONALS,
+    A3_POLYS,
+    st.booleans(),
+)
+def test_multi_gcd_with_a_monomial_operand(exp, c, other, mono_first):
+    """With a single term on either side, multi_gcd is a common divisor
+    that no variable can enlarge: d divides both operands, and d*v does
+    not for any variable v.  The check uses exact division only."""
+    if other.is_zero():
+        return
+    mono = A3.monomial(exp, c)
+    f, g = (mono, other) if mono_first else (other, mono)
+    d = multi_gcd(f, g)
+    assert d.lead_coeff() == 1
+    assert divides(d, f) and divides(d, g)
+    for v in (A, B, C):
+        assert not (divides(d * v, f) and divides(d * v, g))
 
 
 def test_squarefree_decomposition():

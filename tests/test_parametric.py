@@ -14,7 +14,7 @@ from genbs.errors import (
     NonRationalCertificate,
     PointOutsideStratum,
 )
-from genbs.factor import divides
+from genbs.factor import divides, multi_gcd
 from genbs.fsmodule import check_congruence
 from genbs.groebner import buchberger
 from genbs.instance import ProblemInstance, make_instance
@@ -199,7 +199,9 @@ def test_make_is_a_fraction_exactly_for_rational_values(den, k, r, near_rational
             assert isinstance(e, ResidueElem)
 
 
-def test_residue_non_rational_operand_goes_through_make(monkeypatch):
+def test_residue_scalar_operand_skips_make(monkeypatch):
+    """An int or Fraction operand builds its result with no ``make``;
+    only two elements combine through it."""
     F = ResidueField(Q_SQRT2)
     calls = []
     make = F.make
@@ -209,10 +211,10 @@ def test_residue_non_rational_operand_goes_through_make(monkeypatch):
         calls.clear()
         op(half, root)
         op(root, half)
-        assert len(calls) == 2
+        assert not calls
     calls.clear()
     assert (1 / root) * root == 1
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_residue_mixed_operands():
@@ -233,17 +235,13 @@ def test_residue_mixed_operands():
         hash(e)
 
 
-def test_residue_scalar_operand_scales_num_or_den(monkeypatch):
-    """An int or Fraction operand q scales the element's num or den by q:
-    make sees those polynomials, and no polynomial product is formed."""
+def test_residue_scalar_operand_builds_what_make_builds(monkeypatch):
+    """An int or Fraction operand q gives the element ``make`` gives for
+    q scaling num or den, with no ``make`` call and no polynomial
+    product."""
     F = F2
     e = F.make(A + 1, A + 3)
     num, den = e.num, e.den
-    seen = []
-    monkeypatch.setattr(F, "make", lambda n, d=None: seen.append((n, d)))
-    products = []
-    mul = Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
     q = Fraction(-2, 3)
     cases = [
         (lambda: e + q, num + den.scale(q), den),
@@ -257,11 +255,89 @@ def test_residue_scalar_operand_scales_num_or_den(monkeypatch):
         (lambda: 1 / e, den, num),
         (lambda: e * 2, num.scale(2), den),
     ]
-    for op, want_num, want_den in cases:
-        seen.clear()
-        op()
-        assert seen == [(want_num, want_den)]
+    wanted = [F.make(want_num, want_den) for _, want_num, want_den in cases]
+    monkeypatch.setattr(F, "make", lambda *args: pytest.fail("make called"))
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    for (op, _, _), want in zip(cases, wanted):
+        assert _same_elem(op(), want)
     assert not products
+
+
+AB = PolyRing(QQ, ("a", "b"), GRevLex())
+
+
+def _prime_ab(gens):
+    basis = buchberger(list(gens))
+    return PrimeIdealQ(AB, tuple(gens), tuple(basis), certify_prime(basis, AB))
+
+
+# the zero prime of Q[a,b], <a^2 - 2>, and <ab - 1>, whose quotient ring
+# is not a unique factorization domain
+SCALAR_FIELDS = (
+    ResidueField(the_zero_prime(AB)),
+    F2,
+    ResidueField(_prime_ab([AB.var("a") * AB.var("b") - 1])),
+)
+
+SCALAR_OPS = {
+    "add": (lambda e, q: e + q, lambda n, d, q: (n + d.scale(q), d)),
+    "radd": (lambda e, q: q + e, lambda n, d, q: (n + d.scale(q), d)),
+    "sub": (lambda e, q: e - q, lambda n, d, q: (n - d.scale(q), d)),
+    "rsub": (lambda e, q: q - e, lambda n, d, q: (d.scale(q) - n, d)),
+    "mul": (lambda e, q: e * q, lambda n, d, q: (n.scale(q), d)),
+    "rmul": (lambda e, q: q * e, lambda n, d, q: (n.scale(q), d)),
+    "div": (lambda e, q: e / q, lambda n, d, q: (n, d.scale(q))),
+    "rdiv": (lambda e, q: q / e, lambda n, d, q: (d.scale(q), n)),
+}
+
+FIELD_POLYS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), min_size=1, max_size=3
+)
+
+
+def _coprime_parts(e):
+    """make's invariant on a ResidueElem: num and den share no factor."""
+    return multi_gcd(e.num, e.den) == e.den.ring.one()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(SCALAR_FIELDS) - 1),
+    FIELD_POLYS,
+    FIELD_POLYS,
+    st.one_of(st.just(Fraction(0)), RATIONALS),
+)
+def test_residue_scalar_paths_equal_make(which, num_terms, den_terms, q):
+    """An element with a non-constant den, combined with a rational q by
+    each operator, gives what ``make`` gives on the formula that scales
+    num or den by q, and every output of ``make`` keeps num and den
+    coprime as polynomials."""
+    F = SCALAR_FIELDS[which]
+    ring = F.ring
+
+    def poly(terms):
+        return ring.from_terms(
+            ((i, j)[: ring.nvars], Fraction(c)) for i, j, c in terms if c
+        )
+
+    num, den = poly(num_terms), poly(den_terms)
+    if F.nf(den).is_zero():
+        return
+    e = F.make(num, den)
+    if not isinstance(e, ResidueElem) or e.den.is_constant():
+        return
+    assert _coprime_parts(e)
+    for name, (op, formula) in SCALAR_OPS.items():
+        if name == "div" and not q:
+            with pytest.raises(DivisionByZeroModQ):
+                op(e, q)
+            continue
+        want = F.make(*formula(e.num, e.den, q))
+        assert _same_elem(op(e, q), want), name
+        if isinstance(want, ResidueElem):
+            assert _coprime_parts(want)
 
 
 def test_poly_hash_agrees_with_eq_over_a_residue_field():
