@@ -6,6 +6,8 @@ codes (2 = verification failed, 3 = budget exhausted, 4 = input/problem
 error).
 """
 
+import sys
+
 
 class GenbsError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,15 @@ class GenbsError(Exception):
 
 class InvalidInput(GenbsError, ValueError):
     """Malformed input: a bad name, shift vector or bound (still a ValueError)."""
+
+
+def digit_limit(what):
+    """Message for an integer past Python's limit on int/str conversion."""
+    return (
+        "%s has more than %d digits, the limit of Python's int/str conversion "
+        "(sys.get_int_max_str_digits(); the environment variable "
+        "PYTHONINTMAXSTRDIGITS sets it)" % (what, sys.get_int_max_str_digits())
+    )
 
 
 class MixedRingError(GenbsError):

@@ -57,13 +57,14 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     q = {}
     r = arith.load(f)
     lg = g.lead_exp()
+    gt = arith.element(g)
     while r:
         lt = max(r, key=key)
         m = mono_div(lt, lg)
         if m is None:
             raise ValueError("division is not exact")
         # leads of r strictly decrease, so every quotient term is new
-        q[m] = arith.cancel_lead(r, lt, m, g)
+        q[m] = arith.cancel_lead(r, lt, m, gt, lg)
     return Poly(f.ring, arith.export(q))
 
 

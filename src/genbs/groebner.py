@@ -44,14 +44,18 @@ Only the tracked components are carried, and a normal form builds its
 quotients only when something is tracked: the b-function needs the one
 cofactor of f^v, not a full matrix.
 
-A normal form reduces one mutable term map in place: an irreducible lead
-moves to the tail, a reducible one is cancelled by ``reduce_step``.  Only
-the arithmetic on each term depends on the field
-(:func:`genbs.poly.term_arithmetic`).  Over Q the map holds normalized
-(numerator, denominator) int pairs, and ``Fraction``s are built only for
-what is returned: the tail, the cofactors and an S-polynomial.  Over a
-residue field it holds the field's elements and computes with their
-operators, in the order of the product it replaces.
+A normal form reduces one mutable term map in place (``_reduce``): an
+irreducible lead moves to the tail, a reducible one is cancelled by
+``reduce_step``.  ``normal_form`` and the Buchberger loop share that
+core, and only the arithmetic on each term depends on the field
+(:func:`genbs.poly.term_arithmetic`).  The loop keeps its basis
+elements, S-polynomials and cofactors as term maps in that arithmetic
+from the first input reduction to the reduced basis.  Over Q the maps
+hold normalized (numerator, denominator) int pairs, and ``Fraction``s
+are built once, for the basis and cofactors returned; an S-pair that
+reduces to zero builds none.  Over a residue field they hold the
+field's elements, and every step runs the ``Poly`` operations it
+replaces, in their order.
 """
 
 from __future__ import annotations
@@ -68,50 +72,35 @@ from .orders import (
     mono_lcm,
     mono_mul,
 )
-from .poly import (
-    QQ,
-    Poly,
-    RatioTerms,
-    _check_same_ring,
-    _ratio,
-    sub_ratios_into,
-    term_arithmetic,
-)
+from .poly import Poly, _check_same_ring, term_arithmetic
 
 
 def reduce_step(work, lt, basis, leads, arith):
     """One left top-reduction step of the term map ``work`` at its lead ``lt``.
 
-    ``leads`` holds the leads of ``basis``.  With the first basis element
-    b_i whose lead divides lt, subtract c*x^m*b_i from ``work`` in place,
-    c chosen so that lt cancels, and return (i, m, c), c in the form of
-    ``arith`` (the term arithmetic of the ring's field).  Return None,
+    ``basis`` holds elements in the form of ``arith`` (the term arithmetic
+    of the ring's field) and ``leads`` their leads.  With the first b_i
+    whose lead divides lt, subtract c*x^m*b_i from ``work`` in place, c
+    chosen so that lt cancels, and return (i, m, c).  Return None,
     leaving ``work`` as it is, when lt is irreducible.
     """
     for i, le in enumerate(leads):
         if all(map(ge, lt, le)):
             m = tuple(map(sub, lt, le))
-            return i, m, arith.cancel_lead(work, lt, m, basis[i])
+            return i, m, arith.cancel_lead(work, lt, m, basis[i], le)
     return None
 
 
-def normal_form(f: Poly, basis, with_cofactors=False):
-    """Full left normal form; no term of the result is divisible by a lead.
+def _reduce(work, basis, leads, arith, q):
+    """Reduce the term map ``work`` to nothing in place; return the tail.
 
-    With cofactors, also return q with f = sum q_i * basis_i + nf, the
-    products taken on the left.  One term map is reduced in place: each
-    lead is either reduced by ``reduce_step`` or moved to the tail.
+    Each lead is either cancelled by ``reduce_step`` or moved to the tail,
+    a new term map in descending order, whose first key is its lead.
+    With ``q`` (one map per basis element), each step's c*x^m is stored
+    as the term m: c of its element's quotient.
     """
-    ring = f.ring
-    basis = list(basis)
-    for b in basis:
-        _check_same_ring(f, b)
-    leads = [b.lead_exp() for b in basis]
-    arith = term_arithmetic(ring)
-    key = ring.order.cached_key
-    work = arith.load(f)
+    key = arith.ring.order.cached_key
     tail = {}
-    q = [{} for _ in basis] if with_cofactors else None
     while work:
         lt = max(work, key=key)
         step = reduce_step(work, lt, basis, leads, arith)
@@ -122,33 +111,57 @@ def normal_form(f: Poly, basis, with_cofactors=False):
             # for one i each step has a smaller m, so every m is new
             i, m, c = step
             q[i][m] = c
-    tail = type(f)(ring, arith.export(tail))
-    if with_cofactors:
-        return tail, [ring._elem(ring, arith.export(qi) if qi else {}) for qi in q]
     return tail
+
+
+def normal_form(f: Poly, basis, with_cofactors=False):
+    """Full left normal form; no term of the result is divisible by a lead.
+
+    With cofactors, also return q with f = sum q_i * basis_i + nf, the
+    products taken on the left.
+    """
+    ring = f.ring
+    basis = list(basis)
+    for b in basis:
+        _check_same_ring(f, b)
+    arith = term_arithmetic(ring)
+    q = [{} for _ in basis] if with_cofactors else None
+    tail = _reduce(
+        arith.load(f),
+        [arith.element(b) for b in basis],
+        [b.lead_exp() for b in basis],
+        arith,
+        q,
+    )
+    tail = ring._elem(ring, arith.export(tail))
+    if with_cofactors:
+        return tail, [ring._elem(ring, arith.export(qi)) for qi in q]
+    return tail
+
+
+def _multipliers(arith, f, lf, g, lg):
+    """(cf, mf, cg, mg) with cf*x^mf*f - cg*x^mg*g the S-polynomial.
+
+    f and g are elements of ``arith`` with leads lf and lg.
+    """
+    l = mono_lcm(lf, lg)
+    return arith.inverse(f[lf]), mono_div(l, lf), arith.inverse(g[lg]), mono_div(l, lg)
 
 
 def spoly(f: Poly, g: Poly):
     """Left S-polynomial of f and g."""
+    _check_same_ring(f, g)
     ring = f.ring
-    lf, lg = f.lead_exp(), g.lead_exp()
-    l = mono_lcm(lf, lg)
-    if ring.field is QQ:
-        _check_same_ring(f, g)
-        work = {}
-        # start from an empty map: subtracting -x^mf*f/lc(f) adds it
-        _, n, d = f.ratio_terms()[0]
-        sub_ratios_into(work, *_ratio(-d, n), mono_div(l, lf), f)
-        _, n, d = g.ratio_terms()[0]
-        sub_ratios_into(work, *_ratio(d, n), mono_div(l, lg), g)
-        return ring._elem(ring, RatioTerms.export(work))
-    mf = ring.monomial(mono_div(l, lf), 1 / f.lead_coeff())
-    return (mf * f).sub_mul_term(1 / g.lead_coeff(), mono_div(l, lg), g)
+    arith = term_arithmetic(ring)
+    a, b = arith.element(f), arith.element(g)
+    s = arith.difference(a, b, *_multipliers(arith, a, f.lead_exp(), b, g.lead_exp()))
+    return ring._elem(ring, arith.export(s))
 
 
-def _assert_homogeneous(op, weight_vectors, where):
+def _assert_homogeneous(terms, weight_vectors, where):
+    """Raise unless the exponents of the term map are weight-homogeneous."""
     for w in weight_vectors:
-        degs = {sum(wi * e for wi, e in zip(w, exp)) for exp in op._terms}
+        degs = {sum(wi * e for wi, e in zip(w, exp)) for exp in terms}
         if len(degs) > 1:
             raise HomogeneityViolation(
                 "element is not weight-homogeneous during %s: degrees %s"
@@ -156,18 +169,19 @@ def _assert_homogeneous(op, weight_vectors, where):
             )
 
 
-def _update_pairs(pairs, basis, t, push):
-    """Gebauer-Moeller pair update when basis[t] is appended.
+def _update_pairs(pairs, leads, product, push):
+    """Gebauer-Moeller pair update when a basis element with lead leads[-1]
+    is appended.
 
     ``pairs`` is the heap of (key, serial, i, j, lcm); old pairs failing
     the chain criterion are dropped from it in place, and the surviving
     new pairs are handed to ``push`` as (i, t, lcm).  The chain parts run
-    in every ring; the product criterion only in a ring without pairs.
+    in every ring; the product criterion only when ``product`` is set,
+    in a ring without pairs.
     """
-    lt = basis[t].lead_exp()
-    ring = basis[t].ring
-    product = not (ring.pairs or ring.shift_pairs)
-    new = [(i, t, mono_lcm(basis[i].lead_exp(), lt)) for i in range(t)]
+    t = len(leads) - 1
+    lt = leads[t]
+    new = [(i, t, mono_lcm(leads[i], lt)) for i in range(t)]
 
     # M: drop a new pair when another new pair's lcm strictly divides its lcm
     new = [
@@ -182,7 +196,7 @@ def _update_pairs(pairs, basis, t, push):
         classes.setdefault(l, []).append((i, j, l))
     kept = []
     for l, cls in classes.items():
-        if product and any(mono_mul(basis[i].lead_exp(), lt) == l for i, j, l2 in cls):
+        if product and any(mono_mul(leads[i], lt) == l for i, j, l2 in cls):
             continue
         kept.append(min(cls))
     # chain criterion on old pairs
@@ -190,8 +204,8 @@ def _update_pairs(pairs, basis, t, push):
         p
         for p in pairs
         if not mono_divides(lt, p[4])
-        or mono_lcm(basis[p[2]].lead_exp(), lt) == p[4]
-        or mono_lcm(basis[p[3]].lead_exp(), lt) == p[4]
+        or mono_lcm(leads[p[2]], lt) == p[4]
+        or mono_lcm(leads[p[3]], lt) == p[4]
     ]
     heapq.heapify(pairs)
     for pair in kept:
@@ -209,6 +223,9 @@ def _buchberger(generators, track, budget, weight_vectors):
     appended element and every S-polynomial is asserted homogeneous for
     each of ``weight_vectors``; the budget ticks once per S-pair that
     survives the criteria.
+
+    The basis and the reps are kept as elements of the ring's term
+    arithmetic, and only the reduced basis and its reps are exported.
     """
     track = tuple(track)
     gens = [g for g in generators if not g.is_zero()]
@@ -219,47 +236,59 @@ def _buchberger(generators, track, budget, weight_vectors):
         if g.ring != ring:
             raise MixedRingError("generators live in different rings")
 
+    arith = term_arithmetic(ring)
     basis = []
+    leads = []
     reps = []
     # heap of (order key of the lcm, creation index, i, j, lcm): normal selection
     pairs = []
     key = ring.order.cached_key
     serial = itertools.count()
+    product = not (ring.pairs or ring.shift_pairs)
 
     def push(i, j, lcm):
         heapq.heappush(pairs, (key(lcm), next(serial), i, j, lcm))
 
-    def add(f, rep_of_f, where):
-        """Append the monic normal form of f unless it is zero.
+    def add(work, rep_of_work, where):
+        """Append the monic normal form of the term map ``work`` unless it is zero.
 
-        ``rep_of_f()`` gives the cofactors of f; it runs only when
+        ``rep_of_work()`` gives the cofactors of work; it runs only when
         something is tracked and the normal form is non-zero.
         """
-        nf, q = _normal_form(f, basis, track)
-        if nf.is_zero():
+        q = [{} for _ in basis] if track else None
+        tail = _reduce(work, basis, leads, arith, q)
+        if not tail:
             return
-        c = 1 / nf.lead_coeff()
-        nf = nf.scale(c)
-        _assert_homogeneous(nf, weight_vectors, where)
+        _assert_homogeneous(tail, weight_vectors, where)
+        # the tail is built in descending order
+        lead = next(iter(tail))
+        element, c = arith.monic(tail, lead)
         if track:
-            reps.append([r.scale(c) for r in _sub_combination(rep_of_f(), q, reps)])
-        basis.append(nf)
-        _update_pairs(pairs, basis, len(basis) - 1, push)
+            rep = arith.sub_combination(rep_of_work(), q, reps)
+            reps.append([arith.scale(r, c) for r in rep])
+        basis.append(element)
+        leads.append(lead)
+        _update_pairs(pairs, leads, product, push)
 
     for idx, g in enumerate(generators):
         if not g.is_zero():
-            unit = [ring.one() if t == idx else ring.zero() for t in track]
-            add(g, lambda: unit, "input reduction")
+            unit = [arith.element(ring.one() if t == idx else ring.zero()) for t in track]
+            add(arith.load(g), lambda: unit, "input reduction")
 
     while pairs:
         if budget is not None:
             budget.tick()
         _, _, i, j, _ = heapq.heappop(pairs)
-        s = spoly(basis[i], basis[j])
+        mult = _multipliers(arith, basis[i], leads[i], basis[j], leads[j])
+        s = arith.difference(basis[i], basis[j], *mult)
         _assert_homogeneous(s, weight_vectors, "S-pair formation")
-        add(s, lambda: _spoly_rep(basis, reps, i, j, ring), "S-pair reduction")
+        add(
+            s,
+            lambda: [arith.difference(a, b, *mult) for a, b in zip(reps[i], reps[j])],
+            "S-pair reduction",
+        )
 
-    return _reduce_basis(basis, reps, ring, track, weight_vectors)
+    return _reduce_basis(arith, basis, leads, reps, track, weight_vectors)
 
 
 def buchberger(generators, track=(), budget=None):
@@ -279,66 +308,32 @@ def buchberger(generators, track=(), budget=None):
     return _buchberger(generators, track, budget, ())
 
 
-def _normal_form(f, basis, track):
-    """(normal form, quotients), the quotients only when something is tracked."""
-    if track:
-        return normal_form(f, basis, with_cofactors=True)
-    return normal_form(f, basis), None
-
-
-def _spoly_rep(basis, reps, i, j, ring):
-    f, g = basis[i], basis[j]
-    l = mono_lcm(f.lead_exp(), g.lead_exp())
-    mf = ring.monomial(mono_div(l, f.lead_exp()), 1 / f.lead_coeff())
-    cg, mg = 1 / g.lead_coeff(), mono_div(l, g.lead_exp())
-    return [(mf * a).sub_mul_term(cg, mg, b) for a, b in zip(reps[i], reps[j])]
-
-
-def _sub_combination(rep, q, reps):
-    """rep - sum_k q[k] * reps[k], componentwise."""
-    out = list(rep)
-    for k, qk in enumerate(q):
-        if qk.is_zero():
-            continue
-        out = [r - qk * rk for r, rk in zip(out, reps[k])]
-    return out
-
-
-def _reduce_basis(basis, reps, ring, track, weight_vectors):
-    # minimalize: drop elements whose lead is divisible by another lead
+def _reduce_basis(arith, basis, leads, reps, track, weight_vectors):
+    """Minimalize and interreduce; export the basis (and reps) as Polys,
+    sorted descending by lead."""
+    ring = arith.ring
     key = ring.order.cached_key
-    order = sorted(range(len(basis)), key=lambda k: key(basis[k].lead_exp()))
+    # minimalize: drop elements whose lead is divisible by another lead
     keep = []
-    for k in order:
-        lt = basis[k].lead_exp()
-        if any(mono_divides(basis[k2].lead_exp(), lt) for k2 in keep):
-            continue
-        keep.append(k)
-    minimal = [basis[k] for k in keep]
-    minreps = [reps[k] for k in keep] if track else None
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k])):
+        if not any(mono_divides(leads[k2], leads[k]) for k2 in keep):
+            keep.append(k)
 
-    # interreduce tails
-    reduced = []
-    redreps = []
-    for pos in range(len(minimal)):
-        others = minimal[:pos] + minimal[pos + 1 :]
-        nf, q = _normal_form(minimal[pos], others, track)
-        _assert_homogeneous(nf, weight_vectors, "interreduction")
-        c = 1 / nf.lead_coeff()
-        reduced.append(nf.scale(c))
+    # interreduce tails: a kept lead is irreducible by the others
+    final, final_reps = [], []
+    for k in sorted(keep, key=lambda k: key(leads[k]), reverse=True):
+        others = [o for o in keep if o != k]
+        q = [{} for _ in others] if track else None
+        tail = _reduce(
+            dict(basis[k]), [basis[o] for o in others], [leads[o] for o in others], arith, q
+        )
+        _assert_homogeneous(tail, weight_vectors, "interreduction")
+        element, c = arith.monic(tail, leads[k])
+        final.append(ring._elem(ring, arith.export(element)))
         if track:
-            rep = _sub_combination(minreps[pos], q, minreps[:pos] + minreps[pos + 1 :])
-            redreps.append([r.scale(c) for r in rep])
-
-    idx = sorted(
-        range(len(reduced)),
-        key=lambda k: key(reduced[k].lead_exp()),
-        reverse=True,
-    )
-    final = [reduced[k] for k in idx]
-    if track:
-        return final, [redreps[k] for k in idx]
-    return final
+            rep = arith.sub_combination(reps[k], q, [reps[o] for o in others])
+            final_reps.append([ring._elem(ring, arith.export(arith.scale(r, c))) for r in rep])
+    return (final, final_reps) if track else final
 
 
 def is_groebner(basis, budget=None):

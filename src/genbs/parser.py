@@ -7,9 +7,10 @@ Grammar (whitespace free between tokens):
     factor := atom ('^' integer)?
     atom   := integer | name | '(' expr ')'
 
-Integers are ASCII digits, and parentheses nest at most ``MAX_DEPTH``
-deep, so a malformed text raises ParseError, not ValueError or
-RecursionError.  Multiplication is explicit.  In operator rings the
+Integers are ASCII digits, no longer than Python converts from text
+(``sys.get_int_max_str_digits()``), and parentheses nest at most
+``MAX_DEPTH`` deep, so a malformed text raises ParseError, not
+ValueError or RecursionError.  Multiplication is explicit.  In operator rings the
 factor order is kept, so "dx*x" builds the composition with the
 commutation applied.  Division is only by integer literals (rational
 scalars).  Printing of Poly and WeylOp values round-trips through this
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, digit_limit
 from .poly import Poly, PolyRing
 from .weyl import WeylOp, WeylRing
 
@@ -66,7 +67,12 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # ASCII digits fail only past Python's int/str digit limit
+                raise ParseError(digit_limit("an integer literal"), line, col) from None
+            tokens.append(_Token("int", value, line, col))
             col += j - i
             i = j
             continue

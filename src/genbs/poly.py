@@ -12,7 +12,13 @@ the polynomial and the ring and changes only the product.
 The reduction kernel subtracts c*x^m*g from a mutable term map in place:
 ``sub_mul_into`` with the field's operators, ``sub_ratios_into`` over Q on
 normalized (numerator, denominator) int pairs, without a ``Fraction``
-per term.
+per term.  A term arithmetic (``term_arithmetic(ring)``) holds every step
+the Groebner loop takes on term maps: load and export, cancelling a lead,
+monic scaling, S-polynomials and cofactor combinations.  ``RatioTerms``
+takes each over Q on int pairs, where values do not depend on the order
+of the operations; ``OperatorTerms`` runs the ``Poly`` expression each
+replaces, in its order, because over a residue field the form of a
+value depends on that order.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import copy
 from fractions import Fraction
 from math import gcd
 
-from .errors import MixedRingError, ZeroPolynomialError
+from .errors import InvalidInput, MixedRingError, ZeroPolynomialError, digit_limit
 from .orders import GRevLex, TermOrder, mono_mul
 
 
@@ -105,17 +111,13 @@ class Poly:
         return self._terms[self.lead_exp()]
 
     def ratio_terms(self):
-        """Terms as (exponent, numerator, denominator) triples, the lead first.
+        """The term map exponent -> (numerator, denominator), over Q only.
 
-        Only for a polynomial over Q; the reduction kernel reads a basis
-        element's terms this way many times, so they are built once.
+        The reduction kernel reads a reducer's terms this way many times,
+        so the map is built once; it must not be mutated.
         """
         if self._ratios is None:
-            lead = self.lead_exp()
-            terms = self._terms
-            self._ratios = [(lead, *terms[lead].as_integer_ratio())] + [
-                (e, *c.as_integer_ratio()) for e, c in terms.items() if e != lead
-            ]
+            self._ratios = {e: c.as_integer_ratio() for e, c in self._terms.items()}
         return self._ratios
 
     def coeff(self, exp):
@@ -208,7 +210,7 @@ class Poly:
         """
         g = self._coerce(g)
         out = dict(self._terms)
-        sub_mul_into(out, c, m, g)
+        sub_mul_into(out, c, m, g._terms, g.ring)
         return type(self)(self.ring, out)
 
     def scale(self, c):
@@ -320,7 +322,12 @@ class Poly:
         chunks = []
         for exp, c in self.terms():
             mono = self._mono_str(exp)
-            cs = str(c)
+            try:
+                cs = str(c)
+            except ValueError:
+                # what str() of a coefficient refuses: an integer past
+                # Python's int/str digit limit
+                raise InvalidInput(digit_limit("a coefficient")) from None
             # a compound coefficient, as over a residue field, is parenthesized
             neg = cs.startswith("-") and "+" not in cs[1:] and "- " not in cs
             if "+" in cs or " " in cs:
@@ -522,17 +529,19 @@ def _add_product_terms(acc, c, terms):
             acc[exp] = t
 
 
-def sub_mul_into(acc, c, m, g):
+
+
+def sub_mul_into(acc, c, m, g, ring):
     """acc -= c*x^m*g in place, with the field's operators.
 
-    ``acc`` is a term map and c a field element.  Each coefficient of the
-    product is summed in full before it is subtracted, as in
-    ``f - ring.monomial(m, c) * g``: over a residue field the form of a
-    result depends on that order.
+    ``acc`` and ``g`` are term maps of ``ring`` and c a field element.
+    Each coefficient of the product is summed in full before it is
+    subtracted, as in ``f - ring.monomial(m, c) * g``: over a residue
+    field the form of a result depends on that order.
     """
-    expand = g.ring.expansion(m)
+    expand = ring.expansion(m)
     prod = {}
-    for e, v in g._terms.items():
+    for e, v in g.items():
         _add_product_terms(prod, c * v, expand(e))
     for exp, t in prod.items():
         prev = acc.get(exp)
@@ -554,15 +563,16 @@ def _ratio(n, d):
     return (n // g, d // g) if g != 1 else (n, d)
 
 
-def sub_ratios_into(acc, cn, cd, m, g):
+def sub_ratios_into(acc, cn, cd, m, g, ring):
     """acc -= (cn/cd)*x^m*g in place, over Q on normalized int pairs.
 
-    ``acc`` maps exponents to pairs (num, den); cn/cd is normalized too.
-    Each difference is normalized the way ``Fraction`` does it, so the
-    values are those of the same steps on ``Fraction`` coefficients.
+    ``acc`` and ``g`` are term maps of ``ring`` whose values are pairs
+    (num, den); cn/cd is normalized too.  Each difference is normalized
+    the way ``Fraction`` does it, so the values are those of the same
+    steps on ``Fraction`` coefficients.
     """
-    expand = g.ring.expansion(m)
-    for e, tn, td in g.ratio_terms():
+    expand = ring.expansion(m)
+    for e, (tn, td) in g.items():
         tn *= cn
         td *= cd
         h = gcd(tn, td)
@@ -596,11 +606,30 @@ def sub_ratios_into(acc, cn, cd, m, g):
                 del acc[exp]
 
 
-class OperatorTerms:
+class _TermArithmetic:
+    """What both term arithmetics share: the ring, and monic scaling.
+
+    An element is a term map exponent -> value in the arithmetic's form,
+    and is never mutated; ``load`` gives a fresh map that a reduction
+    mutates in place.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def monic(self, terms, lead):
+        """(terms scaled by the inverse c of the value at lead, c)."""
+        c = self.inverse(terms[lead])
+        return self.scale(terms, c), c
+
+
+class OperatorTerms(_TermArithmetic):
     """Term-map arithmetic with the field's operators, on stored values.
 
     The residue fields compute this way: their elements are operands, and
-    the forms they reach depend on the order of the operations.
+    the forms they reach depend on the order of the operations.  So each
+    step runs the operations of the ``Poly`` expression its docstring
+    names, in their order, on ``Poly``s that wrap the term maps.
     """
 
     @staticmethod
@@ -608,22 +637,54 @@ class OperatorTerms:
         return dict(p._terms)
 
     @staticmethod
+    def element(p):
+        return p._terms
+
+    @staticmethod
     def export(terms):
         return terms
 
     @staticmethod
-    def cancel_lead(acc, lt, m, g):
-        """Subtract c*x^m*g with c = acc[lt] / lc(g), cancelling lt; return c."""
-        c = acc[lt] / g.lead_coeff()
-        sub_mul_into(acc, c, m, g)
+    def inverse(c):
+        return 1 / c
+
+    @staticmethod
+    def scale(terms, c):
+        """``p.scale(c)``."""
+        return {e: c * v for e, v in terms.items()}
+
+    def cancel_lead(self, acc, lt, m, g, lg):
+        """Subtract c*x^m*g with c = acc[lt] / g[lg], cancelling lt; return c."""
+        c = acc[lt] / g[lg]
+        sub_mul_into(acc, c, m, g, self.ring)
         return c
 
+    def difference(self, a, b, ca, ma, cb, mb):
+        """``(ring.monomial(ma, ca) * a).sub_mul_term(cb, mb, b)``."""
+        ring = self.ring
+        a, b = ring._elem(ring, a), ring._elem(ring, b)
+        return (ring.monomial(ma, ca) * a).sub_mul_term(cb, mb, b)._terms
 
-class RatioTerms:
+    def sub_combination(self, rep, q, reps):
+        """``r - qk * rk`` for each component r, for each non-zero q[k]."""
+        ring = self.ring
+        elem = ring._elem
+        out = [elem(ring, r) for r in rep]
+        for qk, rk in zip(q, reps):
+            if qk:
+                qk = elem(ring, qk)
+                out = [r - qk * elem(ring, x) for r, x in zip(out, rk)]
+        return [r._terms for r in out]
+
+
+class RatioTerms(_TermArithmetic):
     """Term-map arithmetic over Q on normalized int pairs (num, den).
 
     A term map is loaded from a polynomial's ``Fraction`` coefficients and
-    exported back to them; in between no ``Fraction`` is built.
+    exported back to them; in between no ``Fraction`` is built.  Values
+    over Q do not depend on the order of the operations, so each step
+    takes the cheapest: a product by a polynomial is one
+    ``sub_ratios_into`` per term.
     """
 
     @staticmethod
@@ -631,19 +692,60 @@ class RatioTerms:
         return {e: c.as_integer_ratio() for e, c in p._terms.items()}
 
     @staticmethod
+    def element(p):
+        return p.ratio_terms()
+
+    @staticmethod
     def export(terms):
         return {e: Fraction(n, d) if d != 1 else Fraction(n) for e, (n, d) in terms.items()}
 
     @staticmethod
-    def cancel_lead(acc, lt, m, g):
-        """Subtract c*x^m*g with c = acc[lt] / lc(g), cancelling lt; return c."""
+    def inverse(c):
+        n, d = c
+        return (d, n) if n > 0 else (-d, -n)
+
+    @staticmethod
+    def scale(terms, c):
+        """terms times c; terms itself when c is 1."""
+        if c == (1, 1):
+            return terms
+        cn, cd = c
+        out = {}
+        for e, (n, d) in terms.items():
+            n *= cn
+            d *= cd
+            h = gcd(n, d)
+            out[e] = (n // h, d // h) if h != 1 else (n, d)
+        return out
+
+    def cancel_lead(self, acc, lt, m, g, lg):
+        """Subtract c*x^m*g with c = acc[lt] / g[lg], cancelling lt; return c."""
         n, d = acc[lt]
-        _, gn, gd = g.ratio_terms()[0]
+        gn, gd = g[lg]
         c = _ratio(n * gd, d * gn)
-        sub_ratios_into(acc, c[0], c[1], m, g)
+        sub_ratios_into(acc, c[0], c[1], m, g, self.ring)
         return c
+
+    def difference(self, a, b, ca, ma, cb, mb):
+        """ca*x^ma*a - cb*x^mb*b."""
+        out = {}
+        sub_ratios_into(out, -ca[0], ca[1], ma, a, self.ring)
+        sub_ratios_into(out, cb[0], cb[1], mb, b, self.ring)
+        return out
+
+    def sub_combination(self, rep, q, reps):
+        """r - sum_k q[k]*rk for each component r: q[k]*rk is the sum of
+        c*x^m*rk over the terms c*x^m of q[k]."""
+        ring = self.ring
+        out = [dict(r) for r in rep]
+        for qk, rk in zip(q, reps):
+            for m, (cn, cd) in qk.items():
+                for r, x in zip(out, rk):
+                    sub_ratios_into(r, cn, cd, m, x, ring)
+        return out
 
 
 def term_arithmetic(ring):
-    """The term-map arithmetic for ring's field: int pairs over Q."""
-    return RatioTerms if ring.field is QQ else OperatorTerms
+    """The term arithmetic of ring's field: int pairs over Q, the field's
+    operators otherwise."""
+    return RatioTerms(ring) if ring.field is QQ else OperatorTerms(ring)

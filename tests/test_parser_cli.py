@@ -358,6 +358,11 @@ BAD_INPUTS = [
     # a superscript digit is no integer, and nesting has a bound
     ["bs", "--vars", "x", "--f", "x^²"],
     ["bs", "--vars", "x", "--f", "(" * 3000 + "x" + ")" * 3000],
+    # integers past Python's int/str digit limit (4300 by default): a
+    # literal, and coefficients that a report would print
+    ["bs", "--vars", "x", "--f", "x+" + "1" * 5001],
+    ["bs", "--vars", "x", "--f", "x+10^5000"],
+    ["verify", "--vars", "x", "--f", "x", "--b", "s+1", "--op", "10^5000*dx"],
 ]
 
 
@@ -368,6 +373,18 @@ def _argv_id(argv):
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=_argv_id)
 def test_cli_bad_input_exits_4(argv, capsys):
     assert main(argv) == 4
+
+
+def test_cli_digit_limit_is_named(capsys):
+    # the error report of an integer past the limit says which limit
+    assert main(["bs", "--vars", "x", "--f", "x+10^5000"]) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "InvalidInput"
+    assert "PYTHONINTMAXSTRDIGITS" in error["message"]
+    assert main(["bs", "--vars", "x", "--f", "x+" + "1" * 5001]) == 4
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError"
+    assert "PYTHONINTMAXSTRDIGITS" in error["message"]
 
 
 def test_cli_unwritable_out_exits_4(tmp_path, capsys):

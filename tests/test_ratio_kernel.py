@@ -8,17 +8,25 @@ below as the reference: in a commutative ring, and in a Weyl ring with a
 Weyl pair and a shift pair under the dt-elimination order and under
 grevlex.  Coefficients reach 40-digit numerators and 30-digit
 denominators, and leading coefficients of either sign.
+
+The Groebner loop over Q (``buchberger``, ``left_buchberger`` and
+``eliminate``, with tracked cofactors) is compared with the same loop
+run on ``Fraction`` coefficients through ``OperatorTerms``, the
+arithmetic of Python's operators that residue fields use.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import genbs.groebner
+from genbs.errors import TimeoutBudget
 from genbs.factor import exact_div
-from genbs.groebner import normal_form, spoly
+from genbs.groebner import buchberger, normal_form, spoly
 from genbs.orders import Block, GRevLex, Lex, mono_div, mono_lcm, mono_mul
-from genbs.poly import PolyRing, QQ, _add_product_terms
+from genbs.poly import OperatorTerms, PolyRing, QQ, _add_product_terms
 from genbs.weyl import WeylRing, _leibniz_terms
+from genbs.weyl_groebner import GBBudget, eliminate, left_buchberger
 
 COMMUTATIVE = PolyRing(QQ, ("x", "y", "z"), GRevLex())
 # s, x, dx, dt with [dx, x] = 1 and dt s = (s - 1) dt
@@ -196,3 +204,89 @@ def test_exact_div_over_q_matches_the_fraction_loop(data):
         else:
             assert want is not None
             _same(got, ring.from_terms(want.items()))
+
+
+def _on_fractions(run):
+    """run() with the Groebner loop on Fraction coefficients: every ring's
+    term arithmetic is OperatorTerms, as over a residue field."""
+    original = genbs.groebner.term_arithmetic
+    genbs.groebner.term_arithmetic = OperatorTerms
+    try:
+        return run()
+    finally:
+        genbs.groebner.term_arithmetic = original
+
+
+def _both(run):
+    """run() on int pairs and on Fractions; None when both spend the budget."""
+    try:
+        want = _on_fractions(run)
+    except TimeoutBudget:
+        want = None
+    try:
+        got = run()
+    except TimeoutBudget:
+        got = None
+    assert (got is None) == (want is None)
+    return None if got is None else (got, want)
+
+
+def _same_bases(got, want, track):
+    basis, reps = got if track else (got, None)
+    want_basis, want_reps = want if track else (want, None)
+    assert len(basis) == len(want_basis)
+    for a, b in zip(basis, want_basis):
+        _same(a, b)
+    if track:
+        assert len(reps) == len(want_reps)
+        for rep, want_rep in zip(reps, want_reps):
+            assert len(rep) == len(track)
+            for a, b in zip(rep, want_rep):
+                _same(a, b)
+
+
+@st.composite
+def generator_lists(draw, ring):
+    """Two or three generators, a zero or a constant one sometimes among them."""
+    gens = draw(st.lists(polys(ring, max_terms=3), min_size=2, max_size=3))
+    extra = draw(st.sampled_from((None, "zero", "constant")))
+    if extra is not None:
+        g = ring.zero() if extra == "zero" else ring.const(draw(coefficients))
+        gens.insert(draw(st.integers(0, len(gens))), g)
+    return gens
+
+
+@EXAMPLES
+@given(st.data())
+def test_groebner_loop_over_q_matches_the_fraction_loop(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    gens = data.draw(generator_lists(ring))
+    n = len(gens)
+    # every position, or a strict subset of them
+    track = data.draw(
+        st.one_of(
+            st.just(tuple(range(n))),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)
+            .map(sorted)
+            .map(tuple),
+        )
+    )
+
+    def budget():
+        return GBBudget(max_steps=20)
+
+    pair = _both(lambda: buchberger(gens, budget=budget()))
+    if pair is None:
+        return
+    _same_bases(*pair, ())
+    pair = _both(lambda: left_buchberger(gens, track=track, budget=budget()))
+    _same_bases(*pair, track)
+    basis, reps = pair[0]
+    if set(track) >= {i for i, g in enumerate(gens) if not g.is_zero()}:
+        # each element is the left combination its cofactors say
+        for g, rep in zip(basis, reps):
+            assert sum((r * gens[t] for r, t in zip(rep, track)), ring.zero()) == g
+    drop = ("x",) if ring.nvars == 3 else ("dt",)
+    pair = _both(lambda: eliminate(gens, drop, track=track, budget=budget()))
+    if pair is not None:
+        _same_bases(*pair, track)

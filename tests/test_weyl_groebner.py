@@ -230,7 +230,7 @@ def test_weight_vector_and_homogeneity():
     gens = [X * DX - S, X**3]
     assert left_buchberger(gens, weight_vectors=(w,)) == left_buchberger(gens)
     for g in gens + [DX * X]:
-        _assert_homogeneous(g, (w,), "test")
+        _assert_homogeneous(g._terms, (w,), "test")
     with pytest.raises(HomogeneityViolation):
         left_buchberger([X + S], weight_vectors=(w,))
 
