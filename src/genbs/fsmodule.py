@@ -9,29 +9,33 @@ with all bookkeeping exact.  Denominators are exponent vectors, never
 general polynomials.
 
 Replay never divides.  An element is built in its undivided form, where
-a k_j may be negative: f^(s+v) is 1 over k = -v.  Sums, negation,
-equality, the zero test and the action work on that form, bringing
-parts to a common denominator by multiplying by powers of the f_j only.
-The canonical form (every k_j >= 0, and f_j divided out of the
-numerator while it divides and k_j > 0) is made once, by trial
-division, on the first read of ``numerator``, ``k`` or ``str``.  It is
-unique when p = 1 or the f_j are pairwise coprime: if N / f^k = M / f^l
-with f_j dividing neither N where k_j > 0 nor M where l_j > 0, and
-l_j > k_j, then f_j^(l_j - k_j) divides M times a product of the other
-f_i, hence M, which is impossible; so k = l and N = M.
+a k_j may be negative: f^(s+v) is 1 over k = -v.  That form is kept
+over the F_j = lam_j f_j, lam_j the lcm of f_j's denominators over Q
+(F_j = f_j, lam_j = 1 over other fields): N / (D prod F_j^k_j), D a
+positive int.  Sums, negation, equality, the zero test and the action
+work on it, bringing parts to a common denominator by multiplying by
+powers of the F_j and by ints only, so over Q the identity and the
+congruence are compared on integers: T prod F_j^max(0, -K_j) against
+D b prod F_j^max(0, K_j), with b cleared of its denominators.  The
+canonical form (every k_j >= 0, and f_j divided out of the numerator
+while it divides and k_j > 0) is made once, by one rational scaling
+and trial division, on the first read of ``numerator``, ``k`` or
+``str``.  It is unique when p = 1 or the f_j are pairwise coprime: if
+N / f^k = M / f^l with f_j dividing neither N where k_j > 0 nor M where
+l_j > 0, and l_j > k_j, then f_j^(l_j - k_j) divides M times a product
+of the other f_i, hence M, which is impossible; so k = l and N = M.
 
 An operator acts along a derivative ladder.  Its terms x^alpha s^gamma
 d^beta are grouped by beta, and D^beta e is computed once per beta: each
-rung is a single d_x of a rung already on the ladder, with prod f_l and
-(d_x f_j) prod_{l != j} f_l formed once per action, not per rung, and
-raising every k_j by one.  Each rung is multiplied by its group's
-multiplier polynomial, the parts of one order |beta| (which share a
-denominator) are summed, and those sums are brought to one common
-denominator once.  Over Q the ladder runs on int coefficients: the f_j
-become F_j = lam_j f_j, lam_j the lcm of f_j's denominators, and e's
-numerator and the multipliers are cleared of theirs.  A rung of order t
-then carries the factor (prod_j lam_j)^t, and one rational scaling of
-the sum's coefficients at the end takes every factor out.
+rung is a single d_x of a rung already on the ladder, with prod F_l and
+(d_x F_j) prod_{l != j} F_l formed once per action, not per rung, and
+raising every k_j by one (d_x F_j / F_j = d_x f_j / f_j, so the lam_j
+never enter).  Each rung is multiplied by its group's multiplier
+polynomial into one term map per order |beta| (the parts of one order
+share a denominator), and those sums are brought to one common
+denominator once.  Over Q the ladder runs on int coefficients: e's
+numerator and the multipliers are cleared of their denominators, which
+move into the result's D.
 
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
@@ -45,9 +49,11 @@ already echelonized on b's coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import EmptyAnsatz, InvalidInput, MixedRingError
 from .factor import exact_div
@@ -75,53 +81,73 @@ class FsElement:
     """numerator / prod f_j^k_j times f^s, over a fixed instance.
 
     The element is stored in the undivided form it was built in (a k_j
-    may be negative); ``numerator`` and ``k`` read its canonical form,
-    made on the first read.  With ``reduce=False`` the given form is
-    taken as the one to read.
+    may be negative), over the F_j of ``_int_family``: N / (D prod
+    F_j^k_j) with D a positive int, so that over Q sums, equality and
+    the action run on int coefficients.  ``numerator`` and ``k`` read its
+    canonical form, made on the first read, after which the element is
+    stored in that form.  With ``reduce=False`` the given form is taken
+    as the one to read.
     """
 
-    __slots__ = ("instance", "_num", "_k", "_canonical")
+    __slots__ = ("instance", "_num", "_den", "_k", "_read")
 
     def __init__(self, instance, numerator, k, reduce=True):
         self.instance = instance
-        self._num = numerator
         self._k = tuple(k)
-        self._canonical = not reduce
+        self._num, self._den = _undivided(instance, numerator, self._k)
+        self._read = None if reduce else (numerator, self._k)
+
+    @classmethod
+    def _make(cls, instance, num, den, k, read=None):
+        """The element N / (D prod F_j^k_j), read as ``read`` when given."""
+        e = cls.__new__(cls)
+        e.instance, e._num, e._den, e._k, e._read = instance, num, den, k, read
+        return e
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def symbol(instance) -> "FsElement":
         """The generator f^s itself."""
-        ring = instance.fs_ring()
-        return FsElement(instance, ring.one(), (0,) * instance.registry.p)
+        one = _one(instance.fs_ring())
+        return FsElement._make(instance, one, 1, (0,) * instance.registry.p)
 
     @staticmethod
     def shifted(instance) -> "FsElement":
-        """f^(s+v), undivided as 1 / prod f_j^(-v_j)."""
-        ring = instance.fs_ring()
-        return FsElement(instance, ring.one(), tuple(-vj for vj in instance.v))
+        """f^(s+v), undivided as 1 / prod f_j^(-v_j) = 1 / (prod lam_j^v_j
+        prod F_j^(-v_j))."""
+        one = _one(instance.fs_ring())
+        lam = _int_scales(instance)
+        den = math.prod(lj**vj for lj, vj in zip(lam, instance.v))
+        return FsElement._make(instance, one, den, tuple(-vj for vj in instance.v))
 
     # -- canonical form -----------------------------------------------------------
 
     @property
     def numerator(self):
-        self._canonicalize()
-        return self._num
+        return self._canonical()[0]
 
     @property
     def k(self):
-        self._canonicalize()
-        return self._k
+        return self._canonical()[1]
 
-    def _canonicalize(self):
-        if not self._canonical:
-            self._num, self._k = _reduce(self.instance, self._num, self._k)
-            self._canonical = True
+    def _canonical(self):
+        if self._read is None:
+            num, k = _reduce(self.instance, _f_form(self), self._k)
+            self._num, self._den = _undivided(self.instance, num, k)
+            self._k = k
+            self._read = (num, k)
+        return self._read
 
-    def _with(self, numerator):
-        """numerator over this element's denominator, read as this one is."""
-        return FsElement(self.instance, numerator, self._k, reduce=not self._canonical)
+    def _with(self, num, den, read):
+        """num / den over this element's denominator; read maps this
+        element's canonical numerator to the result's, which is read as
+        this one is."""
+        if self._read is not None:
+            read = (read(self._read[0]), self._read[1])
+        else:
+            read = None
+        return FsElement._make(self.instance, num, den, self._k, read)
 
     # -- structure ---------------------------------------------------------------
 
@@ -131,19 +157,18 @@ class FsElement:
     def _common(self, other):
         if self.instance != other.instance:
             raise MixedRingError("f^s elements over different instances")
-        (n1, n2), K = _common_denominator(
-            self.instance, [(self._num, self._k), (other._num, other._k)]
-        )
-        return n1, n2, K
+        F = _int_family(self.instance)
+        parts = [(self._num, self._den, self._k), (other._num, other._den, other._k)]
+        return _common_denominator(F, parts)
 
     def __add__(self, other):
         if not isinstance(other, FsElement):
             return NotImplemented
-        n1, n2, K = self._common(other)
-        return FsElement(self.instance, n1 + n2, K)
+        (n1, n2), den, K = self._common(other)
+        return FsElement._make(self.instance, n1 + n2, den, K)
 
     def __neg__(self):
-        return self._with(-self._num)
+        return self._with(-self._num, self._den, lambda g: -g)
 
     def __sub__(self, other):
         if not isinstance(other, FsElement):
@@ -151,16 +176,18 @@ class FsElement:
         return self + (-other)
 
     def scale_poly(self, g: Poly) -> "FsElement":
-        ring = self.instance.fs_ring()
-        return FsElement(self.instance, ring.convert(g) * self._num, self._k)
+        g, d = _cleared(self.instance.fs_ring().convert(g))
+        return FsElement._make(self.instance, g * self._num, self._den * d, self._k)
 
     def scale(self, c) -> "FsElement":
-        return self._with(self._num * Fraction(c))
+        c = Fraction(c)
+        num = self._num.scale(c.numerator)
+        return self._with(num, self._den * c.denominator, lambda g: g * c)
 
     def __eq__(self, other):
         if not isinstance(other, FsElement):
             return NotImplemented
-        n1, n2, _ = self._common(other)
+        (n1, n2), _, _ = self._common(other)
         return n1 == n2
 
     def __str__(self):
@@ -181,6 +208,43 @@ class FsElement:
 
 def _f_lifted(instance):
     return instance.f_in_fs_ring()
+
+
+def _one(ring):
+    """1 in ring, on an int coefficient over Q."""
+    return Poly(ring, {ring._zero_exp: 1}) if ring.field is QQ else ring.one()
+
+
+def _int_scales(inst):
+    """The lam_j: over Q the lcm of f_j's denominators, else 1."""
+    if inst.field is not QQ:
+        return (1,) * len(inst.f)
+    return tuple(_denominator([fj]) for fj in inst.f)
+
+
+def _int_family(inst):
+    """The F_j = lam_j f_j in inst.fs_ring(), on int coefficients over Q."""
+    fs = _f_lifted(inst)
+    if inst.field is not QQ:
+        return fs
+    return [_on_ints(fj, lj) for fj, lj in zip(fs, _int_scales(inst))]
+
+
+def _undivided(inst, numerator, k):
+    """(N, D) with numerator / prod f_j^k_j = N / (D prod F_j^k_j):
+    N = numerator prod lam_j^k_j over k_j > 0, D the rest."""
+    lam = _int_scales(inst)
+    up = math.prod(lj**kj for lj, kj in zip(lam, k) if kj > 0)
+    down = math.prod(lj**-kj for lj, kj in zip(lam, k) if kj < 0)
+    return (numerator.scale(up) if up != 1 else numerator), down
+
+
+def _f_form(e):
+    """e's numerator over prod f_j^k_j, k undivided, on field coefficients."""
+    lam = _int_scales(e.instance)
+    up = math.prod(lj**-kj for lj, kj in zip(lam, e._k) if kj < 0)
+    down = e._den * math.prod(lj**kj for lj, kj in zip(lam, e._k) if kj > 0)
+    return e._num.scale(Fraction(up, down))
 
 
 def _reduce(instance, numerator, k):
@@ -204,31 +268,28 @@ def _reduce(instance, numerator, k):
     return numerator, tuple(k)
 
 
-def _diff_constants(inst, fs):
+def _shift(g, i):
+    """x_i g: every exponent of g raised by one at position i."""
+    return Poly(g.ring, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in g._terms.items()})
+
+
+def _diff_constants(ring, fs, registry):
     """The factors of d_x (g f^s) that depend on the f_j in fs alone.
 
     Returns (prod_l f_l, {x: (sum_j s_j g_j, [g_j])}) with g_j =
     (d_x f_j) prod_{l != j} f_l, so a rung of the derivative ladder costs
-    two products and a short sum.
+    two products and a short sum.  No unit is multiplied in, so int
+    coefficients stay ints.
     """
-    ring = inst.fs_ring()
-    prod = ring.one()
-    for fj in fs:
-        prod = prod * fj
-    cofactors = []
-    for j in range(len(fs)):
-        cof = ring.one()
-        for l, fl in enumerate(fs):
-            if l != j:
-                cof = cof * fl
-        cofactors.append(cof)
-    s_vars = [ring.var(name) for name in inst.registry.s]
+    prod = functools.reduce(mul, fs)
+    s_at = [ring.index(name) for name in registry.s]
     grads = {}
-    for x in inst.registry.x:
-        g = [fj.diff(x) * cof for fj, cof in zip(fs, cofactors)]
-        s_log = ring.zero()
-        for s_j, g_j in zip(s_vars, g):
-            s_log = s_log + s_j * g_j
+    for x in registry.x:
+        g = [
+            functools.reduce(mul, fs[:j] + fs[j + 1 :], fj.diff(x))
+            for j, fj in enumerate(fs)
+        ]
+        s_log = functools.reduce(add, map(_shift, g, s_at))
         grads[x] = (s_log, g)
     return prod, grads
 
@@ -244,25 +305,22 @@ def _on_ints(g, d=1):
     return Poly(g.ring, terms)
 
 
-def _int_constants(inst):
-    """Over Q, _diff_constants of the F_j = lam_j f_j on int coefficients,
-    lam_j the denominator of f_j; returns (consts, prod_j lam_j)."""
-    fs = _f_lifted(inst)
-    lams = [_denominator([fj]) for fj in fs]
-    prod, grads = _diff_constants(inst, [_on_ints(fj, d) for fj, d in zip(fs, lams)])
-    grads = {
-        x: (_on_ints(s_log), [_on_ints(g) for g in gs])
-        for x, (s_log, gs) in grads.items()
-    }
-    return (_on_ints(prod), grads), math.prod(lams)
+def _cleared(g):
+    """(G, d) with g = G / d, over Q G on int coefficients and d the lcm
+    of g's denominators; (g, 1) over another field or when g is on ints
+    already."""
+    if g.ring.field is not QQ or all(type(c) is int for c in g._terms.values()):
+        return g, 1
+    d = _denominator([g])
+    return _on_ints(g, d), d
 
 
 def _diff_once(e: FsElement, x_name: str, consts) -> FsElement:
     """Action of a single d/dx on the element's undivided form; consts
-    from _diff_constants.  Nothing is divided out.
+    from _diff_constants of the F_j.  Nothing is divided out.
 
-    d_x (g / prod f^k f^s) = (g' prod f + g sum_j (s_j - k_j) (d_x f_j)
-    prod_{l != j} f_l) / prod f^(k+1) f^s.
+    d_x (g / prod F^k f^s) = (g' prod F + g sum_j (s_j - k_j) (d_x F_j)
+    prod_{l != j} F_l) / prod F^(k+1) f^s.
     """
     prod, grads = consts
     log, g_x = grads[x_name]
@@ -270,8 +328,25 @@ def _diff_once(e: FsElement, x_name: str, consts) -> FsElement:
         if k_j:
             log = log - g_j.scale(k_j)
     g = e._num
-    term = g.diff(x_name) * prod + g * log
-    return FsElement(e.instance, term, tuple(kj + 1 for kj in e._k))
+    acc = {}
+    _add_product(acc, g.diff(x_name)._terms, prod._terms)
+    _add_product(acc, g._terms, log._terms)
+    term = Poly(g.ring, acc)
+    return FsElement._make(e.instance, term, e._den, tuple(kj + 1 for kj in e._k))
+
+
+def _add_product(acc, a, b):
+    """acc += a * b in place, for term maps a and b of a commutative ring."""
+    b = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in b:
+            e = tuple(map(add, e1, e2))
+            c = acc.get(e)
+            c = c1 * c2 if c is None else c + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
 
 
 def _derivative_ladder(e: FsElement, x_names, betas, consts):
@@ -320,15 +395,16 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
 
     The terms x^alpha s^gamma d^beta of A are grouped by beta.  Each
     D^beta e is taken once from the derivative ladder, undivided over
-    prod f_j^(k_j + |beta|), and multiplied by the polynomial sum of its
+    prod F_j^(k_j + |beta|), and multiplied by the polynomial sum of its
     group's multipliers.  The parts of one order |beta| are summed, and
     the sums are put over their common denominator k + max |beta| once,
-    by Horner's rule in prod f; over Q on int coefficients (see the
-    module docstring).  The result is undivided: the zero test and
-    equality read it as it is, and its canonical form is made, by the
-    only trial division of the action, when ``numerator``, ``k`` or
-    ``str`` is first read.  A = 0 gives the zero numerator over e's
-    canonical denominator.
+    by Horner's rule in prod F; over Q on int coefficients, with the
+    denominators of e's numerator and of the multipliers moved into the
+    result's D (see the module docstring).  The result is undivided: the
+    zero test and equality read it as it is, and its canonical form is
+    made, by the only trial division of the action, when ``numerator``,
+    ``k`` or ``str`` is first read.  A = 0 gives the zero numerator over
+    e's canonical denominator.
     """
     inst = e.instance
     ring = inst.fs_ring()
@@ -339,53 +415,52 @@ def act(A: WeylOp, e: FsElement) -> FsElement:
     x_names = [wr.names[pos] for pos, _ in wr.pairs]
     groups = A.coefficients_wrt([der for _, der in wr.pairs])
     groups = {beta: ring.convert(g) for beta, g in groups.items()}
-    on_ints = ring.field is QQ
-    if on_ints:
-        consts, lam = _int_constants(inst)
-        d_e, d_A = _denominator([e._num]), _denominator(groups.values())
-        start = FsElement(inst, _on_ints(e._num, d_e), e._k)
+    F = _int_family(inst)
+    consts = _diff_constants(ring, F, inst.registry)
+    start = e
+    if ring.field is QQ:
+        num, d_e = _cleared(e._num)
+        d_A = _denominator(groups.values())
         groups = {beta: _on_ints(g, d_A) for beta, g in groups.items()}
-    else:
-        consts, start = _diff_constants(inst, _f_lifted(inst)), e
+        start = FsElement._make(inst, num, e._den * d_e * d_A, e._k)
     by_order = {}
     for beta, r in _derivative_ladder(start, x_names, groups, consts):
-        part = r._num * groups[beta]
-        t = sum(beta)
-        by_order[t] = by_order[t] + part if t in by_order else part
+        _add_product(by_order.setdefault(sum(beta), {}), r._num._terms, groups[beta]._terms)
     orders = sorted(by_order)
+    prod = consts[0]._terms
     total = by_order[orders[0]]
     for prev, t in zip(orders, orders[1:]):
-        for _ in range(t - prev):
-            total = total * consts[0]
-        total = total + by_order[t]
-    if on_ints:
-        # a rung of order t carries lam^t, and Horner's prod F adds the rest
-        den = d_e * d_A * lam ** orders[-1]
-        total = Poly(ring, {m: Fraction(c, den) for m, c in total._terms.items()})
-    return FsElement(inst, total, tuple(kj + orders[-1] for kj in e._k))
+        for _ in range(t - prev - 1):
+            total, step = {}, total
+            _add_product(total, step, prod)
+        total, step = by_order[t], total
+        _add_product(total, step, prod)
+    total = Poly(ring, total)
+    return FsElement._make(inst, total, start._den, tuple(kj + orders[-1] for kj in e._k))
 
 
-def _common_denominator(inst, parts):
-    """Numerators of (numerator, k) parts over prod f_j^K_j, K the
-    componentwise maximum of the k (which may be negative); returns
-    (numerators, K)."""
-    K = tuple(max(col) for col in zip(*(k for _, k in parts)))
-    fs = _f_lifted(inst)
+def _common_denominator(F, parts):
+    """Numerators of undivided parts (N, D, k) over one L prod F_j^K_j,
+    K the componentwise maximum of the k (which may be negative) and L
+    the lcm of the D; returns (numerators, L, K)."""
+    K = tuple(max(col) for col in zip(*(k for _, _, k in parts)))
+    L = math.lcm(*(d for _, d, _ in parts))
     out = []
-    for num, k in parts:
-        for j, fj in enumerate(fs):
-            if K[j] > k[j]:
-                num = num * fj ** (K[j] - k[j])
-        out.append(num)
-    return out, K
+    for num, d, k in parts:
+        for Fj, Kj, kj in zip(F, K, k):
+            if Kj > kj:
+                num = num * Fj ** (Kj - kj)
+        out.append(num.scale(L // d) if d != L else num)
+    return out, L, K
 
 
 def check_identity(b: Poly, P: WeylOp, inst: ProblemInstance) -> bool:
     """Exact check of act(P, f^(s+v)) = b(s) f^s, without division.
 
-    act gives T / prod f_j^K_j undivided, so the identity holds exactly
-    when T prod f_j^max(0, -K_j) = b prod f_j^max(0, K_j) as
-    polynomials; that is the comparison FsElement equality makes.
+    act gives T / (D prod F_j^K_j) undivided, so the identity holds
+    exactly when T prod F_j^max(0, -K_j) = D b prod F_j^max(0, K_j) as
+    polynomials, both sides over Q on int coefficients; that is the
+    comparison FsElement equality makes.
     """
     lhs = act(P, FsElement.shifted(inst))
     return lhs == FsElement.symbol(inst).scale_poly(b)
@@ -512,7 +587,8 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
     betas = multi_indices(r.n, bounds.d_order)
     alphas = multi_indices(r.n, bounds.x_degree)
     gammas = multi_indices(r.p, bounds.s_degree)
-    consts = _diff_constants(inst, _f_lifted(inst))
+    F = _int_family(inst)
+    consts = _diff_constants(ring, F, r)
     base_by_beta = dict(_derivative_ladder(FsElement.shifted(inst), r.x, betas, consts))
     symbol = FsElement.symbol(inst)
 
@@ -525,12 +601,12 @@ def ansatz_bs(inst: ProblemInstance, bounds: AnsatzBounds):
         for alpha in alphas:
             for gamma in gammas:
                 mono = ring.monomial(_exp(ring, r.x + r.s, alpha + gamma))
-                elements.append((e._num * mono, e._k))
+                elements.append((e._num * mono, e._den, e._k))
                 p_exps.append(_exp(wring, w_names, alpha + beta + gamma))
     for gamma in gammas:
         mono = ring.monomial(_exp(ring, r.s, gamma))
-        elements.append((-(symbol._num * mono), symbol._k))
-    numerators, _ = _common_denominator(inst, elements)
+        elements.append((-(symbol._num * mono), symbol._den, symbol._k))
+    numerators, _, _ = _common_denominator(F, elements)
 
     kernel = b_kernel([num._terms for num in numerators], gammas, s_ring)
     if not kernel:

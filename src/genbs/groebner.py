@@ -183,12 +183,15 @@ def _update_pairs(pairs, leads, product, push):
     lt = leads[t]
     new = [(i, t, mono_lcm(leads[i], lt)) for i in range(t)]
 
-    # M: drop a new pair when another new pair's lcm strictly divides its lcm
-    new = [
-        (i, j, l)
-        for i, j, l in new
-        if not any(l2 != l and mono_divides(l2, l) for _, _, l2 in new)
-    ]
+    # M: drop a new pair when another new pair's lcm strictly divides its
+    # lcm.  A strict divisor has a lower degree, so each distinct lcm, in
+    # order of degree, is kept when no kept lcm divides it.
+    minimal = []
+    for l in sorted({l for _, _, l in new}, key=sum):
+        if not any(mono_divides(m, l) for m in minimal):
+            minimal.append(l)
+    minimal = set(minimal)
+    new = [pair for pair in new if pair[2] in minimal]
     # F: one pair per lcm value; with the product criterion a whole class
     # dies if any member has coprime leads (that member reduces to zero)
     classes = {}

@@ -22,6 +22,7 @@ Generator order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import GenbsError, InvalidInput, PointOutsideStratum, ZeroPolynomialError
@@ -77,10 +78,14 @@ class ProblemInstance:
         return PolyRing(QQ, self.registry.s, GRevLex())
 
     def fs_ring(self) -> PolyRing:
-        """Numerator ring for f^s module elements: field[a, x, s]."""
-        return PolyRing(
-            self.field, self.registry.a + self.registry.x + self.registry.s, GRevLex()
-        )
+        """Numerator ring for f^s module elements: field[a, x, s], one
+        ring object for the instance object."""
+        return self._fs_ring
+
+    @cached_property
+    def _fs_ring(self):
+        r = self.registry
+        return PolyRing(self.field, r.a + r.x + r.s, GRevLex())
 
     def weyl_ring(self) -> WeylRing:
         """Operator ring A_n[s]; parameters (if any) are central generators."""
@@ -115,6 +120,11 @@ class ProblemInstance:
         return acc
 
     def f_in_fs_ring(self):
+        """The f_j in fs_ring(), converted once for the instance object."""
+        return self._f_in_fs_ring
+
+    @cached_property
+    def _f_in_fs_ring(self):
         ring = self.fs_ring()
         return tuple(ring.convert(fj) for fj in self.f)
 

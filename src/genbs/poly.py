@@ -221,14 +221,19 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        # by squaring, from self itself: no product by the unit, so int
+        # coefficients stay ints
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def monic(self):
         if self.is_zero():

@@ -95,6 +95,27 @@ def test_fs_element_equal_over_common_denominator_and_unhashable(Rxy):
         hash(e1)
 
 
+def test_undivided_form_over_f_with_denominators():
+    # F_j = lam_j f_j on ints: f^(s+v) is 1 / (lam^v F^(-v)), and an input
+    # numerator over a negative k_j picks up lam_j^(-k_j) in its D
+    inst = _family(
+        ("x", "y"),
+        [lambda x, y: Fraction(2, 3) * x**2 - y * Fraction(1, 2), lambda x, y: x * Fraction(1, 5)],
+        v=(2, 1),
+    )
+    fs = inst.fs_ring()
+    x = fs.var("x")
+    f1, f2 = _f_lifted(inst)
+    sym, shifted = FsElement.symbol(inst), FsElement.shifted(inst)
+    assert shifted == sym.scale_poly(f1**2 * f2)
+    assert (shifted.numerator, shifted.k) == (f1**2 * f2, (0, 0))
+    # (3/7) x f2 / f1, given over the undivided denominator f1 / f2
+    e = FsElement(inst, x * Fraction(3, 7), (1, -1))
+    assert e.scale_poly(f1) == sym.scale_poly(x * f2).scale(Fraction(3, 7))
+    assert e + e == e.scale(2) and (e - e).is_zero()
+    assert (e.numerator, e.k) == (x * f2 * Fraction(3, 7), (1, 0))
+
+
 def test_check_identity_classical(inst_x, inst_x2):
     Wx = inst_x.weyl_ring()
     s = inst_x.s_ring().var("s")

@@ -7,6 +7,7 @@ import pytest
 
 from genbs.errors import MissingBasisError, MixedRingError, TimeoutBudget
 from genbs.groebner import (
+    _update_pairs,
     buchberger,
     ideal_contains,
     ideal_dim,
@@ -15,7 +16,7 @@ from genbs.groebner import (
     normal_form,
     spoly,
 )
-from genbs.orders import Block, GRevLex, Lex
+from genbs.orders import Block, GRevLex, Lex, mono_divides, mono_lcm, mono_mul
 from genbs.poly import PolyRing, QQ
 from genbs.weyl import WeylRing
 from genbs.weyl_groebner import GBBudget, eliminate, left_buchberger
@@ -152,3 +153,51 @@ def test_lex_vs_block_elimination_agree():
     out = eliminate(gens, drop_names=("u",))
     basis = buchberger(out)
     assert ideal_contains(basis, x - y)
+
+
+def _update_pairs_double_loop(pairs, leads, product):
+    """The pair update with the M test as a double loop over the new
+    pairs: (old pairs kept, new pairs pushed)."""
+    t = len(leads) - 1
+    lt = leads[t]
+    new = [(i, t, mono_lcm(leads[i], lt)) for i in range(t)]
+    new = [
+        (i, j, l)
+        for i, j, l in new
+        if not any(l2 != l and mono_divides(l2, l) for _, _, l2 in new)
+    ]
+    classes = {}
+    for i, j, l in new:
+        classes.setdefault(l, []).append((i, j, l))
+    kept = [
+        min(cls)
+        for l, cls in classes.items()
+        if not (product and any(mono_mul(leads[i], lt) == l for i, _, _ in cls))
+    ]
+    old = [
+        p
+        for p in pairs
+        if not mono_divides(lt, p[4])
+        or mono_lcm(leads[p[2]], lt) == p[4]
+        or mono_lcm(leads[p[3]], lt) == p[4]
+    ]
+    return sorted(old), kept
+
+
+@pytest.mark.parametrize("product", [False, True])
+def test_update_pairs_keeps_the_double_loop_pairs(product):
+    # leads with many equal and nested lcms: small exponents, few variables
+    rng = random.Random(61 + product)
+    for _ in range(300):
+        nvars = rng.randrange(1, 4)
+        leads = [
+            tuple(rng.randrange(4) for _ in range(nvars)) for _ in range(rng.randrange(2, 12))
+        ]
+        old_pairs = []
+        for serial in range(rng.randrange(0, 8)):
+            i, j = sorted(rng.sample(range(len(leads) - 1), 2)) if len(leads) > 2 else (0, 0)
+            old_pairs.append((serial, serial, i, j, mono_lcm(leads[i], leads[j])))
+        pairs = list(old_pairs)
+        pushed = []
+        _update_pairs(pairs, leads, product, lambda *pair: pushed.append(pair))
+        assert (sorted(pairs), pushed) == _update_pairs_double_loop(old_pairs, leads, product)

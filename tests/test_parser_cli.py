@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genbs.fsmodule
 from genbs.cli import (
@@ -19,6 +20,7 @@ from genbs.cli import (
     serialize_report,
 )
 from genbs.errors import ParseError
+from genbs.instance import make_instance
 from genbs.orders import GRevLex
 from genbs.parser import parse_op, parse_poly
 from genbs.poly import PolyRing, QQ
@@ -41,9 +43,11 @@ def test_parse_examples():
 
 
 def test_parse_errors_located():
+    # exponents are unsigned integers
     with pytest.raises(ParseError) as ei:
-        parse_poly("x^(-1)", R.with_order(GRevLex()) if hasattr(R, "with_order") else R)
-    assert "line 1" in str(ei.value)
+        parse_poly("x1^(-1)", R)
+    assert "expected int" in str(ei.value)
+    assert (ei.value.line, ei.value.col) == (1, 4)
     with pytest.raises(ParseError):
         parse_poly("x1 + ", R)
     with pytest.raises(ParseError) as ei2:
@@ -63,6 +67,138 @@ def test_parse_op_order_matters():
     assert left == W.gen("x") * W.gen("dx") + 1
     right = parse_op("x*dx", W)
     assert right == W.gen("x") * W.gen("dx")
+
+
+# (text, message, line, column) of malformed operator texts in W
+MALFORMED = [
+    ("", "expected a value, found 'end of input'", 1, 1),
+    ("x +", "expected a value, found 'end of input'", 1, 4),
+    ("x1", "unknown variable 'x1' (ring has x, dx, s)", 1, 1),
+    ("x $ 2", "unexpected character '$'", 1, 3),
+    ("x^(-1)", "expected int, found '('", 1, 3),
+    ("x^", "expected int, found 'end of input'", 1, 3),
+    ("x/0", "division by zero", 1, 3),
+    ("x/dx", "expected int, found 'dx'", 1, 3),
+    ("x*", "expected a value, found 'end of input'", 1, 3),
+    ("-", "expected a value, found 'end of input'", 1, 2),
+    ("+-x", "expected a value, found '-'", 1, 2),
+    ("(x", "expected ), found 'end of input'", 1, 3),
+    ("x)", "unexpected trailing input ')'", 1, 2),
+    ("()", "expected a value, found ')'", 1, 2),
+    ("x y", "unexpected trailing input 'y'", 1, 3),
+    ("2x", "unexpected trailing input 'x'", 1, 2),
+    ("x^2^3", "unexpected trailing input '^'", 1, 4),
+    ("x +\n  y", "unknown variable 'y' (ring has x, dx, s)", 2, 3),
+    ("x\n\t+ 3/\n0", "division by zero", 3, 1),
+    ("x^\u00b2", "unexpected character '\u00b2'", 1, 3),
+    ("\u0663", "unexpected character '\u0663'", 1, 1),
+    ("x + \u00bd", "unexpected character '\u00bd'", 1, 5),
+    ("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100", 1, 101),
+    ("x\r\n+ #", "unexpected character '#'", 2, 3),
+    ("dx*(x + s)*q", "unknown variable 'q' (ring has x, dx, s)", 1, 12),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", MALFORMED)
+def test_parse_error_message_and_place(text, message, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_op(text, W)
+    assert str(ei.value) == "%s (line %d, column %d)" % (message, line, col)
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+# Parse trees of the grammar, printed to text and evaluated by ring
+# products: an expression is (sign, [(op, term)]), a term a list of
+# ("*", factor) and ("/", k), a factor (atom, exponent or None), an atom
+# ("int", k), ("name", name) or ("paren", expression).
+def _expressions(names):
+    def factors(atom, max_exp):
+        return st.tuples(atom, st.none() | st.integers(0, max_exp))
+
+    def expressions(atom_of):
+        # names weigh most, so that many terms hold a pair out of order
+        name = st.sampled_from(names).map(lambda n: ("name", n))
+        base = st.one_of(name, name, name, st.integers(0, 12).map(lambda k: ("int", k)))
+        factor = st.one_of(factors(base, 3), factors(atom_of, 1))
+        term = st.lists(
+            st.one_of(
+                factor.map(lambda f: ("*", f)), st.integers(1, 6).map(lambda k: ("/", k))
+            ),
+            max_size=5,
+        ).flatmap(lambda rest: factor.map(lambda first: [("*", first)] + rest))
+        return st.tuples(
+            st.sampled_from(["", "-", "+"]),
+            st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=3),
+        )
+
+    leaf = expressions(st.nothing())
+    return expressions(leaf.map(lambda e: ("paren", e)))
+
+
+def _text(node):
+    sign, terms = node
+    out = sign
+    for n, (op, term) in enumerate(terms):
+        if n:
+            out += " %s " % op
+        out += "".join(
+            ("" if i == 0 else "*") + _factor_text(x) if kind == "*" else "/%d" % x
+            for i, (kind, x) in enumerate(term)
+        )
+    return out
+
+
+def _factor_text(factor):
+    (kind, x), e = factor
+    atom = "(%s)" % _text(x) if kind == "paren" else str(x)
+    return atom if e is None else "%s^%d" % (atom, e)
+
+
+def _evaluate(node, ring):
+    sign, terms = node
+    value = None
+    for op, term in terms:
+        t = None
+        for kind, x in term:
+            if kind == "/":
+                t = t * ring.const(Fraction(1, x))
+                continue
+            (akind, a), e = x
+            if akind == "int":
+                f = ring.const(a)
+            elif akind == "name":
+                f = ring.var(a)
+            else:
+                f = _evaluate(a, ring)
+            if e is not None:
+                f = f**e
+            t = f if t is None else t * f
+        if value is None:
+            value = -t if sign == "-" else t
+        else:
+            value = value - t if op == "-" else value + t
+    return value
+
+
+INST_A = make_instance(
+    ("x", "y"), [parse_poly("y^2 - x^3 - a*x^2", PolyRing(QQ, ("a", "x", "y"), GRevLex()))],
+    a_names=("a",),
+)
+PARSE_RINGS = {"weyl": INST_A.weyl_ring(), "annihilator": INST_A.annihilator_ring()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(ring_name=st.sampled_from(sorted(PARSE_RINGS)), data=st.data())
+def test_parse_op_matches_ring_products(ring_name, data):
+    # terms fold into monomials while their factors stay in normal order;
+    # out-of-order and parenthesized factors go through ring products, so
+    # dx*x and _dt1*s apply their commutation rules
+    ring = PARSE_RINGS[ring_name]
+    node = data.draw(_expressions(list(ring.names)), label="tree")
+    text = _text(node)
+    value = parse_op(text, ring)
+    assert type(value) is type(ring.zero())
+    assert value == _evaluate(node, ring), text
 
 
 def random_poly(rng, ring):
