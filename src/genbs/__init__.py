@@ -24,7 +24,6 @@ from .errors import (
     HomogeneityViolation,
     InvalidInput,
     MixedRingError,
-    NonRationalCertificate,
     ParseError,
     PointOutsideStratum,
     TimeoutBudget,
@@ -94,7 +93,6 @@ __all__ = [
     "Lex",
     "LocallyClosedSet",
     "MixedRingError",
-    "NonRationalCertificate",
     "ParseError",
     "PointOutsideStratum",
     "Poly",

@@ -8,15 +8,19 @@ Pipeline (Briancon-Maisonobe): in A_n(R)[s]<dt> with dt_j s_j =
 meets A_n(R)[s] in Ann f^s, so one elimination of dt gives its
 generators.  Appending f^v = prod f_j^v_j, the Bernstein-Sato ideal is
 the intersection of the left ideal I = Ann f^s + A_n(R)[s] f^v with
-R[s], reached by one of two routes:
+R[s], reached by one of two routes, chosen by what is reported:
 
-- p = 1 and no central parameter: R is a field K (Q, or a residue field
-  Frac(Q[a]/Q)), so I meets K[s] in the multiples of one monic b, the
-  minimal polynomial of s modulo I.  One left Groebner basis of I in the
-  order of ``inst.weyl_ring()`` gives the normal forms of 1, s, s^2, ...,
-  and their first linear dependence is b (M. Noro, ICMS 2002).
-- otherwise (p >= 2, or parameters as central variables, where the
-  intersection need not be principal): one elimination of x, dx.
+- the least-degree member b in Q[s], with its one certificate: ``bs``
+  for p = 1 over Q, and every job over a residue field Frac(Q[a]/Q)
+  (``generic_bs``, hence ``stratify``), whatever p is.  One left Groebner
+  basis of I in the order of ``inst.weyl_ring()`` gives the normal forms
+  of the s-monomials, and ``rationalize`` finds their first rational
+  linear dependence (M. Noro, ICMS 2002; for p >= 2, Andres,
+  Levandovskyy & Martin Morales, ISSAC 2009).
+- all of the intersection: ``bs`` for p >= 2 over Q, or with parameters
+  as central variables, where it need not be principal and the normal
+  forms of the s^k need never become dependent over Q.  One elimination
+  of x, dx gives it.
 
 Either way the left-reduction cofactor of the f^v generator gives a
 certificate operator P with b f^s = P f^(s+v).
@@ -28,7 +32,7 @@ modulo a reduced left Groebner basis of that ideal, whose S-pairs count
 against the budget.  So P depends only on f, v, b and the term order,
 though over a field such as Frac(Q[a,b]/<ab-1>) how its coefficients
 print may depend on the path (``ResidueField.make`` gives them no unique
-form).  A U that ``generic_bs`` combines from several P is no normal form.
+form).
 
 Every ring comes from the instance, over its coefficient field, so the
 same code serves instances over Q (parameters as central variables) and
@@ -46,7 +50,8 @@ from .factor import Factorization, factor
 from .fsmodule import FsElement, act, b_kernel, check_identity
 from .groebner import normal_form
 from .instance import ProblemInstance
-from .poly import Poly, PolyRing
+from .orders import multi_indices
+from .poly import QQ, Poly, PolyRing
 from .weyl import WeylOp
 from .weyl_groebner import GBBudget, LeftIdealW, eliminate, left_buchberger
 
@@ -113,16 +118,15 @@ def ann_fs(inst: ProblemInstance, budget: GBBudget | None = None) -> LeftIdealW:
 def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:
     """(Ann f^s + A_n(R)[s] f^v) intersected with R[s], certificates included.
 
-    For p = 1 and m = 0 the coefficients R form a field K, so the
-    intersection is generated by the minimal polynomial b of s modulo the
-    left ideal, read off by ``_minimal_polynomial_of_s``.  That loop
-    ends: Bernstein's theorem gives a nonzero b, say of degree d, so the
-    normal forms of 1, s, ..., s^d are linearly dependent over K.  With
-    a central parameter (m > 0) the coefficients Q[a] are no field, and
-    the normal forms of the s^k need never become dependent over Q (the
-    ideal of x^2 + a*y^2 meets Q[a][s] in a*(s+1)^2, with no member in
-    Q[s]); for p >= 2 the ideal lives in K[s_1..s_p] and need not be
-    principal.  There the members come from one elimination of x, dx.
+    Over a residue field, and over Q for p = 1 with no central parameter
+    (m = 0), the one generator is the least-degree member b of the
+    intersection in Q[s], read off a tracked left basis of the ideal by
+    ``rationalize``.  Over Q with a central parameter (m > 0) the
+    coefficients Q[a] are no field, and the normal forms of the s^k need
+    never become dependent over Q (the ideal of x^2 + a*y^2 meets
+    Q[a][s] in a*(s+1)^2, with no member in Q[s]); over Q with p >= 2 the
+    ideal lives in Q[s_1..s_p] and need not be principal.  There every
+    member comes from one elimination of x, dx.
 
     Each certificate P, the cofactor of f^v in the member, is
     reported as its normal form modulo the reduced left Groebner basis of
@@ -130,22 +134,23 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
     over Q and over a residue field alike; two certificates of one b
     differ by a member of that ideal.  That basis counts against
     ``budget``.  Nothing is replayed here: ``bs_ideal`` replays over Q,
-    and ``generic_bs`` reads these certificates over a residue field.
+    and ``generic_bs`` reads the certificate over a residue field.
     """
     ann = ann_fs_ctx(inst, budget=budget)
     ring = ann.ring
     fv = ring.convert(inst.f_power_v())
     gens = list(ann.generators) + [fv]
     # only the cofactor of f^v is read: it is the certificate P
-    if inst.registry.p == 1 and inst.registry.m == 0:
-        members, reps = _minimal_polynomial_of_s(gens, inst, budget)
-    else:
+    track = (len(gens) - 1,)
+    r = inst.registry
+    if inst.field is QQ and (r.p > 1 or r.m > 0):
         members, reps = eliminate(
-            gens,
-            inst.registry.x + inst.registry.d_names(),
-            track=(len(gens) - 1,),
-            budget=budget,
+            gens, r.x + r.d_names(), track=track, budget=budget
         )
+    else:
+        basis, basis_reps = left_buchberger(gens, track=track, budget=budget)
+        b, u = rationalize(basis, basis_reps, inst)
+        members, reps = [b], [u]
     certificates = []
     if reps:
         shifted = [_shift_s(g, inst) for g in ann.generators]
@@ -159,42 +164,59 @@ def bs_ideal_ctx(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIde
     )
 
 
-def _minimal_polynomial_of_s(gens, inst: ProblemInstance, budget: GBBudget | None):
-    """([b], [[P]]) for p = 1 and m = 0, by Noro's method.
+def rationalize(basis, reps, inst: ProblemInstance):
+    """(b, u): the monic least-degree member b of the left ideal in Q[s],
+    and u[t] its cofactor of the t-th tracked generator.
 
-    b is the minimal polynomial of s modulo the left ideal I of ``gens``
-    (Ann f^s and f^v last): one tracked left basis of I in the order of
-    ``inst.weyl_ring()``, then the normal forms r_k of s^k, k = 0, 1, ...,
-    until the first linear dependence sum_k c_k r_k = 0 over the field.
-    With s^k = sum_i q_ki g_i + r_k and g_i = rep_i f^v modulo Ann f^s,
-    b = sum_k c_k s^k acts on f^s as P f^(s+v) for
-    P = sum_i (sum_k c_k q_ki) rep_i.  The c_k come from ``b_kernel``
-    with every column a b column, so b is monic.  (M. Noro, *An efficient
-    modular algorithm for computing the global b-function*, ICMS 2002.)
+    ``basis`` is a left Groebner basis with reps[i][t] the cofactor of
+    the t-th tracked generator in basis[i].  Every s-monomial s^g has
+    s^g = sum_i q_gi basis_i + r_g, and a rational sum_g c_g s^g lies in
+    the ideal exactly when sum_g c_g r_g = 0.  The search takes the s^g
+    of total degree at most d, for d = 0, 1, ...: the r_g give a linear
+    system in the c_g over Q (over a residue field, each coefficient is
+    first split along the monomials of Q[a] mod Q by
+    ``ResidueField.rational_equations``), and the first kernel vector of
+    ``b_kernel`` gives b, monic.  Then u[t] = sum_i (sum_g c_g q_gi)
+    reps[i][t].  (M. Noro, *An efficient modular algorithm for computing
+    the global b-function*, ICMS 2002.)
+
+    The search ends by a theorem, not a cap: Bernstein's theorem for p = 1
+    over Q, and over a residue field, on an irreducible V(Q), the generic
+    Bernstein-Sato ideal contains a nonzero rational polynomial
+    (arXiv math/0307168).
     """
-    basis, reps = left_buchberger(gens, track=(len(gens) - 1,), budget=budget)
-    ring = gens[0].ring
-    s_ring = inst.s_ring()
-    s = ring.gen(inst.registry.s[0])
-    power = ring.one()
-    columns, quotients = [], []
+    ring = basis[0].ring
+    places = [ring.index(name) for name in inst.registry.s]
+    s_ring = inst.rational_s_ring()
+    gammas, remainders, quotients = [], [], {}
+    degree = 0
     while True:
-        r, q = normal_form(power, basis, with_cofactors=True)
-        columns.append(r._terms)
-        quotients.append(q)
-        kernel = b_kernel(columns, [(k,) for k in range(len(columns))], s_ring)
+        for gamma in multi_indices(len(places), degree)[len(gammas) :]:
+            exp = [0] * ring.nvars
+            for i, e in zip(places, gamma):
+                exp[i] = e
+            r, quotients[gamma] = normal_form(
+                ring.monomial(exp), basis, with_cofactors=True
+            )
+            gammas.append(gamma)
+            remainders.append(r)
+        if inst.field is QQ:
+            columns = [r._terms for r in remainders]
+        else:
+            columns = inst.field.rational_equations(remainders)
+        kernel = b_kernel(columns, gammas, s_ring)
         if kernel:
             break
-        power = power * s
+        degree += 1
     b = kernel[0][0]
-    P = ring.zero()
+    u = [ring.zero() for _ in reps[0]]
     for i, rep in enumerate(reps):
         qi = ring.zero()
-        for (k,), c in b._terms.items():
-            qi = qi + quotients[k][i].scale(c)
+        for gamma, c in b._terms.items():
+            qi = qi + quotients[gamma][i].scale(c)
         if not qi.is_zero():
-            P = P + qi * rep[0]
-    return [b], [[P]]
+            u = [ut + qi * rt for ut, rt in zip(u, rep)]
+    return b, u
 
 
 def bs_ideal(inst: ProblemInstance, budget: GBBudget | None = None) -> BSIdeal:

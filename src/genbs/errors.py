@@ -80,12 +80,6 @@ class FamilyVanishesModQ(GenbsError):
     """Some member of the polynomial family is identically zero modulo Q."""
 
 
-class NonRationalCertificate(GenbsError):
-    """The ideal handed to ``rationalize`` has no generators, so no
-    rational member can be read from it.  The search itself needs no
-    budget: on an irreducible V(Q) a nonzero rational member exists."""
-
-
 class PointOutsideStratum(GenbsError):
     """A parameter point does not satisfy the stratum's membership conditions."""
 

@@ -40,11 +40,9 @@ move into the result's D.
 The ansatz routine searches for (b, P) with act(P, f^(s+v)) = b f^s by
 exact linear algebra within degree bounds; it is independent of the
 Groebner pipeline and serves as the oracle for everything else.  Its
-kernel, like those of the least-degree rational search in
-``parametric.rationalize`` and of the minimal polynomial of s in
-``annbs.bs_ideal_ctx``, comes from
-``b_kernel``: one Gauss-Jordan over sparse columns whose basis is
-already echelonized on b's coefficients.
+kernel, like that of the least-degree rational search in
+``annbs.rationalize``, comes from ``b_kernel``: one Gauss-Jordan over
+sparse columns whose basis is already echelonized on b's coefficients.
 """
 
 from __future__ import annotations

@@ -202,15 +202,18 @@ def _update_pairs(pairs, leads, product, push):
         if product and any(mono_mul(leads[i], lt) == l for i, j, l2 in cls):
             continue
         kept.append(min(cls))
-    # chain criterion on old pairs
-    pairs[:] = [
+    # chain criterion on old pairs; when it drops none, the list is still
+    # a heap and stays as it is
+    survivors = [
         p
         for p in pairs
         if not mono_divides(lt, p[4])
         or mono_lcm(leads[p[2]], lt) == p[4]
         or mono_lcm(leads[p[3]], lt) == p[4]
     ]
-    heapq.heapify(pairs)
+    if len(survivors) < len(pairs):
+        pairs[:] = survivors
+        heapq.heapify(pairs)
     for pair in kept:
         push(*pair)
 

@@ -11,9 +11,11 @@ with an int or Fraction operand cannot cancel anything, so it builds
 that canonical form directly, with no gcd.
 
 The generic package runs the Bernstein-Sato pipeline over the residue
-field, searches the ideal for its least-degree member b in Q[s], clears
-denominators into (h, U) over Q[a] and stores the congruence remainder;
-the identity
+field, which reads off the least-degree member b of the ideal in Q[s]
+with its one certificate (``annbs.rationalize``; ``rational_equations``
+here splits the residue coefficients of that search into equations over
+Q), clears denominators into (h, U) over Q[a] and stores the congruence
+remainder; the identity
 
     h b(s) f^s = U(s) f^(s+v) + remainder,   remainder's coefficients in Q
 
@@ -25,24 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annbs import BSIdeal, bs_ideal_ctx
+# perfbench/tracer.py wraps rationalize by this module's name; it is
+# defined in annbs, which runs the search and cannot import this module
+from .annbs import BSIdeal, bs_ideal_ctx, rationalize
 from .errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
-    NonRationalCertificate,
     PointOutsideStratum,
     VerificationFailed,
 )
 from .factor import exact_div, multi_gcd, squarefree_part
-from .fsmodule import (
-    b_kernel,
-    check_identity,
-    congruence_remainder,
-    remainder_in_Q,
-)
-from .groebner import buchberger, normal_form
+from .fsmodule import check_identity, congruence_remainder, remainder_in_Q
+from .groebner import normal_form
 from .instance import ProblemInstance, family_ring
-from .orders import multi_indices
 from .poly import Poly, PolyRing
 from .primes import PrimeIdealQ, the_zero_prime
 from .variables import VarRegistry
@@ -197,6 +194,35 @@ class ResidueField:
             num = num.scale(inv)
         return ResidueElem(self, num, den)
 
+    def rational_equations(self, remainders):
+        """sum_g c_g r_g = 0 over this field as a rational system: one
+        column per c_g.
+
+        An s-monomial's row holds the coefficients of the r_g there.  A
+        row of rationals stays as it is.  Any other row is brought over
+        the lcm D of its denominators, num/den becoming nf(num * D/den)
+        mod Q, and splits into one equation per monomial of Q[a]: D lies
+        outside the prime Q, so the row vanishes in the field exactly
+        when its numerator sum lies in Q, that is, when its normal form
+        is zero.
+        """
+        rows = {}
+        for col, r in enumerate(remainders):
+            for delta, c in r._terms.items():
+                rows.setdefault(delta, {})[col] = c
+        columns = [{} for _ in remainders]
+        for delta, row in rows.items():
+            if not any(isinstance(c, ResidueElem) for c in row.values()):
+                for col, c in row.items():
+                    columns[col][delta] = c
+                continue
+            D = _den_lcm(self.ring, row.values())
+            for col, c in row.items():
+                num, den = _num_den(c, self.ring)
+                for aexp, q in self.nf(num * exact_div(D, den))._terms.items():
+                    columns[col][delta, aexp] = q
+        return columns
+
     def __eq__(self, other):
         return isinstance(other, ResidueField) and self.Q.basis == other.Q.basis and (
             self.ring == other.ring
@@ -285,108 +311,6 @@ def op_scale_clear(A: WeylOp, param_ring: PolyRing, target: WeylRing):
     return h, target.from_terms(terms)
 
 
-# -- rationalization -----------------------------------------------------------
-
-
-@dataclass
-class RationalizeResult:
-    """The least-degree member of the ideal in Q[s], with its residue-field
-    certificate."""
-
-    b: Poly  # over Q[s]
-    U_residue: WeylOp
-
-
-def rationalize(B: BSIdeal) -> RationalizeResult:
-    """The monic least-degree member b of B in Q[s], and U with
-    b f^s = U f^(s+v) over F.
-
-    B comes from ``bs_ideal_ctx`` over F = Frac(Q[a]/Q): its generators
-    lie in F[s], each with its certificate.  One tracked Groebner basis
-    G of B in F[s] gives s^g = sum_k q_gk G_k + r_g for every s-monomial
-    s^g, and a rational sum_g c_g s^g lies in B exactly when
-    sum_g c_g r_g = 0.  Over Q that is a linear system in the c_g:
-    ``_rational_equations`` splits each coefficient along the monomials
-    of Q[a] mod Q.  The search takes every s^g of total degree at most
-    d, for d = d0, d0 + 1, ..., where d0 is the least lead degree of G;
-    grevlex is degree compatible, so B has no nonzero member of lower
-    degree.  The first kernel vector of ``b_kernel`` gives b, monic, and
-    U is the matching combination of the certificates.
-
-    The search ends by a theorem, not a cap: on an irreducible V(Q) the
-    generic Bernstein-Sato ideal contains a nonzero rational polynomial
-    (arXiv math/0307168).  For p = 1 the monic generator of B is
-    rational already (Kashiwara), so d0 is its degree and one round runs,
-    with no residue arithmetic.  Raises NonRationalCertificate when B has
-    no generators.
-    """
-    if not B.generators:
-        raise NonRationalCertificate("the computed ideal has no generators")
-    inst = B.instance
-    ring = inst.s_ring()
-    gens = [ring.convert(g) for g in B.generators]
-    basis, reps = buchberger(gens, track=range(len(gens)))
-    degree = min(g.total_degree() for g in basis)
-    gammas, remainders, quotients = [], [], {}
-    while True:
-        for gamma in multi_indices(inst.registry.p, degree)[len(gammas) :]:
-            r, quotients[gamma] = normal_form(
-                ring.monomial(gamma), basis, with_cofactors=True
-            )
-            gammas.append(gamma)
-            remainders.append(r)
-        columns = _rational_equations(remainders, inst.field)
-        kernel = b_kernel(columns, gammas, inst.rational_s_ring())
-        if kernel:
-            break
-        degree += 1
-    b = kernel[0][0]
-    # b = sum_g c_g s^g = sum_k (sum_g c_g q_gk) G_k, G_k = sum_t reps[k][t] gens[t]
-    u = [ring.zero() for _ in gens]
-    for g, c in b._terms.items():
-        for qk, rep in zip(quotients[g], reps):
-            if not qk.is_zero():
-                qk = qk.scale(c)
-                u = [ut + qk * r for ut, r in zip(u, rep)]
-    wring = B.certificates[0].ring
-    one = ring.one()
-    parts = [
-        P if ut == one else wring.convert(ut) * P
-        for ut, P in zip(u, B.certificates)
-        if not ut.is_zero()
-    ]
-    U = sum(parts[1:], parts[0])
-    return RationalizeResult(b=b, U_residue=U)
-
-
-def _rational_equations(remainders, F: ResidueField):
-    """sum_g c_g r_g = 0 over F as a rational system: one column per c_g.
-
-    An s-monomial's row holds the coefficients of the r_g there.  A row
-    of rationals stays as it is.  Any other row is brought over the lcm
-    D of its denominators, num/den becoming nf(num * D/den) mod Q, and
-    splits into one equation per monomial of Q[a]: D lies outside the
-    prime Q, so the row vanishes in F exactly when its numerator sum
-    lies in Q, that is, when its normal form is zero.
-    """
-    rows = {}
-    for col, r in enumerate(remainders):
-        for delta, c in r._terms.items():
-            rows.setdefault(delta, {})[col] = c
-    columns = [{} for _ in remainders]
-    for delta, row in rows.items():
-        if not any(isinstance(c, ResidueElem) for c in row.values()):
-            for col, c in row.items():
-                columns[col][delta] = c
-            continue
-        D = _den_lcm(F.ring, row.values())
-        for col, c in row.items():
-            num, den = _num_den(c, F.ring)
-            for aexp, q in F.nf(num * exact_div(D, den))._terms.items():
-                columns[col][delta, aexp] = q
-    return columns
-
-
 # -- the generic package --------------------------------------------------------
 
 
@@ -418,12 +342,13 @@ def generic_bs(
     if Q is None:
         Q = the_zero_prime(inst.param_ring())
     B = bs_ideal_ctx(residue_context(inst, Q), budget=budget)
-    res = rationalize(B)
+    (b,), (U_residue,) = B.generators, B.certificates
+    b = inst.rational_s_ring().convert(b)
 
     param = inst.param_ring()
     target = inst.weyl_ring()
-    h, U = op_scale_clear(res.U_residue, param, target)
-    r = congruence_remainder(h, res.b, U, inst)
+    h, U = op_scale_clear(U_residue, param, target)
+    r = congruence_remainder(h, b, U, inst)
     if not remainder_in_Q(r, Q, inst):
         raise VerificationFailed("congruence remainder escaped Q; pipeline bug")
     if B.instance.field.nf(h).is_zero():
@@ -433,7 +358,7 @@ def generic_bs(
         Q=Q,
         h=h,
         h_radical=squarefree_part(h) if not h.is_constant() else param.one(),
-        b=res.b,
+        b=b,
         U=U,
         remainder=r,
         ideal=B,

@@ -32,10 +32,12 @@ class GBBudget:
     Every Groebner basis a job computes ticks once per S-pair it
     reduces, i.e. per pair that survives the pair criteria, and
     ``minimal_primes`` ticks once more per branch it visits; ``used`` is
-    that count, which a report gives as ``budget_used.steps``.  Nothing
+    that count, which a report gives as ``budget_used.steps``; that
+    includes, for a generic-bs or stratify job whatever p is, the tracked
+    basis of Ann f^s + A_n[s] f^v that ``rationalize`` searches.  Nothing
     else is counted: not the reduction work of one pair, nor certificate
-    replay, nor the rational search of ``rationalize`` (its small basis
-    in F[s] included), so ``max_steps`` does not bound a run's time.
+    replay, nor the search itself, so ``max_steps`` does not bound a
+    run's time.
     """
 
     max_steps: int = 200000

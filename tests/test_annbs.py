@@ -10,10 +10,12 @@ import genbs.annbs
 from genbs.annbs import (
     BSIdeal,
     ann_fs,
+    ann_fs_ctx,
     bs_ideal,
     bs_ideal_ctx,
     bs_poly,
     rationality_report,
+    rationalize,
 )
 from genbs.cli import JobSpec, run_command
 from genbs.errors import EmptyAnsatz
@@ -23,6 +25,7 @@ from genbs.groebner import buchberger, ideal_contains, normal_form
 from genbs.instance import make_instance
 from genbs.orders import GRevLex
 from genbs.parametric import residue_context
+from genbs.parser import parse_poly
 from genbs.poly import PolyRing, QQ
 from genbs.primes import PrimeIdealQ, certify_prime, the_zero_prime
 from genbs.weyl_groebner import eliminate, left_buchberger
@@ -490,3 +493,36 @@ def test_certificate_normal_form_ignores_annihilator_multiples(inst):
         for A in multipliers:
             for g in shifted:
                 assert normal_form(P + A * g, gb) == P
+
+
+# the six pairs of the ideals benchmark workload, in original coordinates
+IDEAL_PAIRS = (
+    (("x", "y"), ("x*y", "x")),
+    (("x", "y"), ("x^3", "y^4")),
+    (("x", "y"), ("x^4", "y^5")),
+    (("x", "y", "z"), ("x", "y^2+z^2")),
+    (("x", "y"), ("y", "y-x^2")),
+    (("x", "y"), ("x", "x^2+y^2")),
+)
+
+
+@pytest.mark.parametrize(
+    "names, texts", IDEAL_PAIRS, ids=[",".join(t) for _, t in IDEAL_PAIRS]
+)
+def test_least_degree_search_on_I_agrees_with_B(names, texts):
+    """A polynomial in s lies in B = I meet Q[s1, s2] exactly when its
+    normal form modulo a basis of I = Ann f^s + A_n[s] f^v is zero, so
+    ``rationalize`` on the tracked Noro basis of I (the route of every
+    job over a residue field) finds the same b as on a basis of all of B,
+    which ``bs_ideal`` reaches by the x, dx elimination."""
+    ring = PolyRing(QQ, names, GRevLex())
+    inst = make_instance(names, [parse_poly(t, ring) for t in texts])
+    ann = ann_fs_ctx(inst)
+    gens = list(ann.generators) + [ann.ring.convert(inst.f_power_v())]
+    basis, reps = left_buchberger(gens, track=(len(gens) - 1,))
+    b_I, _ = rationalize(basis, reps, inst)
+    members = bs_ideal(inst).generators
+    basis_B, reps_B = buchberger(members, track=range(len(members)))
+    b_B, _ = rationalize(basis_B, reps_B, inst)
+    assert b_I.total_degree() > 0
+    assert b_I == b_B

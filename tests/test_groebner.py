@@ -1,5 +1,6 @@
 """Groebner engine on commutative rings: reduction, idempotence, elimination, dimension."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -197,7 +198,10 @@ def test_update_pairs_keeps_the_double_loop_pairs(product):
         for serial in range(rng.randrange(0, 8)):
             i, j = sorted(rng.sample(range(len(leads) - 1), 2)) if len(leads) > 2 else (0, 0)
             old_pairs.append((serial, serial, i, j, mono_lcm(leads[i], leads[j])))
-        pairs = list(old_pairs)
+        # a heap not in sorted order, which the update must leave a heap
+        pairs = old_pairs[::-1]
+        heapq.heapify(pairs)
         pushed = []
         _update_pairs(pairs, leads, product, lambda *pair: pushed.append(pair))
         assert (sorted(pairs), pushed) == _update_pairs_double_loop(old_pairs, leads, product)
+        assert all(pairs[(k - 1) // 2] <= pairs[k] for k in range(1, len(pairs)))

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genbs.annbs import BSIdeal, bs_poly
+from genbs.annbs import bs_poly
 from genbs.errors import (
     DivisionByZeroModQ,
     FamilyVanishesModQ,
-    NonRationalCertificate,
     PointOutsideStratum,
 )
 from genbs.factor import divides, multi_gcd
@@ -402,10 +401,6 @@ def _fake_inst(p, Q=None):
     return ProblemInstance(VarRegistry.create(("x",), p), f, (1,) * p, field=F)
 
 
-def _fake_bs(inst, generators, certs=()):
-    return BSIdeal(instance=inst, generators=tuple(generators), certificates=certs)
-
-
 def _rational(a, s):
     return [s + 1]
 
@@ -471,23 +466,22 @@ def _univariate_parts(a, s1, s2):
     ],
 )
 def test_rationalize_least_degree(p, Q, build, b, U):
-    # the least-degree member of B in Q[s] and the combination of the
-    # generators' operators that gives it
+    # the least-degree member of a hand-built ideal of F[s] in Q[s], and
+    # the combination U = sum_t u_t P_t of operators P_t standing for the
+    # generators' certificates
     inst = _fake_inst(p, Q)
     ring = inst.s_ring()
     a = ring.const(inst.field.make(A))
     gens = build(a, *(ring.var(n) for n in inst.registry.s))
-    x, dx = (inst.weyl_ring().gen(n) for n in ("x", "dx"))
+    basis, reps = buchberger(gens, track=range(len(gens)))
+    res_b, u = rationalize(basis, reps, inst)
+    assert str(res_b) == b
+    assert res_b.ring == inst.rational_s_ring()
+    wring = inst.weyl_ring()
+    x, dx = (wring.gen(n) for n in ("x", "dx"))
     certs = (x, dx, x * dx, dx * dx)[: len(gens)]
-    res = rationalize(_fake_bs(inst, gens, certs=certs))
-    assert str(res.b) == b
-    assert res.b.ring == inst.rational_s_ring()
-    assert str(res.U_residue) == U
-
-
-def test_rationalize_no_generators():
-    with pytest.raises(NonRationalCertificate):
-        rationalize(_fake_bs(_fake_inst(1), []))
+    parts = [wring.convert(ut) * P for ut, P in zip(u, certs) if not ut.is_zero()]
+    assert str(sum(parts[1:], parts[0])) == U
 
 
 def test_buchberger_cofactors_residue_field():
